@@ -62,6 +62,15 @@ def main(out_dir: str) -> None:
     payload = {"command": "hierarchy-charges", "kind": "I", "max_k": 3,
                "densities": [serialize.to_dict(T.i_matrix(k)) for k in range(1, 4)]}
     (out / "charges-I-3.json").write_text(serialize.dumps(payload))
+
+    # open-chain lam^-2 charge: the typed values test_boundary.py and
+    # acceptance criteria 7a-7c pin, in the printer's exact form
+    payload = {"command": "boundary-charges", "order": 2,
+               "bulk": "-u_t*uh - pi*pih + u*u*uh*uh",
+               "plus": "(xi_p)/(ka_p)*u + ((-i)/(ka_p))*pih + 1/2*u*u",
+               "minus": "(xi_m)/(ka_m)*uh + (i)/(ka_m)*pi - u*uh + 1/2*uh*uh",
+               "plus_prefix": ["-ka_p", 1], "minus_prefix": ["ka_m", 1]}
+    (out / "boundary-charges-2.json").write_text(serialize.dumps(payload))
     print(f"wrote goldens to {out}")
 
 

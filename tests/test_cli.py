@@ -116,6 +116,13 @@ def test_golden_match(tmp_path, capsys):
     assert code == 0
 
 
+def test_boundary_charges_golden_match(capsys):
+    code, out, err = run_cli("--golden", str(REPO / "goldens"), "boundary", "charges",
+                             "--order", "2", "--out", "json", capsys=capsys)
+    assert code == 0 and "golden match" in err
+    assert out == (REPO / "goldens" / "boundary-charges-2.json").read_text()
+
+
 def test_golden_mismatch_fails(tmp_path, capsys):
     bad = tmp_path / "goldens"
     bad.mkdir()

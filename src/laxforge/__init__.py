@@ -3,8 +3,8 @@
 Riccati series solutions, conserved charges, the flow-operator hierarchy via
 generating-function and dressing routes, classical reflection/Poisson checks,
 and integrable time-like boundary conditions, with an independent numeric
-oracle.  All symbolic arithmetic is exact (Gaussian rationals; rational
-functions of the boundary constants).
+oracle.  All symbolic arithmetic is exact (Gaussian rationals; Laurent
+polynomials over Q(i) in the boundary constants).
 """
 
 from .atoms import FieldAtom, Word, atom

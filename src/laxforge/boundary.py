@@ -1,9 +1,11 @@
 """Reflection-equation checks, Poisson structures, and time-like boundaries.
 
-Everything here is exact: rational functions in the spectral parameters and
-boundary constants, polynomial divisibility by (lam - mu) proved by division
-rather than sampling, and boundary charge terms extracted from the reflected
-double-row generating function.
+Everything here is exact: the spectral parameters and boundary constants live
+in one ring of Laurent polynomials over Q(i) (the constants xi enter
+polynomially, ka only through powers of 1/ka), the reflection and Poisson
+checks are polynomial identities with their (lam -+ mu) denominators cleared,
+and boundary charge terms are extracted from the reflected double-row
+generating function.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from .atoms import atom
 from .coeff import GaussianRational, gr
 from .matrices import PolyMatrix
 from .ncpoly import NCPolynomial
-from .ratfunc import RatFunc, RationalMatrix
+from .ratfunc import MPoly, MPolyMatrix
 from .riccati import omega_matrix, solve_w_z
 from .series import LaurentSeries, series_invert, series_log
 
@@ -53,51 +55,44 @@ class BoundaryParams:
 # reflection equation
 # ---------------------------------------------------------------------------
 
-def permutation_matrix(vars=RVARS) -> RationalMatrix:
-    p = RationalMatrix.zero(vars, 4)
-    one = RatFunc.constant(vars, 1)
-    for i in range(2):
-        for j in range(2):
-            p.entries[i * 2 + j][j * 2 + i] = one
-    return p
+def permutation_matrix(vars=RVARS) -> MPolyMatrix:
+    """The flip P of C^2 (x) C^2: row 2i + j has its 1 in column 2j + i."""
+    one, zero = MPoly.constant(vars, 1), MPoly(vars)
+    return MPolyMatrix(vars, [[one if c == (r % 2) * 2 + r // 2 else zero
+                               for c in range(4)] for r in range(4)])
 
 
-def r_matrix(arg: RatFunc, vars=RVARS) -> RationalMatrix:
-    """Rational solution of the classical Yang-Baxter equation: P / arg."""
-    return permutation_matrix(vars).scale(arg.inverse())
-
-
-def k_matrix(vars=RVARS, lam_name="lam", xi_name="xi", ka_name="ka") -> RationalMatrix:
+def k_matrix() -> MPolyMatrix:
     """Two-parameter boundary matrix [[lam + i xi, i ka lam], [i ka lam, -lam + i xi]]."""
-    lam = RatFunc.variable(vars, lam_name)
-    xi = RatFunc.variable(vars, xi_name)
-    ka = RatFunc.variable(vars, ka_name)
-    i = RatFunc.constant(vars, _I)
-    return RationalMatrix(vars, [
-        [lam + i * xi, i * ka * lam],
-        [i * ka * lam, -lam + i * xi],
+    lam, xi, ka = (MPoly.variable(RVARS, v) for v in ("lam", "xi", "ka"))
+    return MPolyMatrix(RVARS, [
+        [lam + _I * xi, _I * ka * lam],
+        [_I * ka * lam, -lam + _I * xi],
     ])
 
 
-def reflection_residual(k: RationalMatrix) -> RationalMatrix:
-    """[r(l-m), K1(l) K2(m)] + K1(l) r(l+m) K2(m) - K2(m) r(l+m) K1(l).
+def reflection_residual(k: MPolyMatrix) -> MPolyMatrix:
+    """(lam^2 - mu^2) times the reflection-equation residual for r(z) = P/z.
 
-    The argument is K(lam); K(mu) is obtained by renaming the spectral
-    variable.  A c-number solution of the reflection equation makes this
-    vanish identically.
+    The residual [r(l-m), K1(l) K2(m)] + K1(l) r(l+m) K2(m) - K2(m) r(l+m) K1(l)
+    times (lam - mu)(lam + mu) is the polynomial
+    (lam + mu) [P, K1 K2] + (lam - mu) (K1 P K2 - K2 P K1),
+    so the check is an exact identity with no division.  The argument is
+    K(lam); K(mu) is obtained by renaming the spectral variable.  A c-number
+    solution of the reflection equation makes this vanish identically.
     """
     if k.shape != (2, 2):
         raise ValueError("K must be 2x2")
     vars = k.vars
-    lam = RatFunc.variable(vars, "lam")
-    mu = RatFunc.variable(vars, "mu")
-    eye = RationalMatrix.identity(vars, 2)
+    lam = MPoly.variable(vars, "lam")
+    mu = MPoly.variable(vars, "mu")
+    eye = MPolyMatrix.identity(vars, 2)
+    p = permutation_matrix(vars)
     k1 = k.kron(eye)
     k2 = eye.kron(k.subs_var("lam", "mu"))
-    r_minus = r_matrix(lam - mu, vars)
-    r_plus = r_matrix(lam + mu, vars)
-    return (r_minus * (k1 * k2) - (k1 * k2) * r_minus
-            + k1 * r_plus * k2 - k2 * r_plus * k1)
+    k12 = k1 * k2
+    return ((p * k12 - k12 * p).scale(lam + mu)
+            + (k1 * p * k2 - k2 * p * k1).scale(lam - mu))
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +290,12 @@ def poisson_antisymmetry_defect(which: str = "V") -> list[list[BiPoly]]:
 # boundary Lax operators and boundary conditions
 # ---------------------------------------------------------------------------
 
-def _bconst(c) -> RatFunc:
-    if isinstance(c, RatFunc):
-        return c
-    return RatFunc.constant(BVARS, c if isinstance(c, GaussianRational)
-                            else GaussianRational.of(c))
+def _bconst(c) -> MPoly:
+    return c if isinstance(c, MPoly) else MPoly.constant(BVARS, c)
 
 
-def _bvar(name) -> RatFunc:
-    return RatFunc.variable(BVARS, name)
+def _bvar(name) -> MPoly:
+    return MPoly.variable(BVARS, name)
 
 
 def _bpoly_const(c) -> NCPolynomial:
@@ -316,7 +308,7 @@ def _bfield(base, coeff=None) -> NCPolynomial:
 
 
 def promote_poly(p: NCPolynomial) -> NCPolynomial:
-    """Lift Gaussian-rational coefficients into the boundary-constant field."""
+    """Lift Gaussian-rational coefficients into the boundary-constant ring."""
     return p.map_coeff(lambda c: _bconst(c))
 
 
@@ -497,8 +489,9 @@ def open_charge_expansion(params: BoundaryParams | None = None,
     respective boundary points, takes series logs, halves, and returns the
     lam^-2 coefficients with field-independent constants stripped.
     """
-    if order < 2:
-        raise ValueError("order must be >= 2 to reach the lam^-2 coefficient")
+    if order < 3:
+        raise ValueError("order must be >= 3: the lam^-2 bulk term is Z^(2), which "
+                         "the Riccati solve reaches only at order >= 3")
     params = params or BoundaryParams()
     params.check_kappa()
     sol = solve_w_z(order, "scalar")

@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import serialize
+from .checks import TARGETS
 from .latex import tex
 
 
@@ -157,7 +158,8 @@ def _cmd_boundary_reflect(args, cfg) -> int:
     if res.is_zero:
         sys.stdout.write("reflection residual == 0 (fully symbolic constants)\n")
         return 0
-    sys.stderr.write("reflection residual is NOT zero:\n")
+    sys.stderr.write("reflection residual is NOT zero; nonzero entries of "
+                     "(lam^2 - mu^2) * residual:\n")
     for i, j, e in res.nonzero_entries():
         sys.stderr.write(f"  entry ({i},{j}): {e}\n")
     return 1
@@ -288,7 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(fn=_cmd_boundary_poisson)
     p = bsub.add_parser("charges", help="open-chain charge expansion")
-    p.add_argument("--order", type=int, default=2)
+    p.add_argument("--order", type=int, choices=(2,), default=2,
+                   help="order of the charge; only 2 (the lam^-2 charge) until "
+                        "the expansion reads other orders")
     p.add_argument("--xi+", "--xi-plus", dest="xi_plus")
     p.add_argument("--kappa+", "--kappa-plus", dest="kappa_plus")
     p.add_argument("--xi-", "--xi-minus", dest="xi_minus")
@@ -303,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="numeric verification battery")
     vsub = pv.add_subparsers(dest="subcommand", required=True)
     p = vsub.add_parser("numeric", help="evaluate symbolic zeros numerically")
-    p.add_argument("--target", choices=("riccati", "eom", "conservation", "all"),
-                   default="all")
+    p.add_argument("--target", choices=(*TARGETS, "all"), default="all")
     p.add_argument("--trials", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--seed", type=int)

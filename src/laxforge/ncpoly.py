@@ -4,7 +4,7 @@ An NCPolynomial is a finite Q(i)-linear combination of words.  Matrix mode
 keeps factor order and chains block shapes; scalar mode is the commutative
 image (all shapes (1,1), words canonically sorted).  The coefficient type is
 pluggable: anything with +, -, *, ==, and truthiness-as-nonzero works, so the
-boundary module can swap in rational functions of the boundary constants.
+boundary module can swap in Laurent polynomials in the boundary constants.
 """
 from __future__ import annotations
 

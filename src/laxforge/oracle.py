@@ -17,7 +17,6 @@ from .atoms import FieldAtom
 from .coeff import GaussianRational
 from .matrices import PolyMatrix
 from .ncpoly import NCPolynomial, TracePolynomial
-from .ratfunc import RatFunc
 from .series import LaurentSeries
 
 MAX_MODES = 8
@@ -128,11 +127,9 @@ class ExponentialSolution:
 def _coeff_value(c, params: dict | None) -> complex:
     if isinstance(c, GaussianRational):
         return c.to_complex()
-    if isinstance(c, RatFunc):
-        if params is None:
-            raise ValueError("boundary-constant coefficients need parameter values")
-        return c.eval(params)
-    raise TypeError(f"cannot evaluate coefficient {type(c).__name__}")
+    if params is None:
+        raise ValueError("boundary-constant coefficients need parameter values")
+    return c.eval(params)
 
 
 def evaluate(expr, sample, point, lam: complex | None = None, params: dict | None = None):

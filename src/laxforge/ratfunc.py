@@ -1,9 +1,14 @@
-"""Exact multivariate polynomials and rational functions.
+"""Exact Laurent polynomials over Q(i) in a fixed tuple of variables.
 
-Coefficients are Gaussian rationals; variables are a fixed tuple per value.
-Rational functions are stored unreduced (no multivariate gcd): equality is
-decided by cross-multiplication, zeroness by the numerator, which keeps every
-identity check exact without factorization machinery.
+This is the coefficient ring of the boundary constants.  In every boundary Lax
+operator, generator and boundary term the constants xi enter polynomially and
+ka only through powers of 1/ka, so every quotient the boundary work forms is by
+a monomial: exponents may be negative, division by a monomial is exact, and
+division by anything else raises.  Values are canonical (equal values have
+equal term dicts), so equality is a dict comparison and values hash.
+
+The module keeps its name because the benchmark's per-layer split
+(``perfbench/layers.py``) attributes this ring's time to the ``ratfunc`` layer.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ GR_ONE = GaussianRational(Fraction(1))
 
 
 class MPoly:
-    """Multivariate polynomial: dict of exponent tuples -> GaussianRational."""
+    """Laurent polynomial: dict of signed exponent tuples -> GaussianRational."""
 
     __slots__ = ("vars", "terms")
 
@@ -29,7 +34,7 @@ class MPoly:
 
     @staticmethod
     def constant(vars, c) -> "MPoly":
-        c = GaussianRational.of(c) if not isinstance(c, GaussianRational) else c
+        c = GaussianRational.of(c)
         z = tuple(0 for _ in vars)
         return MPoly(vars, {z: c} if c else {})
 
@@ -40,9 +45,14 @@ class MPoly:
             raise ValueError(f"unknown variable {name!r}")
         return MPoly(vars, {e: GR_ONE})
 
-    def _chk(self, other):
-        if self.vars != other.vars:
-            raise ValueError("variable sets differ")
+    def _coerce(self, other):
+        if isinstance(other, MPoly):
+            if self.vars != other.vars:
+                raise ValueError("variable sets differ")
+            return other
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return MPoly.constant(self.vars, other)
+        return NotImplemented
 
     @property
     def is_zero(self):
@@ -52,80 +62,97 @@ class MPoly:
         return not self.is_zero
 
     def __eq__(self, other):
-        return isinstance(other, MPoly) and self.vars == other.vars \
-            and self.terms == other.terms
+        if isinstance(other, MPoly) and self.vars != other.vars:
+            return False
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.terms == other.terms
 
     def __hash__(self):
+        if not any(any(e) for e in self.terms):   # a constant hashes as its value
+            return hash(sum(self.terms.values(), GR_ZERO))
         return hash((self.vars, frozenset(self.terms.items())))
 
     def __add__(self, other):
-        self._chk(other)
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            s = t.get(e, GR_ZERO) + c
-            if s:
-                t[e] = s
-            else:
-                t.pop(e, None)
-        return MPoly(self.vars, t)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _collect(self.vars, [*self.terms.items(), *other.terms.items()])
+
+    __radd__ = __add__
 
     def __neg__(self):
         return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, GaussianRational):
-            return MPoly(self.vars, {e: c * other for e, c in self.terms.items()})
-        self._chk(other)
-        t: dict[tuple[int, ...], GaussianRational] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = t.get(e, GR_ZERO) + c1 * c2
-                if s:
-                    t[e] = s
-                else:
-                    t.pop(e, None)
-        return MPoly(self.vars, t)
+    def __rsub__(self, other):
+        return -self + other
 
-    def scale(self, c: GaussianRational):
-        return MPoly(self.vars, {e: v * c for e, v in self.terms.items()} if c else {})
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            c = GaussianRational.of(other)
+            return MPoly(self.vars, {e: v * c for e, v in self.terms.items()})
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _collect(self.vars, ((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                                    for e1, c1 in self.terms.items()
+                                    for e2, c2 in other.terms.items()))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def inverse(self) -> "MPoly":
+        """Exact inverse of a monomial; anything else has none in this ring."""
+        if len(self.terms) != 1:
+            if not self.terms:
+                raise ZeroDivisionError("inverting the zero Laurent polynomial")
+            raise ArithmeticError(f"{self} is not a monomial: only monomials are "
+                                  "invertible Laurent polynomials")
+        (e, c), = self.terms.items()
+        return MPoly(self.vars, {tuple(-p for p in e): GR_ONE / c})
 
     def subs_var(self, src: str, dst: str) -> "MPoly":
         """Rename variable src to dst (both must be in vars)."""
         i, j = self.vars.index(src), self.vars.index(dst)
-        t: dict[tuple[int, ...], GaussianRational] = {}
+        out = []
         for e, c in self.terms.items():
             e2 = list(e)
             e2[j] += e2[i]
             e2[i] = 0
-            key = tuple(e2)
-            s = t.get(key, GR_ZERO) + c
-            if s:
-                t[key] = s
-            else:
-                t.pop(key, None)
-        return MPoly(self.vars, t)
+            out.append((tuple(e2), c))
+        return _collect(self.vars, out)
 
     def subs_values(self, values: dict[str, GaussianRational]) -> "MPoly":
-        """Exact substitution of some variables by Gaussian-rational values."""
+        """Exact substitution of some variables by Gaussian-rational values.
+
+        A variable that occurs with a negative power must get a nonzero value.
+        """
         idx = {self.vars.index(k): v for k, v in values.items()}
-        t: dict[tuple[int, ...], GaussianRational] = {}
+        out = []
         for e, c in self.terms.items():
             e2 = list(e)
             for i, v in idx.items():
-                for _ in range(e2[i]):
-                    c = c * v
+                f = v if e2[i] >= 0 else GR_ONE / v
+                for _ in range(abs(e2[i])):
+                    c = c * f
                 e2[i] = 0
-            key = tuple(e2)
-            s = t.get(key, GR_ZERO) + c
-            if s:
-                t[key] = s
-            else:
-                t.pop(key, None)
-        return MPoly(self.vars, t)
+            out.append((tuple(e2), c))
+        return _collect(self.vars, out)
 
     def eval(self, values: dict[str, complex]) -> complex:
         out = 0j
@@ -137,15 +164,14 @@ class MPoly:
             out += v
         return out
 
-    def leading_coeff(self) -> GaussianRational:
-        if not self.terms:
-            return GR_ZERO
-        e = max(self.terms)
-        return self.terms[e]
-
     def __str__(self):
+        """Polynomial form, or (numerator)/(least monomial denominator)."""
         if not self.terms:
             return "0"
+        low = [min(e[i] for e in self.terms) for i in range(len(self.vars))]
+        if min(low) < 0:
+            den = MPoly(self.vars, {tuple(-min(p, 0) for p in low): GR_ONE})
+            return f"({self * den})/({den})"
         parts = []
         for e, c in sorted(self.terms.items()):
             mono = "*".join(f"{v}^{p}" if p > 1 else v
@@ -161,145 +187,16 @@ class MPoly:
     __repr__ = __str__
 
 
-def _cancel_monomial(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
-    """Strip the common monomial factor; if den becomes a unit, clear it.
-
-    This is the only reduction performed (no multivariate gcd): it keeps
-    denominators like ka_p from lingering under numerators they divide.
-    """
-    exps = list(num.terms) + list(den.terms)
-    common = tuple(min(e[i] for e in exps) for i in range(len(num.vars)))
-    if any(common):
-        num = MPoly(num.vars, {tuple(a - b for a, b in zip(e, common)): c
-                               for e, c in num.terms.items()})
-        den = MPoly(den.vars, {tuple(a - b for a, b in zip(e, common)): c
-                               for e, c in den.terms.items()})
-    if len(den.terms) == 1:
-        (e, c), = den.terms.items()
-        if all(p == 0 for p in e):
-            return num.scale(GR_ONE / c), MPoly.constant(num.vars, GR_ONE)
-        # single-monomial denominator: cancel into the numerator when possible
-        if all(all(ne[i] >= e[i] for i in range(len(e))) for ne in num.terms):
-            num2 = MPoly(num.vars, {tuple(a - b for a, b in zip(ne, e)): nc * (GR_ONE / c)
-                                    for ne, nc in num.terms.items()})
-            return num2, MPoly.constant(num.vars, GR_ONE)
-    return num, den
+def _collect(vars, pairs) -> MPoly:
+    """Sum (exponent, coefficient) pairs; the constructor drops zero sums."""
+    t: dict[tuple[int, ...], GaussianRational] = {}
+    for e, c in pairs:
+        t[e] = t[e] + c if e in t else c
+    return MPoly(vars, t)
 
 
-class RatFunc:
-    """num/den pair over a shared variable tuple; den is content-normalized."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: MPoly, den: MPoly | None = None):
-        if den is None:
-            den = MPoly.constant(num.vars, GR_ONE)
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            den = MPoly.constant(num.vars, GR_ONE)
-        else:
-            num, den = _cancel_monomial(num, den)
-            lead = den.leading_coeff()
-            inv = GR_ONE / lead
-            num, den = num.scale(inv), den.scale(inv)
-        self.num, self.den = num, den
-
-    @staticmethod
-    def constant(vars, c) -> "RatFunc":
-        return RatFunc(MPoly.constant(vars, c))
-
-    @staticmethod
-    def variable(vars, name) -> "RatFunc":
-        return RatFunc(MPoly.variable(vars, name))
-
-    @property
-    def vars(self):
-        return self.num.vars
-
-    @property
-    def is_zero(self):
-        return self.num.is_zero
-
-    def __bool__(self):
-        return not self.is_zero
-
-    def _coerce(self, other) -> "RatFunc":
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return RatFunc.constant(self.vars, GaussianRational.of(other)
-                                    if not isinstance(other, GaussianRational) else other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self.num * other.den) == (other.num * self.den)
-
-    __hash__ = None  # cross-multiplied equality has no consistent hash
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
-
-    def inverse(self) -> "RatFunc":
-        if self.is_zero:
-            raise ZeroDivisionError("inverting zero rational function")
-        return RatFunc(self.den, self.num)
-
-    def subs_var(self, src, dst) -> "RatFunc":
-        return RatFunc(self.num.subs_var(src, dst), self.den.subs_var(src, dst))
-
-    def subs_values(self, values: dict[str, GaussianRational]) -> "RatFunc":
-        return RatFunc(self.num.subs_values(values), self.den.subs_values(values))
-
-    def eval(self, values: dict[str, complex]) -> complex:
-        d = self.den.eval(values)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at the sample point")
-        return self.num.eval(values) / d
-
-    def __str__(self):
-        if self.den == MPoly.constant(self.vars, GR_ONE):
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    __repr__ = __str__
-
-
-class RationalMatrix:
-    """Dense matrix of rational functions; dims (2,2) or (4,4) in practice."""
+class MPolyMatrix:
+    """Dense matrix of Laurent polynomials over one variable tuple."""
 
     __slots__ = ("vars", "entries")
 
@@ -308,84 +205,50 @@ class RationalMatrix:
         self.entries = [list(row) for row in entries]
 
     @staticmethod
-    def zero(vars, n, m=None) -> "RationalMatrix":
-        m = n if m is None else m
-        z = RatFunc.constant(vars, GR_ZERO)
-        return RationalMatrix(vars, [[z for _ in range(m)] for _ in range(n)])
-
-    @staticmethod
-    def identity(vars, n) -> "RationalMatrix":
-        out = RationalMatrix.zero(vars, n)
-        one = RatFunc.constant(vars, GR_ONE)
-        for i in range(n):
-            out.entries[i][i] = one
-        return out
+    def identity(vars, n) -> "MPolyMatrix":
+        one, zero = MPoly.constant(vars, GR_ONE), MPoly(vars)
+        return MPolyMatrix(vars, [[one if i == j else zero for j in range(n)]
+                                  for i in range(n)])
 
     @property
     def shape(self):
         return (len(self.entries), len(self.entries[0]))
 
     def __add__(self, other):
-        return RationalMatrix(self.vars, [[a + b for a, b in zip(r1, r2)]
-                                          for r1, r2 in zip(self.entries, other.entries)])
+        return MPolyMatrix(self.vars, [[a + b for a, b in zip(r1, r2)]
+                                       for r1, r2 in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
-        return RationalMatrix(self.vars, [[a - b for a, b in zip(r1, r2)]
-                                          for r1, r2 in zip(self.entries, other.entries)])
+        return MPolyMatrix(self.vars, [[a - b for a, b in zip(r1, r2)]
+                                       for r1, r2 in zip(self.entries, other.entries)])
 
-    def __neg__(self):
-        return RationalMatrix(self.vars, [[-a for a in r] for r in self.entries])
+    def __mul__(self, other: "MPolyMatrix") -> "MPolyMatrix":
+        n, k = self.shape
+        k2, m = other.shape
+        if k != k2:
+            raise ValueError("shape mismatch")
+        return MPolyMatrix(self.vars, [
+            [sum((self.entries[i][s] * other.entries[s][j] for s in range(k)),
+                 MPoly(self.vars)) for j in range(m)] for i in range(n)])
 
-    def __mul__(self, other):
-        if isinstance(other, RationalMatrix):
-            n, k = self.shape
-            k2, m = other.shape
-            if k != k2:
-                raise ValueError("shape mismatch")
-            out = RationalMatrix.zero(self.vars, n, m)
-            for i in range(n):
-                for j in range(m):
-                    acc = RatFunc.constant(self.vars, GR_ZERO)
-                    for s in range(k):
-                        acc = acc + self.entries[i][s] * other.entries[s][j]
-                    out.entries[i][j] = acc
-            return out
-        return RationalMatrix(self.vars, [[a * other for a in r] for r in self.entries])
+    def scale(self, c) -> "MPolyMatrix":
+        return MPolyMatrix(self.vars, [[a * c for a in r] for r in self.entries])
 
-    def scale(self, c) -> "RationalMatrix":
-        return RationalMatrix(self.vars, [[a * c for a in r] for r in self.entries])
-
-    def kron(self, other: "RationalMatrix") -> "RationalMatrix":
+    def kron(self, other: "MPolyMatrix") -> "MPolyMatrix":
         n, m = self.shape
         p, q = other.shape
-        out = RationalMatrix.zero(self.vars, n * p, m * q)
-        for i in range(n):
-            for j in range(m):
-                for a in range(p):
-                    for b in range(q):
-                        out.entries[i * p + a][j * q + b] = \
-                            self.entries[i][j] * other.entries[a][b]
-        return out
+        return MPolyMatrix(self.vars, [
+            [self.entries[i // p][j // q] * other.entries[i % p][j % q]
+             for j in range(m * q)] for i in range(n * p)])
 
-    def subs_var(self, src, dst) -> "RationalMatrix":
-        return RationalMatrix(self.vars,
-                              [[a.subs_var(src, dst) for a in r] for r in self.entries])
+    def subs_var(self, src, dst) -> "MPolyMatrix":
+        return MPolyMatrix(self.vars,
+                           [[a.subs_var(src, dst) for a in r] for r in self.entries])
 
     @property
     def is_zero(self) -> bool:
         return all(a.is_zero for r in self.entries for a in r)
 
     def nonzero_entries(self):
-        return [(i, j, self.entries[i][j])
-                for i in range(self.shape[0]) for j in range(self.shape[1])
-                if not self.entries[i][j].is_zero]
-
-    def eval(self, values: dict[str, complex]):
-        import numpy as np
-        return np.array([[a.eval(values) for a in r] for r in self.entries],
-                        dtype=complex)
-
-    def __str__(self):
-        return "[" + "; ".join(", ".join(str(a) for a in r) for r in self.entries) + "]"
-
-    __repr__ = __str__
+        return [(i, j, a) for i, r in enumerate(self.entries)
+                for j, a in enumerate(r) if not a.is_zero]

@@ -201,7 +201,7 @@ def series_invert(s: LaurentSeries) -> LaurentSeries:
     c = _constant_scalar(s.coeffs[k])
     if c is None:
         raise ValueError("leading coefficient is not an invertible constant block matrix")
-    cinv = _invert_scalar(c)
+    cinv = GR_ONE / c
     norm = s.shift(-k).map_coefficients(lambda m: m.scale(cinv))
     n = norm - LaurentSeries.identity(s.mode, s.row_dims, truncation=norm.truncation)
     if n.is_zero:
@@ -241,12 +241,6 @@ def _constant_scalar(m: PolyMatrix):
     return c
 
 
-def _invert_scalar(c):
-    if isinstance(c, GaussianRational):
-        return GR_ONE / c
-    return c.inverse()  # rational-function coefficients
-
-
 def series_log(s: LaurentSeries):
     """Mercator log of a scalar-shape series c*lam^k*(1 + n).
 
@@ -261,7 +255,7 @@ def series_log(s: LaurentSeries):
     lead = _constant_scalar(s.coeffs[k])
     if lead is None:
         raise ValueError("leading coefficient must be a nonzero constant")
-    cinv = _invert_scalar(lead)
+    cinv = GR_ONE / lead
     n = s.shift(-k).map_coefficients(lambda m: m.scale(cinv)) \
         - LaurentSeries.identity(s.mode, s.row_dims,
                                  truncation=None if s.truncation is None

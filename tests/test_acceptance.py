@@ -35,7 +35,7 @@ from laxforge.ncpoly import NCPolynomial, is_total_t_derivative
 from laxforge.oracle import (ExponentialSolution, FieldSample, evaluate,
                              finite_difference_crosscheck)
 from laxforge.parser import parse_poly
-from laxforge.ratfunc import MPoly, RatFunc, RationalMatrix
+from laxforge.ratfunc import MPoly, MPolyMatrix
 from laxforge.riccati import nls_v, solve_gamma, solve_w_z
 
 TOL_NUMERIC = 1e-9       # symbolic zeros under random trig samples
@@ -130,14 +130,14 @@ def expansion():
 
 
 def _boundary_value(field_text, xi, ka, extra=None):
-    xi_v = RatFunc.variable(BVARS, xi)
-    ka_v = RatFunc.variable(BVARS, ka)
-    i_over = RatFunc.constant(BVARS, gr(0, 1)) / ka_v
+    xi_v = MPoly.variable(BVARS, xi)
+    ka_v = MPoly.variable(BVARS, ka)
+    i_over = MPoly.constant(BVARS, gr(0, 1)) / ka_v
     fld, mom, sign = field_text
     out = (parse_poly(fld).map_coeff(lambda c: (xi_v / ka_v) * c)
            + parse_poly(mom).map_coeff(lambda c: (i_over * sign) * c)
            + parse_poly(f"{fld}*{fld}").map_coeff(
-               lambda c: RatFunc.constant(BVARS, c) * Fraction(1, 2)))
+               lambda c: MPoly.constant(BVARS, c) * Fraction(1, 2)))
     if extra is not None:
         out = out + extra
     return out
@@ -179,25 +179,24 @@ def _iota(p):
     return NCPolynomial(p.mode, p.shape, terms)
 
 
-def _signed_rename(r, mapping):
-    """r with every variable v replaced by sign * dst for (dst, sign) = mapping[v].
+def _signed_rename(p, mapping):
+    """p with every variable v replaced by sign * dst for (dst, sign) = mapping[v].
 
-    The replacements are simultaneous, so the mapping may swap variables.
+    The replacements are simultaneous, so the mapping may swap variables.  A
+    negative sign flips odd powers, negative ones included.
     """
-    def on(p):
-        idx = {p.vars.index(v): (p.vars.index(dst), sign)
-               for v, (dst, sign) in mapping.items()}
-        terms = {}
-        for e, c in p.terms.items():
-            e2 = [0] * len(e)
-            for i, k in enumerate(e):
-                j, sign = idx.get(i, (i, 1))
-                e2[j] += k
-                if sign < 0 and k % 2:
-                    c = -c
-            terms[tuple(e2)] = c
-        return MPoly(p.vars, terms)
-    return RatFunc(on(r.num), on(r.den))
+    idx = {p.vars.index(v): (p.vars.index(dst), sign)
+           for v, (dst, sign) in mapping.items()}
+    terms = {}
+    for e, c in p.terms.items():
+        e2 = [0] * len(e)
+        for i, k in enumerate(e):
+            j, sign = idx.get(i, (i, 1))
+            e2[j] += k
+            if sign < 0 and k % 2:
+                c = -c
+        terms[tuple(e2)] = c
+    return MPoly(p.vars, terms)
 
 
 def _end_swap_signs():
@@ -207,11 +206,11 @@ def _end_swap_signs():
     overall -1 is immaterial: it enters the transfer matrix once per end.
     """
     k = k_matrix()
-    zero, one = RatFunc.constant(RVARS, 0), RatFunc.constant(RVARS, 1)
-    sx = RationalMatrix(RVARS, [[zero, one], [one, zero]])
+    zero, one = MPoly.constant(RVARS, 0), MPoly.constant(RVARS, 1)
+    sx = MPolyMatrix(RVARS, [[zero, one], [one, zero]])
     swapped = sx * k * sx
     fits = [(s_xi, s_ka) for s_xi in (1, -1) for s_ka in (1, -1)
-            if (swapped + RationalMatrix(RVARS, [
+            if (swapped + MPolyMatrix(RVARS, [
                 [_signed_rename(e, {"xi": ("xi", s_xi), "ka": ("ka", s_ka)})
                  for e in row] for row in k.entries])).is_zero]
     assert len(fits) == 1, fits

@@ -73,6 +73,23 @@ def test_boundary_charges_with_plus_flags(capsys):
     assert "2/3*u" in payload["plus"]
 
 
+@pytest.mark.parametrize("order", ["0", "3"])
+def test_boundary_charges_refuses_other_orders(order, capsys):
+    """Only the lam^-2 charge is computed, so no other order gets its label."""
+    with pytest.raises(SystemExit) as exc:
+        main(["boundary", "charges", "--order", order])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "invalid choice" in err
+
+
+@pytest.mark.parametrize("target", ["algebra", "route"])
+def test_verify_numeric_every_target(target, capsys):
+    code, out, _ = run_cli("verify", "numeric", "--target", target,
+                           "--trials", "3", "--seed", "7", capsys=capsys)
+    rep = json.loads(out)
+    assert code == 0 and rep["passed"] is True and rep["target"] == target
+
+
 def test_verify_numeric_json_and_exit(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, _, _ = run_cli("verify", "numeric", "--target", "conservation",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .atoms import atom
-from .coeff import GaussianRational, gr
+from .coeff import GaussianRational, collect, gr
 from .matrices import PolyMatrix
 from .ncpoly import NCPolynomial
 from .ratfunc import MPoly, MPolyMatrix
@@ -100,72 +100,50 @@ def reflection_residual(k: MPolyMatrix) -> MPolyMatrix:
 # ---------------------------------------------------------------------------
 
 class BiPoly:
-    """Polynomial in (lam, mu) with scalar-mode NCPolynomial coefficients."""
+    """Polynomial in (lam, mu) with scalar-mode NCPolynomial coefficients.
+
+    Built from ``((lam_pow, mu_pow), coefficient)`` pairs, summed by ``collect``.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        self.terms: dict[tuple[int, int], NCPolynomial] = {}
-        for e, p in (terms or {}).items():
-            if not p.is_zero:
-                self.terms[e] = p
+    def __init__(self, pairs=()):
+        self.terms: dict[tuple[int, int], NCPolynomial] = collect(pairs)
 
     @staticmethod
     def of(p: NCPolynomial, lam_pow=0, mu_pow=0) -> "BiPoly":
-        return BiPoly({(lam_pow, mu_pow): p})
+        return BiPoly([((lam_pow, mu_pow), p)])
 
     def __add__(self, other):
-        t = dict(self.terms)
-        for e, p in other.terms.items():
-            s = t[e] + p if e in t else p
-            if s.is_zero:
-                t.pop(e, None)
-            else:
-                t[e] = s
-        return BiPoly(t)
+        return BiPoly([*self.terms.items(), *other.terms.items()])
 
     def __neg__(self):
-        return BiPoly({e: -p for e, p in self.terms.items()})
+        return BiPoly((e, -p) for e, p in self.terms.items())
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
-        out = BiPoly()
-        for e1, p1 in self.terms.items():
-            for e2, p2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1])
-                prod = p1 * p2
-                cur = out.terms.get(e)
-                s = prod if cur is None else cur + prod
-                if s.is_zero:
-                    out.terms.pop(e, None)
-                else:
-                    out.terms[e] = s
-        return out
+        return BiPoly(((e1[0] + e2[0], e1[1] + e2[1]), p1 * p2)
+                      for e1, p1 in self.terms.items() for e2, p2 in other.terms.items())
 
     @property
     def is_zero(self):
         return not self.terms
 
     def swap_lam_mu(self) -> "BiPoly":
-        return BiPoly({(b, a): p for (a, b), p in self.terms.items()})
+        return BiPoly(((b, a), p) for (a, b), p in self.terms.items())
 
     def lam_degree(self) -> int:
         return max((a for a, _ in self.terms), default=-1)
 
     def divide_by_lam_minus_mu(self) -> "BiPoly":
         """Exact quotient by (lam - mu); raises if the remainder is nonzero."""
-        rem = BiPoly(dict(self.terms))
-        quo = BiPoly()
-        while True:
-            deg = rem.lam_degree()
-            if deg < 1:
-                break
-            tops = {e: p for e, p in rem.terms.items() if e[0] == deg}
-            for (a, b), p in tops.items():
-                quo = quo + BiPoly.of(p, a - 1, b)
-                rem = rem - BiPoly.of(p, a, b) + BiPoly.of(p, a - 1, b + 1)
+        rem, quo = BiPoly(self.terms.items()), BiPoly()
+        while (deg := rem.lam_degree()) >= 1:
+            for (a, b), p in [(e, p) for e, p in rem.terms.items() if e[0] == deg]:
+                collect([((a - 1, b), p)], quo.terms)
+                collect([((a, b), -p), ((a - 1, b + 1), p)], rem.terms)
         if not rem.is_zero:
             raise ArithmeticError(f"not divisible by (lam - mu); remainder {rem}")
         return quo
@@ -240,7 +218,7 @@ def poisson_residual(which: str = "V") -> PoissonReport:
     atom_of = {f: atom(f, mode="scalar") for f in fields}
 
     def bracket(plam: BiPoly, pmu: BiPoly) -> BiPoly:
-        out = BiPoly()
+        pairs = []
         for (f, g), sign in table.items():
             for e1, c1 in plam.terms.items():
                 d1 = c1.partial(atom_of[f])
@@ -250,9 +228,8 @@ def poisson_residual(which: str = "V") -> PoissonReport:
                     d2 = c2.partial(atom_of[g])
                     if d2.is_zero:
                         continue
-                    prod = (d1 * d2).scale(gr(sign))
-                    out = out + BiPoly({(e1[0] + e2[0], e1[1] + e2[1]): prod})
-        return out
+                    pairs.append(((e1[0] + e2[0], e1[1] + e2[1]), (d1 * d2).scale(gr(sign))))
+        return BiPoly(pairs)
 
     B = [[bracket(L[i // 2][j // 2], Lmu[i % 2][j % 2]) for j in range(4)]
          for i in range(4)]
@@ -456,12 +433,6 @@ def _transpose_series(series: LaurentSeries) -> LaurentSeries:
     return series.map_coefficients(lambda m: m.transpose())
 
 
-def _entry_series(series: LaurentSeries, i: int, j: int) -> LaurentSeries:
-    coeffs = {p: PolyMatrix("scalar", ("1",), ("1",), [[m.entries[i][j]]])
-              for p, m in series.coeffs.items() if not m.entries[i][j].is_zero}
-    return LaurentSeries("scalar", ("1",), ("1",), coeffs, series.truncation)
-
-
 @dataclass
 class OpenChargeExpansion:
     order: int
@@ -501,13 +472,13 @@ def open_charge_expansion(params: BoundaryParams | None = None,
 
     a_fac = _transpose_series(one_plus_what) * (omega * _k_series("+").truncated(order)) \
         * one_plus_w
-    w_plus = _entry_series(a_fac, 0, 0)
+    w_plus = a_fac.block(0, 0)
     log_plus, prefix_plus = series_log(w_plus)
 
     inv_w = series_invert(one_plus_w)
     inv_what = series_invert(one_plus_what)
     b_fac = inv_w * (_k_series("-").truncated(order) * omega) * _transpose_series(inv_what)
-    w_minus = _entry_series(b_fac, 0, 0)
+    w_minus = b_fac.block(0, 0)
     log_minus, prefix_minus = series_log(w_minus)
 
     half = gr(Fraction(1, 2))

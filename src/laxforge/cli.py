@@ -14,7 +14,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import serialize
-from .checks import TARGETS
 from .latex import tex
 
 
@@ -216,6 +215,15 @@ def _cmd_boundary_extract(args, cfg) -> int:
     return 0
 
 
+def _target(name: str) -> str:
+    """A ``verify numeric`` target; only this command imports checks, and numpy."""
+    from .checks import TARGETS
+    if name not in (*TARGETS, "all"):
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join((*TARGETS, 'all'))})")
+    return name
+
+
 def _cmd_verify_numeric(args, cfg) -> int:
     from .checks import run_numeric
     seed = args.seed if args.seed is not None else cfg.seed
@@ -307,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="numeric verification battery")
     vsub = pv.add_subparsers(dest="subcommand", required=True)
     p = vsub.add_parser("numeric", help="evaluate symbolic zeros numerically")
-    p.add_argument("--target", choices=(*TARGETS, "all"), default="all")
+    p.add_argument("--target", type=_target, default="all",
+                   help="a name in checks.TARGETS, or all")
     p.add_argument("--trials", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--seed", type=int)

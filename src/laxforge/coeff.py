@@ -105,6 +105,27 @@ class GaussianRational:
         return f"GR({format_coeff(self)})"
 
 
+def collect(pairs, out=None) -> dict:
+    """Sum ``(key, value)`` pairs into a dict and drop the keys that sum to zero.
+
+    The one place sparse sums are formed: words, exponents and powers of lam
+    all map to values that support ``+`` and are truthy exactly when nonzero.
+    ``out``, when given, is updated in place and returned; it must hold no
+    zero value itself.
+    """
+    if out is None:
+        out = {}
+    for k, v in pairs:
+        s = out.get(k)
+        if s is not None:
+            v = s + v
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+    return out
+
+
 ZERO = GaussianRational()
 ONE = GaussianRational(Fraction(1))
 I = GaussianRational(Fraction(0), Fraction(1))

@@ -143,6 +143,9 @@ class PolyMatrix:
     def is_zero(self) -> bool:
         return all(e.is_zero for row in self.entries for e in row)
 
+    def __bool__(self):
+        return not self.is_zero
+
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented

@@ -5,6 +5,8 @@ keeps factor order and chains block shapes; scalar mode is the commutative
 image (all shapes (1,1), words canonically sorted).  The coefficient type is
 pluggable: anything with +, -, *, ==, and truthiness-as-nonzero works, so the
 boundary module can swap in Laurent polynomials in the boundary constants.
+Every sum of terms goes through ``coeff.collect``, which relies on exactly
+that protocol (``+``, and a value is truthy iff it is nonzero).
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from typing import Callable, Iterable
 
 from .atoms import (EMPTY_WORD, FIELD_BASES, FieldAtom, ShapeError, Word,
                     chain_shape, cyclic_canonical, make_word)
-from .coeff import GaussianRational, ONE as GR_ONE, ZERO as GR_ZERO
+from .coeff import GaussianRational, ONE as GR_ONE, ZERO as GR_ZERO, collect
 
 
 class SubstitutionError(RuntimeError):
@@ -92,15 +94,7 @@ class NCPolynomial:
         if other.is_zero:
             return self
         self._check_compat(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w)
-            s = c if s is None else s + c
-            if s:
-                terms[w] = s
-            else:
-                terms.pop(w, None)
-        return NCPolynomial(self.mode, self.shape, terms)
+        return _poly(self.mode, self.shape, collect(other.terms.items(), dict(self.terms)))
 
     def __neg__(self):
         return NCPolynomial(self.mode, self.shape,
@@ -177,14 +171,10 @@ class NCPolynomial:
     # -- calculus ------------------------------------------------------------
     def differentiate(self, var: str, flow: int | None = None) -> "NCPolynomial":
         """Leibniz derivative; factor order is preserved in matrix mode."""
-        out = NCPolynomial(self.mode, self.shape)
-        for w, c in self.terms.items():
-            for k, a in enumerate(w.atoms):
-                da = a.with_derivative(var, flow)
-                new = w.atoms[:k] + (da,) + w.atoms[k + 1:]
-                out = out + NCPolynomial(self.mode, self.shape,
-                                         {make_word(new, self.mode): c})
-        return out
+        mode = self.mode
+        return _poly(mode, self.shape, collect(
+            (make_word(w.atoms[:k] + (a.with_derivative(var, flow),) + w.atoms[k + 1:], mode), c)
+            for w, c in self.terms.items() for k, a in enumerate(w.atoms)))
 
     def differentiate_t(self) -> "NCPolynomial":
         return self.differentiate("t")
@@ -196,16 +186,15 @@ class NCPolynomial:
         """Commutative partial derivative with respect to one atom (scalar mode)."""
         if self.mode != "scalar":
             raise ValueError("partial derivatives are defined in scalar mode")
-        out = NCPolynomial(self.mode, self.shape)
+        pairs = []
         for w, c in self.terms.items():
             n = sum(1 for x in w.atoms if x == a)
             if not n:
                 continue
             rest = list(w.atoms)
             rest.remove(a)
-            out = out + NCPolynomial(self.mode, self.shape,
-                                     {make_word(rest, "scalar"): c * n})
-        return out
+            pairs.append((make_word(rest, "scalar"), c * n))
+        return _poly(self.mode, self.shape, collect(pairs))
 
     # -- substitution --------------------------------------------------------
     def substitute(self, rules, max_steps: int = 10000) -> "NCPolynomial":
@@ -229,6 +218,13 @@ class NCPolynomial:
         raise SubstitutionError("rewriting exceeded step bound; rule set is not confluent here")
 
 
+def _poly(mode: str, shape, terms: dict) -> NCPolynomial:
+    """An NCPolynomial over a collected dict, stored as is (it holds no zero)."""
+    p = NCPolynomial(mode, shape)
+    p.terms = terms
+    return p
+
+
 def _match_scalar(word: Word, pat: tuple[FieldAtom, ...]):
     """Multiset containment for commutative words; returns leftover atoms or None."""
     rest = list(word.atoms)
@@ -243,44 +239,36 @@ def _match_scalar(word: Word, pat: tuple[FieldAtom, ...]):
 def _rewrite_once(p: NCPolynomial, rules) -> NCPolynomial | None:
     """One pass: rewrite the first matching pattern in each word; None if clean."""
     changed = False
-    out = NCPolynomial(p.mode, p.shape)
+    pairs = []
     for w, c in p.terms.items():
         hit = None
         if p.mode == "scalar":
             for pat, rep in rules:
                 rest = _match_scalar(w, pat)
                 if rest is not None:
-                    hit = (rep.scale(c), NCPolynomial.from_word(rest, "scalar") if rest
-                           else NCPolynomial.unit("scalar"), None)
+                    hit = (rep, tuple(rest), ())
                     break
         else:
             for pat, rep in rules:
                 npat = len(pat)
                 for k in range(len(w) - npat + 1):
                     if w.atoms[k:k + npat] == pat:
-                        left = w.atoms[:k]
-                        right = w.atoms[k + npat:]
-                        hit = (rep.scale(c), left, right)
+                        hit = (rep, w.atoms[:k], w.atoms[k + npat:])
                         break
                 if hit:
                     break
         if hit is None:
-            out = out + NCPolynomial(p.mode, p.shape, {w: c})
+            pairs.append((w, c))
             continue
         changed = True
-        if p.mode == "scalar":
-            piece, restpoly, _ = hit
-            out = out + nc_mul(restpoly, piece)
-        else:
-            piece, left, right = hit
-            for rw, rc in piece.terms.items():
-                new_atoms = left + rw.atoms + right
-                try:
-                    word = make_word(new_atoms, "matrix")
-                except ShapeError as e:
-                    raise ShapeError(f"replacement breaks shape chain: {e}") from e
-                out = out + NCPolynomial(p.mode, p.shape, {word: rc})
-    return out if changed else None
+        rep, left, right = hit
+        for rw, rc in rep.terms.items():
+            try:
+                word = make_word(left + rw.atoms + right, p.mode)
+            except ShapeError as e:
+                raise ShapeError(f"replacement breaks shape chain: {e}") from e
+            pairs.append((word, rc * c))
+    return _poly(p.mode, p.shape, collect(pairs)) if changed else None
 
 
 def nc_mul(p: NCPolynomial, q: NCPolynomial) -> NCPolynomial:
@@ -289,33 +277,20 @@ def nc_mul(p: NCPolynomial, q: NCPolynomial) -> NCPolynomial:
         raise ValueError("mode mismatch")
     if p.shape[1] != q.shape[0]:
         raise ShapeError(f"cannot multiply shapes {p.shape} and {q.shape}")
-    shape = (p.shape[0], q.shape[1])
-    out = NCPolynomial(p.mode, shape)
-    terms: dict[Word, object] = {}
-    for w1, c1 in p.terms.items():
-        for w2, c2 in q.terms.items():
-            w = make_word(w1.atoms + w2.atoms, p.mode)
-            c = c1 * c2
-            s = terms.get(w)
-            s = c if s is None else s + c
-            if s:
-                terms[w] = s
-            else:
-                terms.pop(w, None)
-    out.terms = terms
-    return out
+    mode = p.mode
+    return _poly(mode, (p.shape[0], q.shape[1]), collect(
+        (make_word(w1.atoms + w2.atoms, mode), c1 * c2)
+        for w1, c1 in p.terms.items() for w2, c2 in q.terms.items()))
 
 
 def scalarize(p: NCPolynomial) -> NCPolynomial:
     """Homomorphic image of a matrix-mode polynomial under N = M = 1."""
     if p.mode == "scalar":
         return p
-    out = NCPolynomial("scalar", ("1", "1"))
-    for w, c in p.terms.items():
-        ats = [FieldAtom(a.base, a.dt, a.dx, a.flow, ("1", "1")) for a in w.atoms]
-        out = out + NCPolynomial("scalar", ("1", "1"),
-                                 {make_word(ats, "scalar"): c})
-    return out
+    return _poly("scalar", ("1", "1"), collect(
+        (make_word([FieldAtom(a.base, a.dt, a.dx, a.flow, ("1", "1")) for a in w.atoms],
+                   "scalar"), c)
+        for w, c in p.terms.items()))
 
 
 def set_fields_zero(p: NCPolynomial) -> NCPolynomial:
@@ -344,16 +319,7 @@ class TracePolynomial:
     def from_nc(p: NCPolynomial) -> "TracePolynomial":
         if p.shape[0] != p.shape[1]:
             raise ShapeError("trace requires a square shape")
-        out = TracePolynomial()
-        for w, c in p.terms.items():
-            cw = cyclic_canonical(w)
-            s = out.terms.get(cw)
-            s = c if s is None else s + c
-            if s:
-                out.terms[cw] = s
-            else:
-                out.terms.pop(cw, None)
-        return out
+        return _trace(collect((cyclic_canonical(w), c) for w, c in p.terms.items()))
 
     @property
     def is_zero(self):
@@ -366,15 +332,7 @@ class TracePolynomial:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "TracePolynomial") -> "TracePolynomial":
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w)
-            s = c if s is None else s + c
-            if s:
-                terms[w] = s
-            else:
-                terms.pop(w, None)
-        return TracePolynomial(terms)
+        return _trace(collect(other.terms.items(), dict(self.terms)))
 
     def __neg__(self):
         return TracePolynomial({w: -c for w, c in self.terms.items()})
@@ -387,30 +345,23 @@ class TracePolynomial:
         return TracePolynomial({w: v * c for w, v in self.terms.items()} if c else {})
 
     def differentiate_t(self) -> "TracePolynomial":
-        out = TracePolynomial()
-        for w, c in self.terms.items():
-            for k, a in enumerate(w.atoms):
-                da = a.with_derivative("t")
-                new = Word(w.atoms[:k] + (da,) + w.atoms[k + 1:])
-                out = out + TracePolynomial({cyclic_canonical(new): c})
-        return out
+        return _trace(collect(
+            (cyclic_canonical(Word(w.atoms[:k] + (a.with_derivative("t"),) + w.atoms[k + 1:])), c)
+            for w, c in self.terms.items() for k, a in enumerate(w.atoms)))
 
     def cyclic_partial(self, a: FieldAtom) -> NCPolynomial:
         """Cyclic derivative: rotate each occurrence of ``a`` to the front, drop it."""
-        mode = "matrix"
         shape = (a.cols, a.rows)  # leftover chain runs from a's right back to a's left
-        out = NCPolynomial(mode, shape)
+        pairs = []
         for w, c in self.terms.items():
             for k, x in enumerate(w.atoms):
                 if x == a:
                     rest = w.atoms[k + 1:] + w.atoms[:k]
                     if rest:
-                        out = out + NCPolynomial(mode, shape,
-                                                 {make_word(rest, "matrix"): c})
-                    else:
-                        out = out + NCPolynomial.unit(mode, a.rows).scale(c) \
-                            if a.rows == a.cols else out
-        return out
+                        pairs.append((make_word(rest, "matrix"), c))
+                    elif a.rows == a.cols:
+                        pairs.append((EMPTY_WORD, c))
+        return _poly("matrix", shape, collect(pairs))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key)
@@ -422,6 +373,13 @@ class TracePolynomial:
             (f"{c}*{w}" if str(c) != "1" else str(w)) for w, c in self.sorted_terms()) + ")"
 
     __repr__ = __str__
+
+
+def _trace(terms: dict) -> TracePolynomial:
+    """A TracePolynomial over a collected dict, stored as is (it holds no zero)."""
+    p = TracePolynomial()
+    p.terms = terms
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeff import GaussianRational, format_coeff
+from .coeff import GaussianRational, collect, format_coeff
 
 GR_ZERO = GaussianRational()
 GR_ONE = GaussianRational(Fraction(1))
@@ -78,7 +78,7 @@ class MPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _collect(self.vars, [*self.terms.items(), *other.terms.items()])
+        return _mpoly(self.vars, collect(other.terms.items(), dict(self.terms)))
 
     __radd__ = __add__
 
@@ -101,9 +101,9 @@ class MPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _collect(self.vars, ((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-                                    for e1, c1 in self.terms.items()
-                                    for e2, c2 in other.terms.items()))
+        return _mpoly(self.vars, collect((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                                         for e1, c1 in self.terms.items()
+                                         for e2, c2 in other.terms.items()))
 
     __rmul__ = __mul__
 
@@ -135,7 +135,7 @@ class MPoly:
             e2[j] += e2[i]
             e2[i] = 0
             out.append((tuple(e2), c))
-        return _collect(self.vars, out)
+        return _mpoly(self.vars, collect(out))
 
     def subs_values(self, values: dict[str, GaussianRational]) -> "MPoly":
         """Exact substitution of some variables by Gaussian-rational values.
@@ -152,7 +152,7 @@ class MPoly:
                     c = c * f
                 e2[i] = 0
             out.append((tuple(e2), c))
-        return _collect(self.vars, out)
+        return _mpoly(self.vars, collect(out))
 
     def eval(self, values: dict[str, complex]) -> complex:
         out = 0j
@@ -187,12 +187,11 @@ class MPoly:
     __repr__ = __str__
 
 
-def _collect(vars, pairs) -> MPoly:
-    """Sum (exponent, coefficient) pairs; the constructor drops zero sums."""
-    t: dict[tuple[int, ...], GaussianRational] = {}
-    for e, c in pairs:
-        t[e] = t[e] + c if e in t else c
-    return MPoly(vars, t)
+def _mpoly(vars, terms: dict) -> MPoly:
+    """An MPoly over a collected dict, stored as is (it holds no zero)."""
+    p = MPoly(vars)
+    p.terms = terms
+    return p
 
 
 class MPolyMatrix:

@@ -4,7 +4,9 @@ The time part of the auxiliary linear problem factorizes through
 ``(1 + W) e^Z (1 + W)^-1`` with W strictly anti-diagonal and Z diagonal.
 Expanding W = sum_n W^(n)/lam^n, the lam^2-leading commutator with the
 constant signature matrix fixes each W^(k+2) algebraically from lower
-orders; the diagonal phase densities follow from Z' = V_D + V_A W.
+orders; the diagonal phase densities follow from Z' = V_D + V_A W.  The
+ratios Gamma and Gamma-hat of the auxiliary-function blocks are the 21 and 12
+blocks of the matrix-mode W, and their residual is the same formula on a block.
 """
 from __future__ import annotations
 
@@ -192,13 +194,25 @@ def solve_w_z(order: int, mode: str = "scalar") -> RiccatiSolution:
                            z_coeffs, sigma_matrix(mode).scale(half))
 
 
+def _riccati_form(w: LaurentSeries, vd_l, vd_r, va_q, va) -> LaurentSeries:
+    """dW/dt + W VD_r - VD_l W + W VA_q W - VA, the operators truncated like W.
+
+    The full system passes (VD, VD, VA, VA); its anti-diagonal block (i, j)
+    passes (VD_ii, VD_jj, VA_ji, VA_ij).
+    """
+    t = w.truncation
+    vd_l, vd_r, va_q, va = (s.truncated(t) for s in (vd_l, vd_r, va_q, va))
+    return w.differentiate_t() + w * vd_r - vd_l * w + w * va_q * w - va
+
+
 def riccati_residual(sol: RiccatiSolution) -> LaurentSeries:
     """dW/dt + [W, V_D] + W V_A W - V_A with the truncated series W."""
-    Wser = sol.w_series()
-    VD = v_diagonal(sol.mode)
-    VA = v_antidiagonal(sol.mode)
-    return (Wser.differentiate_t() + Wser.commutator(VD.truncated(Wser.truncation))
-            + Wser * VA.truncated(Wser.truncation) * Wser - VA.truncated(Wser.truncation))
+    VD, VA = v_diagonal(sol.mode), v_antidiagonal(sol.mode)
+    return _riccati_form(sol.w_series(), VD, VD, VA, VA)
+
+
+# the block of the matrix-mode W that each ratio is: Gamma is W21, Gamma-hat W12
+_GAMMA_BLOCK = {"gamma": (1, 0), "gamma_hat": (0, 1)}
 
 
 @dataclass
@@ -216,86 +230,26 @@ class GammaSolution:
 
 @lru_cache(maxsize=None)
 def solve_gamma(order: int, which: str = "gamma") -> GammaSolution:
-    """Matrix Riccati recursion for the ratio of auxiliary-function blocks."""
+    """Matrix Riccati ratio of auxiliary-function blocks: a block of matrix-mode W.
+
+    The ratio's recursion is the (i, j) block of the W recursion, so Gamma^(k)
+    is W^(k)_21 and Gamma-hat^(k) is W^(k)_12 of ``solve_w_z(order, "matrix")``.
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
-    mode = "matrix"
-    u, uh, pi, pih = (_f(b, mode) for b in ("u", "uh", "pi", "pih"))
-    uuh, uhu = nc_mul(u, uh), nc_mul(uh, u)
-    if which == "gamma":
-        shape, lead1, lead2 = ("M", "N"), u, -pih
-        left, right, quad0, quad1 = uuh, uhu, pi, uh
-        sign = 1
-    elif which == "gamma_hat":
-        shape, lead1, lead2 = ("N", "M"), -uh, -pi
-        left, right, quad0, quad1 = uhu, uuh, pih, u
-        sign = -1
-    else:
+    if which not in _GAMMA_BLOCK:
         raise ValueError("which must be 'gamma' or 'gamma_hat'")
-    zero = NCPolynomial.zero(mode, shape)
-    G: dict[int, NCPolynomial] = {0: zero}
-
-    def getg(k):
-        return G.get(k, zero)
-
-    for k in range(-1, order - 1):
-        if which == "gamma":
-            val = (-getg(k).differentiate_t() + left * getg(k) + getg(k) * right)
-            for a in range(1, k):
-                val = val - getg(a) * quad0 * getg(k - a)
-            for a in range(1, k + 1):
-                if k + 1 - a >= 1:
-                    val = val - getg(a) * quad1 * getg(k + 1 - a)
-            if k == -1:
-                val = val + u
-            if k == 0:
-                val = val - pih
-        else:
-            val = (getg(k).differentiate_t() + left * getg(k) + getg(k) * right)
-            for a in range(1, k):
-                val = val - getg(a) * quad0 * getg(k - a)
-            for a in range(1, k + 1):
-                if k + 1 - a >= 1:
-                    val = val + getg(a) * quad1 * getg(k + 1 - a)
-            if k == -1:
-                val = val - uh
-            if k == 0:
-                val = val - pi
-        G[k + 2] = val
-    return GammaSolution(which, order, [G[k] for k in range(1, order + 1)])
+    i, j = _GAMMA_BLOCK[which]
+    sol = solve_w_z(order, "matrix")
+    return GammaSolution(which, order, [sol.w(k).entries[i][j] for k in range(1, order + 1)])
 
 
 def gamma_residual(sol: GammaSolution) -> LaurentSeries:
     """Residual of the matrix Riccati equation with the truncated series."""
-    mode = "matrix"
-    u, uh, pi, pih = (_f(b, mode) for b in ("u", "uh", "pi", "pih"))
-    t = sol.order
-    if sol.which == "gamma":
-        r_dims, c_dims = ("M",), ("N",)
-    else:
-        r_dims, c_dims = ("N",), ("M",)
-    gser = LaurentSeries(mode, r_dims, c_dims,
-                         {-k: PolyMatrix(mode, r_dims, c_dims, [[sol.coeffs[k - 1]]])
-                          for k in range(1, t + 1)}, t)
-
-    def as_series(poly, rd, cd, power=0):
-        return LaurentSeries.of(PolyMatrix(mode, rd, cd, [[poly]]), power).truncated(t)
-
-    half = gr(Fraction(1, 2))
-    if sol.which == "gamma":
-        lin_left = as_series(nc_mul(u, uh), ("M",), ("M",)) \
-            - LaurentSeries.identity(mode, ("M",)).shift(2).truncated(t) * half
-        lin_right = as_series(nc_mul(uh, u), ("N",), ("N",)) \
-            - LaurentSeries.identity(mode, ("N",)).shift(2).truncated(t) * half
-        inhom = as_series(u, ("M",), ("N",), 1) - as_series(pih, ("M",), ("N",))
-        quad = as_series(pi, ("N",), ("M",)) + as_series(uh, ("N",), ("M",), 1)
-        return (gser.differentiate_t() - inhom - lin_left * gser - gser * lin_right
-                + gser * quad * gser)
-    lin_left = -as_series(nc_mul(uh, u), ("N",), ("N",)) \
-        + LaurentSeries.identity(mode, ("N",)).shift(2).truncated(t) * half
-    lin_right = -as_series(nc_mul(u, uh), ("M",), ("M",)) \
-        + LaurentSeries.identity(mode, ("M",)).shift(2).truncated(t) * half
-    inhom = as_series(uh, ("N",), ("M",), 1) + as_series(pi, ("N",), ("M",))
-    quad = as_series(pih, ("M",), ("N",)) - as_series(u, ("M",), ("N",), 1)
-    return (gser.differentiate_t() - inhom - lin_left * gser - gser * lin_right
-            - gser * quad * gser)
+    i, j = _GAMMA_BLOCK[sol.which]
+    r, c = BLOCK_DIMS["matrix"][i], BLOCK_DIMS["matrix"][j]
+    gser = LaurentSeries("matrix", (r,), (c,),
+                         {-k: PolyMatrix("matrix", (r,), (c,), [[g]])
+                          for k, g in enumerate(sol.coeffs, 1)}, sol.order)
+    VD, VA = v_diagonal("matrix"), v_antidiagonal("matrix")
+    return _riccati_form(gser, VD.block(i, i), VD.block(j, j), VA.block(j, i), VA.block(i, j))

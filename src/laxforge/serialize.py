@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from .atoms import FieldAtom, Word, make_word
-from .coeff import format_coeff, parse_coeff
+from .coeff import collect, format_coeff, parse_coeff
 from .matrices import PolyMatrix
 from .ncpoly import NCPolynomial, TracePolynomial
 from .series import LaurentSeries
@@ -34,10 +34,8 @@ def poly_to_dict(p: NCPolynomial) -> dict:
 
 def poly_from_dict(d: dict) -> NCPolynomial:
     p = NCPolynomial(d["mode"], tuple(d["shape"]))
-    for t in d["terms"]:
-        atoms = [atom_from_dict(x) for x in t["word"]]
-        w = make_word(atoms, d["mode"])
-        p = p + NCPolynomial(d["mode"], tuple(d["shape"]), {w: parse_coeff(t["coeff"])})
+    p.terms = collect((make_word([atom_from_dict(x) for x in t["word"]], d["mode"]),
+                       parse_coeff(t["coeff"])) for t in d["terms"])
     return p
 
 
@@ -50,9 +48,8 @@ def trace_to_dict(p: TracePolynomial) -> dict:
 
 def trace_from_dict(d: dict) -> TracePolynomial:
     out = TracePolynomial()
-    for t in d["terms"]:
-        atoms = tuple(atom_from_dict(x) for x in t["word"])
-        out = out + TracePolynomial({Word(atoms): parse_coeff(t["coeff"])})
+    out.terms = collect((Word(tuple(atom_from_dict(x) for x in t["word"])),
+                         parse_coeff(t["coeff"])) for t in d["terms"])
     return out
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .atoms import ShapeError
-from .coeff import GaussianRational, ONE as GR_ONE
+from .coeff import GaussianRational, ONE as GR_ONE, collect
 from .matrices import PolyMatrix
 
 
@@ -81,6 +81,13 @@ class LaurentSeries:
         return self.coeffs.get(power,
                                PolyMatrix.zero(self.mode, self.row_dims, self.col_dims))
 
+    def block(self, i: int, j: int) -> "LaurentSeries":
+        """The (i, j) block as a one-block series with the same truncation."""
+        r, c = self.row_dims[i], self.col_dims[j]
+        return LaurentSeries(self.mode, (r,), (c,),
+                             {p: PolyMatrix(self.mode, (r,), (c,), [[m.entries[i][j]]])
+                              for p, m in self.coeffs.items()}, self.truncation)
+
     def _zero_like(self, truncation):
         return LaurentSeries(self.mode, self.row_dims, self.col_dims, {}, truncation)
 
@@ -90,9 +97,7 @@ class LaurentSeries:
             raise ShapeError("layout mismatch")
         lows = [x.lowest_reliable for x in (self, other) if x.lowest_reliable is not None]
         low = max(lows) if lows else None
-        out: dict[int, PolyMatrix] = dict(self.coeffs)
-        for p, m in other.coeffs.items():
-            out[p] = out[p] + m if p in out else m
+        out = collect(other.coeffs.items(), dict(self.coeffs))
         return LaurentSeries(self.mode, self.row_dims, self.col_dims, out,
                              None if low is None else -low)
 
@@ -116,14 +121,9 @@ class LaurentSeries:
                 if lb is not None:
                     cands.append(lb + self.max_power)
                 low = max(cands)
-            out: dict[int, PolyMatrix] = {}
-            for p1, m1 in self.coeffs.items():
-                for p2, m2 in other.coeffs.items():
-                    p = p1 + p2
-                    if low is not None and p < low:
-                        continue
-                    prod = m1 * m2
-                    out[p] = out[p] + prod if p in out else prod
+            out = collect((p1 + p2, m1 * m2)
+                          for p1, m1 in self.coeffs.items() for p2, m2 in other.coeffs.items()
+                          if low is None or p1 + p2 >= low)
             return LaurentSeries(self.mode, self.row_dims, other.col_dims, out,
                                  None if low is None else -low)
         return self.map_coefficients(lambda m: m.scale(other))

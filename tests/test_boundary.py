@@ -61,6 +61,16 @@ def test_poisson_divisibility_is_exact():
         BiPoly.of(NCPolynomial.unit("scalar")).terms
 
 
+def test_bipoly_sums_that_cancel_leave_no_key():
+    from laxforge.boundary import BiPoly
+    one = NCPolynomial.unit("scalar")
+    lam, mu = BiPoly.of(one, 1, 0), BiPoly.of(one, 0, 1)
+    assert (lam - lam).terms == {} and BiPoly.of(NCPolynomial.zero("scalar")).terms == {}
+    square = (lam - mu) * (lam + mu)
+    assert sorted(square.terms) == [(0, 2), (2, 0)]  # the lam*mu terms cancel
+    assert (square.divide_by_lam_minus_mu() - (lam + mu)).terms == {}
+
+
 # -- boundary operators and conditions ---------------------------------------
 
 def test_bulk_operator_form():

@@ -90,6 +90,22 @@ def test_verify_numeric_every_target(target, capsys):
     assert code == 0 and rep["passed"] is True and rep["target"] == target
 
 
+def test_verify_numeric_refuses_unknown_target(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "numeric", "--target", "bogus"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "invalid choice" in err
+
+
+def test_commands_other_than_verify_numeric_do_not_load_numpy():
+    code = ("import sys\n"
+            "from laxforge import cli\n"
+            "assert cli.main(['expr', 'u*uh']) == 0\n"
+            "sys.exit(3 if 'numpy' in sys.modules else 0)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verify_numeric_json_and_exit(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, _, _ = run_cli("verify", "numeric", "--target", "conservation",

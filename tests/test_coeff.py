@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from laxforge.coeff import GaussianRational, format_coeff, gr, parse_coeff
+from laxforge.coeff import GaussianRational, collect, format_coeff, gr, parse_coeff
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 gaussians = st.builds(GaussianRational, rationals, rationals)
@@ -50,3 +50,11 @@ def test_format_parse_roundtrip(a):
 def test_parse_examples(text, val):
     assert parse_coeff(text) == val
     assert format_coeff(val) == text
+
+
+def test_collect_sums_and_drops_zero_sums():
+    assert collect([("a", gr(1)), ("b", gr(2)), ("a", gr(-1))]) == {"b": gr(2)}
+    assert collect([("a", gr(0))]) == {}
+    out = {"a": gr(1)}
+    assert collect([("a", gr(1)), ("b", gr(-1)), ("b", gr(1))], out) is out
+    assert out == {"a": gr(2)}

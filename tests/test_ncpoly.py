@@ -188,3 +188,78 @@ def test_trace_cyclic_identification():
 def test_constant_is_not_exact():
     ok, _ = is_total_t_derivative(NCPolynomial.unit("scalar"))
     assert not ok
+
+
+# -- the add-and-drop-zeros accumulator (coeff.collect) ------------------------
+# Few atoms and small coefficients, so that sums and products cancel often.
+
+_small = st.builds(gr, st.integers(-2, 2), st.integers(-1, 1))
+_SCALAR_ATOMS = [atom(b, dt, mode="scalar") for b in ("u", "uh", "pi") for dt in (0, 1)]
+# an M x M matrix word is a chain of steps M -> N -> M, or K22 (M x M)
+_MATRIX_STEPS = [(atom(a, dt, mode="matrix"), atom(b, mode="matrix"))
+                 for a in ("u", "pih") for b in ("uh", "pi") for dt in (0, 1)] \
+    + [(atom("K22", mode="matrix"),)]
+
+
+@st.composite
+def small_polys(draw, mode):
+    """A polynomial of shape (1, 1) in scalar mode and (M, M) in matrix mode."""
+    if mode == "scalar":
+        words, shape = st.lists(st.sampled_from(_SCALAR_ATOMS), max_size=3), ("1", "1")
+    else:
+        words = st.lists(st.sampled_from(_MATRIX_STEPS), max_size=2).map(
+            lambda steps: [a for step in steps for a in step])
+        shape = ("M", "M")
+    pairs = draw(st.lists(st.tuples(words, _small), max_size=4))
+    return NCPolynomial(mode, shape, {make_word(ats, mode): c for ats, c in pairs})
+
+
+_triples = st.sampled_from(["scalar", "matrix"]).flatmap(
+    lambda mode: st.tuples(small_polys(mode), small_polys(mode), small_polys(mode)))
+
+
+@given(_triples, _small)
+@settings(max_examples=80, deadline=None)
+def test_accumulated_algebra_is_exact_and_stores_no_zero(pqr, c):
+    p, q, r = pqr
+    seen = []
+
+    def kept(x):
+        seen.append(x)
+        return x
+
+    assert kept(kept(p + q) + r) == kept(p + kept(q + r))
+    assert kept(nc_mul(kept(nc_mul(p, q)), r)) == kept(nc_mul(p, kept(nc_mul(q, r))))
+    assert kept(nc_mul(p, q + r)) == kept(nc_mul(p, r) + kept(nc_mul(p, q)))
+    assert kept(nc_mul(p + q, r)) == kept(nc_mul(p, r) + kept(nc_mul(q, r)))
+    dt = NCPolynomial.differentiate_t
+    assert kept(dt(p + q)) == kept(kept(dt(p)) + kept(dt(q)))
+    assert kept(dt(p.scale(c))) == dt(p).scale(c)
+    assert kept(p - p).is_zero
+    if p.mode == "scalar":
+        a = _SCALAR_ATOMS[0]
+        assert kept((p + q).partial(a)) == kept(kept(p.partial(a)) + kept(q.partial(a)))
+    else:
+        assert kept(scalarize(p + q)) == kept(kept(scalarize(p)) + kept(scalarize(q)))
+        tp, tq = TracePolynomial.from_nc(p), TracePolynomial.from_nc(q)
+        assert TracePolynomial.from_nc(p + q) == tp + tq
+        assert (tp + tq).differentiate_t() == tp.differentiate_t() + tq.differentiate_t()
+        seen += [tp, tq, tp + tq, (tp + tq).differentiate_t()]
+    assert all(all(x.terms.values()) for x in seen)
+
+
+def test_cancellations_leave_no_key():
+    for mode in ("scalar", "matrix"):
+        d = parse_poly("u_t*uh - u*uh_t", mode=mode).differentiate_t()
+        assert d == parse_poly("u_tt*uh - u*uh_tt", mode=mode)
+        assert "u_t*uh_t" not in {str(w) for w in d.terms}
+    m = {b: f(b, mode="matrix") for b in ("u", "uh", "pih")}
+    assert scalarize(nc_mul(nc_mul(m["u"], m["uh"]), m["pih"])
+                     - nc_mul(nc_mul(m["pih"], m["uh"]), m["u"])).terms == {}
+    tr = TracePolynomial.from_nc
+    assert (tr(nc_mul(m["u"], m["uh"])) - tr(nc_mul(m["uh"], m["u"]))).terms == {}
+    rule = (atom("pi", mode="scalar"), f("uh", dx=1))
+    assert parse_poly("pi - uh_x").substitute([rule]).terms == {}
+    rule = ((atom("u", mode="matrix"), atom("K11", mode="matrix")), m["pih"])
+    uk = nc_mul(m["u"], f("K11", mode="matrix"))
+    assert (uk - m["pih"]).substitute([rule]).terms == {}

@@ -2,9 +2,10 @@
 import pytest
 
 import laxforge.tables as T
-from laxforge.ncpoly import scalarize
-from laxforge.riccati import (gamma_residual, riccati_residual, solve_gamma,
-                              solve_w_z)
+from laxforge.atoms import atom, make_word
+from laxforge.ncpoly import NCPolynomial, scalarize
+from laxforge.riccati import (GammaSolution, gamma_residual, riccati_residual,
+                              solve_gamma, solve_w_z)
 
 
 @pytest.fixture(scope="module")
@@ -88,3 +89,42 @@ def test_z_lambda2_metadata(scalar5):
     assert half.is_diagonal()
     assert half.entries[0][0].constant_term().re == Fraction(1, 2)
     assert half.entries[1][1].constant_term().re == Fraction(-1, 2)
+
+
+@pytest.mark.parametrize("which", ["gamma", "gamma_hat"])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_gamma_residual_detects_a_changed_coefficient(which, k):
+    """Adding Gamma^(1) to one coefficient leaves a nonzero residual."""
+    sol = solve_gamma(5, which)
+    coeffs = list(sol.coeffs)
+    coeffs[k - 1] = coeffs[k - 1] + coeffs[0]
+    assert coeffs[k - 1] != sol.coeffs[k - 1]
+    assert not gamma_residual(GammaSolution(which, 5, coeffs)).is_zero
+
+
+# iota: t -> -t, u <-> uh, pi <-> pih, the end swap of test_acceptance.py.  On
+# matrix words it also reverses the factor order, so an M x N block maps to an
+# N x M block; each t-derivative flips the sign.
+_IOTA_BASE = {"u": "uh", "uh": "u", "pi": "pih", "pih": "pi"}
+
+
+def _iota_matrix(p):
+    terms = {}
+    for w, c in p.terms.items():
+        atoms = [atom(_IOTA_BASE[a.base], a.dt, a.dx, "matrix", a.flow)
+                 for a in reversed(w.atoms)]
+        terms[make_word(atoms, "matrix")] = -c if sum(a.dt for a in w) % 2 else c
+    return NCPolynomial("matrix", p.shape[::-1], terms)
+
+
+def test_gamma_hat_is_end_swap_of_gamma():
+    """Gamma-hat^(k) = (-1)^k iota(Gamma^(k)): a check of Gamma-hat that does not
+    come from the solver (Gamma-hat has no typed table)."""
+    g, gh = solve_gamma(9), solve_gamma(9, "gamma_hat")
+    for k in range(1, 10):
+        assert gh.gamma(k) == _iota_matrix(g.gamma(k)).scale((-1) ** k), k
+
+
+def test_gamma_refuses_unknown_which():
+    with pytest.raises(ValueError):
+        solve_gamma(3, "gamma_tilde")

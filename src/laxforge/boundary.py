@@ -2,10 +2,13 @@
 
 Everything here is exact: the spectral parameters and boundary constants live
 in one ring of Laurent polynomials over Q(i) (the constants xi enter
-polynomially, ka only through powers of 1/ka), the reflection and Poisson
-checks are polynomial identities with their (lam -+ mu) denominators cleared,
-and boundary charge terms are extracted from the reflected double-row
-generating function.
+polynomially, ka only through powers of 1/ka), and boundary charge terms are
+extracted from the reflected double-row generating function.  The reflection
+and Poisson checks are polynomial identities in that ring with their
+(lam -+ mu) denominators cleared; each returns its residual matrix.  The
+Poisson check reads its Lax operators from the engine (``nls_v`` and
+``dress_u(2)``); the only operators typed here are K and the two boundary
+operators.
 """
 from __future__ import annotations
 
@@ -14,13 +17,15 @@ from fractions import Fraction
 
 from .atoms import atom
 from .coeff import GaussianRational, collect, gr
+from .hierarchy import ChargeDensity, LaxOperator, dress_u
 from .matrices import PolyMatrix
 from .ncpoly import NCPolynomial
 from .ratfunc import MPoly, MPolyMatrix
-from .riccati import omega_matrix, solve_w_z
+from .riccati import nls_v, omega_matrix, solve_w_z
 from .series import LaurentSeries, series_invert, series_log
 
 RVARS = ("lam", "mu", "xi", "ka")          # reflection-equation working variables
+PVARS = ("lam", "mu", "u", "uh", "pi", "pih")  # Poisson check: scalar fields commute
 BVARS = ("xi_p", "xi_m", "ka_p", "ka_m")   # boundary constants for charge work
 
 _I = gr(0, 1)
@@ -89,7 +94,7 @@ def reflection_residual(k: MPolyMatrix) -> MPolyMatrix:
     eye = MPolyMatrix.identity(vars, 2)
     p = permutation_matrix(vars)
     k1 = k.kron(eye)
-    k2 = eye.kron(k.subs_var("lam", "mu"))
+    k2 = eye.kron(k.rename({"lam": "mu"}))
     k12 = k1 * k2
     return ((p * k12 - k12 * p).scale(lam + mu)
             + (k1 * p * k2 - k2 * p * k1).scale(lam - mu))
@@ -99,168 +104,62 @@ def reflection_residual(k: MPolyMatrix) -> MPolyMatrix:
 # linear Poisson structure checks
 # ---------------------------------------------------------------------------
 
-class BiPoly:
-    """Polynomial in (lam, mu) with scalar-mode NCPolynomial coefficients.
-
-    Built from ``((lam_pow, mu_pow), coefficient)`` pairs, summed by ``collect``.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, pairs=()):
-        self.terms: dict[tuple[int, int], NCPolynomial] = collect(pairs)
-
-    @staticmethod
-    def of(p: NCPolynomial, lam_pow=0, mu_pow=0) -> "BiPoly":
-        return BiPoly([((lam_pow, mu_pow), p)])
-
-    def __add__(self, other):
-        return BiPoly([*self.terms.items(), *other.terms.items()])
-
-    def __neg__(self):
-        return BiPoly((e, -p) for e, p in self.terms.items())
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other: "BiPoly") -> "BiPoly":
-        return BiPoly(((e1[0] + e2[0], e1[1] + e2[1]), p1 * p2)
-                      for e1, p1 in self.terms.items() for e2, p2 in other.terms.items())
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def swap_lam_mu(self) -> "BiPoly":
-        return BiPoly(((b, a), p) for (a, b), p in self.terms.items())
-
-    def lam_degree(self) -> int:
-        return max((a for a, _ in self.terms), default=-1)
-
-    def divide_by_lam_minus_mu(self) -> "BiPoly":
-        """Exact quotient by (lam - mu); raises if the remainder is nonzero."""
-        rem, quo = BiPoly(self.terms.items()), BiPoly()
-        while (deg := rem.lam_degree()) >= 1:
-            for (a, b), p in [(e, p) for e, p in rem.terms.items() if e[0] == deg]:
-                collect([((a - 1, b), p)], quo.terms)
-                collect([((a, b), -p), ((a - 1, b + 1), p)], rem.terms)
-        if not rem.is_zero:
-            raise ArithmeticError(f"not divisible by (lam - mu); remainder {rem}")
-        return quo
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"lam^{a}*mu^{b}*({p})"
-                          for (a, b), p in sorted(self.terms.items()))
-
-    __repr__ = __str__
-
-
-def _scalar_field(base):
-    return NCPolynomial.from_atom(atom(base, mode="scalar"), "scalar")
-
-
-def _time_lax_entries() -> list[list[BiPoly]]:
-    """Entries of the time Lax operator as lam-polynomials (scalar fields)."""
-    u, uh, pi, pih = map(_scalar_field, ("u", "uh", "pi", "pih"))
-    half = NCPolynomial.unit("scalar", "1", gr(Fraction(1, 2)))
-    return [
-        [BiPoly.of(half, 2) + BiPoly.of(-(u * uh)), BiPoly.of(uh, 1) + BiPoly.of(pi)],
-        [BiPoly.of(u, 1) + BiPoly.of(-pih), BiPoly.of(-half, 2) + BiPoly.of(u * uh)],
-    ]
-
-
-def _space_lax_entries() -> list[list[BiPoly]]:
-    u, uh = map(_scalar_field, ("u", "uh"))
-    half = NCPolynomial.unit("scalar", "1", gr(Fraction(1, 2)))
-    return [
-        [BiPoly.of(half, 1), BiPoly.of(uh)],
-        [BiPoly.of(u), BiPoly.of(-half, 1)],
-    ]
-
-
 _BRACKETS = {
     "V": {("u", "pi"): 1, ("pi", "u"): -1, ("uh", "pih"): 1, ("pih", "uh"): -1},
     "U": {("u", "uh"): 1, ("uh", "u"): -1},
 }
 
 
-@dataclass
-class PoissonReport:
-    which: str
-    bracket: list[list[BiPoly]]
-    rhs: list[list[BiPoly]]
-    residual: list[list[BiPoly]]
+def _lax_matrix(series: LaurentSeries) -> MPolyMatrix:
+    """A 2x2 lam-polynomial Lax operator in underived scalar fields, over PVARS."""
+    if series.mode != "scalar" or series.row_dims != ("1", "1") or series.truncation:
+        raise ValueError("expected an exact 2x2 scalar-mode Lax operator")
 
-    @property
-    def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.residual for e in row)
+    def exponent(power, word):
+        e = [power] + [0] * (len(PVARS) - 1)
+        for a in word:
+            if a.dt or a.dx or a.base not in PVARS[2:]:
+                raise ValueError(f"{a} is not an underived field of {PVARS[2:]}")
+            e[PVARS.index(a.base)] += 1
+        return tuple(e)
+    return MPolyMatrix(PVARS, [[MPoly(PVARS, collect(
+        (exponent(p, w), c) for p, m in series.coeffs.items()
+        for w, c in m.entries[i][j].terms.items())) for j in range(2)] for i in range(2)])
 
-    def offending(self):
-        return [(i, j) for i, row in enumerate(self.residual)
-                for j, e in enumerate(row) if not e.is_zero]
 
-
-def poisson_residual(which: str = "V") -> PoissonReport:
-    """Delta-coefficient of the ultralocal bracket minus [r, L1 + L2].
-
-    The commutator [P, L1 + L2] is proved divisible by (lam - mu) by exact
-    polynomial division; the quotient is compared entrywise to the bracket
-    matrix built from the field table.
-    """
+def _poisson_sides(which: str):
+    """L(lam), L(mu) and the bracket matrix B = sum sign * d_f L (x) d_g L(mu)."""
     if which not in _BRACKETS:
         raise ValueError("which must be 'V' or 'U'")
-    L = _time_lax_entries() if which == "V" else _space_lax_entries()
-    Lmu = [[e.swap_lam_mu() for e in row] for row in L]  # entries are lam-only
-    table = _BRACKETS[which]
-    fields = sorted({f for pair in table for f in pair})
-    atom_of = {f: atom(f, mode="scalar") for f in fields}
-
-    def bracket(plam: BiPoly, pmu: BiPoly) -> BiPoly:
-        pairs = []
-        for (f, g), sign in table.items():
-            for e1, c1 in plam.terms.items():
-                d1 = c1.partial(atom_of[f])
-                if d1.is_zero:
-                    continue
-                for e2, c2 in pmu.terms.items():
-                    d2 = c2.partial(atom_of[g])
-                    if d2.is_zero:
-                        continue
-                    pairs.append(((e1[0] + e2[0], e1[1] + e2[1]), (d1 * d2).scale(gr(sign))))
-        return BiPoly(pairs)
-
-    B = [[bracket(L[i // 2][j // 2], Lmu[i % 2][j % 2]) for j in range(4)]
-         for i in range(4)]
-    # [P, L1 + L2] entrywise: P M has rows swapped in the second index pair
-    S = [[L[i // 2][j // 2] if (i % 2) == (j % 2) else BiPoly()
-          for j in range(4)] for i in range(4)]
-    for i in range(4):
-        for j in range(4):
-            if (i // 2) == (j // 2):
-                S[i][j] = S[i][j] + Lmu[i % 2][j % 2]
-    PM = [[S[(i % 2) * 2 + (i // 2)][j] for j in range(4)] for i in range(4)]
-    MP = [[S[i][(j % 2) * 2 + (j // 2)] for j in range(4)] for i in range(4)]
-    comm = [[PM[i][j] - MP[i][j] for j in range(4)] for i in range(4)]
-    rhs = [[comm[i][j].divide_by_lam_minus_mu() for j in range(4)] for i in range(4)]
-    residual = [[B[i][j] - rhs[i][j] for j in range(4)] for i in range(4)]
-    return PoissonReport(which, B, rhs, residual)
+    lax = _lax_matrix(nls_v("scalar") if which == "V" else dress_u(2, "scalar").series)
+    lax_mu = lax.rename({"lam": "mu"})
+    terms = [lax.map(lambda a: a.partial(f)).kron(lax_mu.map(lambda a: a.partial(g)))
+             .scale(sign) for (f, g), sign in _BRACKETS[which].items()]
+    return lax, lax_mu, sum(terms[1:], terms[0])
 
 
-def poisson_antisymmetry_defect(which: str = "V") -> list[list[BiPoly]]:
-    """B[(ik),(jl)](lam,mu) + B[(ki),(lj)](mu,lam); all-zero by antisymmetry."""
-    rep = poisson_residual(which)
-    B = rep.bracket
-    out = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            iswap = (i % 2) * 2 + (i // 2)
-            jswap = (j % 2) * 2 + (j // 2)
-            row.append(B[i][j] + B[iswap][jswap].swap_lam_mu())
-        out.append(row)
-    return out
+def poisson_residual(which: str = "V") -> MPolyMatrix:
+    """(lam - mu) B - [P, L(lam) (x) 1 + 1 (x) L(mu)] for r(z) = P/z.
+
+    B holds the delta-coefficients of the ultralocal brackets {L (x), L(mu)}
+    read off the field table ``_BRACKETS``; L is the engine's own time (V) or
+    x_2-flow (U) Lax operator.  The linear Poisson structure
+    B = [r(lam - mu), L (x) 1 + 1 (x) L(mu)] holds exactly when this
+    polynomial identity does, with no division.
+    """
+    lax, lax_mu, bracket = _poisson_sides(which)
+    vars_, eye = lax.vars, MPolyMatrix.identity(lax.vars, 2)
+    p = permutation_matrix(vars_)
+    s = lax.kron(eye) + eye.kron(lax_mu)
+    lam_minus_mu = MPoly.variable(vars_, "lam") - MPoly.variable(vars_, "mu")
+    return bracket.scale(lam_minus_mu) - (p * s - s * p)
+
+
+def poisson_antisymmetry_defect(which: str = "V") -> MPolyMatrix:
+    """B(lam, mu) + P B(mu, lam) P; zero by antisymmetry of the bracket."""
+    bracket = _poisson_sides(which)[2]
+    p = permutation_matrix(bracket.vars)
+    return bracket + p * bracket.rename({"lam": "mu", "mu": "lam"}) * p
 
 
 # ---------------------------------------------------------------------------
@@ -301,18 +200,10 @@ def _two_by_two(e11, e12, e21, e22) -> PolyMatrix:
     return PolyMatrix("scalar", ("1", "1"), ("1", "1"), [[e11, e12], [e21, e22]])
 
 
-from .hierarchy import LaxOperator  # noqa: E402  (no cycle: hierarchy never imports boundary)
-
-
 def bulk_u2() -> LaxOperator:
     """The second-flow bulk operator in the half-normalized convention."""
-    half = _bconst(gr(Fraction(1, 2)))
-    z = NCPolynomial.zero("scalar", ("1", "1"))
-    lam1 = _two_by_two(_bpoly_const(gr(Fraction(1, 2))), z, z,
-                       _bpoly_const(gr(Fraction(-1, 2))))
-    lam0 = _two_by_two(z, _bfield("uh"), _bfield("u"), z)
-    series = LaurentSeries.of(lam1, 1) + LaurentSeries.of(lam0, 0)
-    return LaxOperator(series, flow=2, kind="U_bulk", mode="scalar")
+    return LaxOperator(promote_series(dress_u(2, "scalar").series), flow=2,
+                       kind="U_bulk", mode="scalar")
 
 
 def boundary_u(side: str, params: BoundaryParams | None = None) -> LaxOperator:
@@ -446,7 +337,6 @@ class OpenChargeExpansion:
 
     def charge_density(self):
         """The order-2 open-chain charge with its boundary terms attached."""
-        from .hierarchy import ChargeDensity
         return ChargeDensity("H", 2, self.bulk_density,
                              boundary_terms=(self.plus_term, self.minus_term))
 
@@ -475,8 +365,8 @@ def open_charge_expansion(params: BoundaryParams | None = None,
     w_plus = a_fac.block(0, 0)
     log_plus, prefix_plus = series_log(w_plus)
 
-    inv_w = series_invert(one_plus_w)
-    inv_what = series_invert(one_plus_what)
+    inv_w = series_invert(one_plus_w)   # lam -> -lam is a ring automorphism:
+    inv_what = _hat(inv_w)               # (1 + What)^-1 is the hat of (1 + W)^-1
     b_fac = inv_w * (_k_series("-").truncated(order) * omega) * _transpose_series(inv_what)
     w_minus = b_fac.block(0, 0)
     log_minus, prefix_minus = series_log(w_minus)

@@ -20,41 +20,34 @@ from .latex import tex
 @dataclass
 class RunConfig:
     """Run configuration merged from defaults, config file, env, and flags."""
-    mode: str = "scalar"
     seed: int = 42
     tolerance: float = 1e-9
     trials: int = 100
-    out_format: str = "text"
-    out_path: str | None = None
-    orders: dict = dc_field(default_factory=dict)
+    orders: dict = dc_field(default_factory=dict)   # read: riccati, hierarchy
 
     @staticmethod
-    def from_file(path: str) -> "RunConfig":
+    def from_file(path: str | None) -> "RunConfig":
+        """Defaults, then the key = value file at path (if any), then LAXFORGE_SEED.
+
+        A key that no command reads is refused, as is any unknown key.
+        """
         cfg = RunConfig()
-        for line in Path(path).read_text().splitlines():
+        for line in Path(path).read_text().splitlines() if path else ():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
             key, val = (s.strip() for s in line.split("=", 1))
-            if key == "mode":
-                cfg.mode = val
-            elif key == "seed":
-                cfg.seed = int(val)
+            if key in ("seed", "trials"):
+                setattr(cfg, key, int(val))
             elif key == "tolerance":
                 cfg.tolerance = float(val)
-            elif key == "trials":
-                cfg.trials = int(val)
-            elif key == "format":
-                cfg.out_format = val
-            elif key == "out-path":
-                cfg.out_path = val
-            elif key.startswith("order."):
+            elif key in ("order.riccati", "order.hierarchy"):
                 cfg.orders[key.split(".", 1)[1]] = int(val)
             else:
                 raise ValueError(f"unknown config key {key!r}")
-        if cfg.seed is not None and "LAXFORGE_SEED" in os.environ:
+        if "LAXFORGE_SEED" in os.environ:
             cfg.seed = int(os.environ["LAXFORGE_SEED"])
         if any(v < 1 for v in cfg.orders.values()):
             raise ValueError("orders must be >= 1")
@@ -151,29 +144,31 @@ def _cmd_hierarchy_verify(args, cfg) -> int:
     return 0
 
 
-def _cmd_boundary_reflect(args, cfg) -> int:
-    from .boundary import k_matrix, reflection_residual
-    res = reflection_residual(k_matrix())
+def _residual_exit(res, holds: str, fails: str) -> int:
+    """Exit 0 on a zero residual matrix, else 1 with its nonzero entries on stderr."""
     if res.is_zero:
-        sys.stdout.write("reflection residual == 0 (fully symbolic constants)\n")
+        sys.stdout.write(holds + "\n")
         return 0
-    sys.stderr.write("reflection residual is NOT zero; nonzero entries of "
-                     "(lam^2 - mu^2) * residual:\n")
+    sys.stderr.write(fails + "\n")
     for i, j, e in res.nonzero_entries():
         sys.stderr.write(f"  entry ({i},{j}): {e}\n")
     return 1
 
 
+def _cmd_boundary_reflect(args, cfg) -> int:
+    from .boundary import k_matrix, reflection_residual
+    return _residual_exit(reflection_residual(k_matrix()),
+                          "reflection residual == 0 (fully symbolic constants)",
+                          "reflection residual is NOT zero; nonzero entries of "
+                          "(lam^2 - mu^2) * residual:")
+
+
 def _cmd_boundary_poisson(args, cfg) -> int:
     from .boundary import poisson_residual
-    rep = poisson_residual(args.which)
-    if rep.is_zero:
-        sys.stdout.write(f"linear Poisson structure holds for {args.which} "
-                         "(residual == 0)\n")
-        return 0
-    sys.stderr.write(f"Poisson residual for {args.which} is NOT zero at entries "
-                     f"{rep.offending()}\n")
-    return 1
+    return _residual_exit(poisson_residual(args.which),
+                          f"linear Poisson structure holds for {args.which} (residual == 0)",
+                          f"Poisson residual for {args.which} is NOT zero; nonzero "
+                          "entries of (lam - mu) * residual:")
 
 
 def _frac(text):
@@ -227,8 +222,6 @@ def _target(name: str) -> str:
 def _cmd_verify_numeric(args, cfg) -> int:
     from .checks import run_numeric
     seed = args.seed if args.seed is not None else cfg.seed
-    if "LAXFORGE_SEED" in os.environ and args.seed is None:
-        seed = int(os.environ["LAXFORGE_SEED"])
     tol = args.tol if args.tol is not None else cfg.tolerance
     trials = args.trials if args.trials is not None else cfg.trials
     report = run_numeric(args.target, trials, tol, seed)
@@ -335,7 +328,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+        cfg = RunConfig.from_file(args.config)
     except (OSError, ValueError) as e:
         sys.stderr.write(f"config error: {e}\n")
         return 2

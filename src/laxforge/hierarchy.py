@@ -24,7 +24,7 @@ from .ncpoly import (NCPolynomial, TracePolynomial, is_total_t_derivative,
                      nc_mul)
 from .riccati import (BLOCK_DIMS, _f, nls_v, projector_d, sigma_matrix,
                       solve_gamma, solve_w_z, x_matrix)
-from .series import LaurentSeries
+from .series import LaurentSeries, series_invert
 
 
 class DressRewriteError(RuntimeError):
@@ -56,7 +56,7 @@ def bare_u(n: int, mode: str = "matrix") -> LaxOperator:
     return LaxOperator(s, flow=n, kind="U_bare", mode=mode)
 
 
-def generate_u(n: int, mode: str = "scalar", riccati_order: int | None = None) -> LaxOperator:
+def generate_u(n: int, mode: str = "scalar") -> LaxOperator:
     """Generating-function route to the x_n-flow operator.
 
     Expands (1+W(lam)) D (1+W(lam))^-1 over (lam - mu) as a double series,
@@ -65,11 +65,9 @@ def generate_u(n: int, mode: str = "scalar", riccati_order: int | None = None) -
     """
     if n < 1:
         raise ValueError("flow index must be >= 1")
-    order = max(riccati_order or n, n)
-    sol = solve_w_z(order, mode)
+    sol = solve_w_z(n, mode)
     one_plus = sol.one_plus_w()
-    from .series import series_invert
-    m_series = one_plus * LaurentSeries.of(projector_d(mode)).truncated(order) \
+    m_series = one_plus * LaurentSeries.of(projector_d(mode)).truncated(n) \
         * series_invert(one_plus)
     acc = LaurentSeries.zero(mode, m_series.row_dims, m_series.col_dims)
     for k in range(n):

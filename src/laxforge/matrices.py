@@ -50,12 +50,6 @@ class PolyMatrix:
                 for j, c in enumerate(dims)] for i, r in enumerate(dims)]
         return PolyMatrix(mode, dims, dims, ent)
 
-    @staticmethod
-    def scalar_const(mode, dims, coeff) -> "PolyMatrix":
-        """coeff times the identity on the given block dims."""
-        blocks = [NCPolynomial.unit(mode, d, coeff) for d in dims]
-        return PolyMatrix.diag(mode, dims, blocks)
-
     # -- algebra ---------------------------------------------------------------
     def _compat(self, other: "PolyMatrix"):
         if (self.mode, self.row_dims, self.col_dims) != (other.mode, other.row_dims, other.col_dims):

@@ -125,9 +125,6 @@ class NCPolynomial:
     def has_x_atoms(self) -> bool:
         return any(a.dx > 0 for a in self.atoms_set())
 
-    def max_dt(self) -> int:
-        return max((a.dt for w in self.terms for a in w), default=0)
-
     def constant_term(self):
         return self.terms.get(EMPTY_WORD)
 

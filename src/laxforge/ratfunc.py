@@ -7,6 +7,11 @@ a monomial: exponents may be negative, division by a monomial is exact, and
 division by anything else raises.  Values are canonical (equal values have
 equal term dicts), so equality is a dict comparison and values hash.
 
+It is also the ring of both boundary checks: the reflection equation over
+(lam, mu, xi, ka) and the Poisson structures over (lam, mu) and the scalar
+fields, which commute.  ``rename`` maps lam to mu (or swaps them) and
+``partial`` differentiates by a field.
+
 The module keeps its name because the benchmark's per-layer split
 (``perfbench/layers.py``) attributes this ring's time to the ``ratfunc`` layer.
 """
@@ -126,16 +131,25 @@ class MPoly:
         (e, c), = self.terms.items()
         return MPoly(self.vars, {tuple(-p for p in e): GR_ONE / c})
 
-    def subs_var(self, src: str, dst: str) -> "MPoly":
-        """Rename variable src to dst (both must be in vars)."""
-        i, j = self.vars.index(src), self.vars.index(dst)
-        out = []
-        for e, c in self.terms.items():
-            e2 = list(e)
-            e2[j] += e2[i]
-            e2[i] = 0
-            out.append((tuple(e2), c))
-        return _mpoly(self.vars, collect(out))
+    def rename(self, mapping: dict[str, str]) -> "MPoly":
+        """Substitute variables for variables, all at once: {src: dst}.
+
+        Serves a one-way renaming (lam -> mu) and a swap (lam <-> mu) alike.
+        """
+        dst = [self.vars.index(mapping.get(v, v)) for v in self.vars]
+
+        def moved(e):
+            out = [0] * len(e)
+            for i, p in zip(dst, e):
+                out[i] += p
+            return tuple(out)
+        return _mpoly(self.vars, collect((moved(e), c) for e, c in self.terms.items()))
+
+    def partial(self, var: str) -> "MPoly":
+        """Derivative with respect to one variable."""
+        i = self.vars.index(var)
+        return _mpoly(self.vars, collect(
+            ((*e[:i], e[i] - 1, *e[i + 1:]), c * e[i]) for e, c in self.terms.items()))
 
     def subs_values(self, values: dict[str, GaussianRational]) -> "MPoly":
         """Exact substitution of some variables by Gaussian-rational values.
@@ -240,9 +254,12 @@ class MPolyMatrix:
             [self.entries[i // p][j // q] * other.entries[i % p][j % q]
              for j in range(m * q)] for i in range(n * p)])
 
-    def subs_var(self, src, dst) -> "MPolyMatrix":
-        return MPolyMatrix(self.vars,
-                           [[a.subs_var(src, dst) for a in r] for r in self.entries])
+    def rename(self, mapping: dict[str, str]) -> "MPolyMatrix":
+        return self.map(lambda a: a.rename(mapping))
+
+    def map(self, fn) -> "MPolyMatrix":
+        """Apply fn to every entry, e.g. ``m.map(lambda a: a.partial("u"))``."""
+        return MPolyMatrix(self.vars, [[fn(a) for a in r] for r in self.entries])
 
     @property
     def is_zero(self) -> bool:

@@ -13,6 +13,7 @@ min-of-truncations rule.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable
 
 from .atoms import ShapeError
@@ -22,9 +23,6 @@ from .matrices import PolyMatrix
 
 class TruncationError(RuntimeError):
     """Read past the reliable part of a truncated series."""
-
-
-_NEG_INF = None  # sentinel meaning "exact all the way down"
 
 
 class LaurentSeries:
@@ -69,10 +67,6 @@ class LaurentSeries:
     def max_power(self) -> int:
         return max(self.coeffs, default=0)
 
-    @property
-    def min_power(self) -> int:
-        return min(self.coeffs, default=0)
-
     def coefficient(self, power: int) -> PolyMatrix:
         low = self.lowest_reliable
         if low is not None and power < low:
@@ -87,9 +81,6 @@ class LaurentSeries:
         return LaurentSeries(self.mode, (r,), (c,),
                              {p: PolyMatrix(self.mode, (r,), (c,), [[m.entries[i][j]]])
                               for p, m in self.coeffs.items()}, self.truncation)
-
-    def _zero_like(self, truncation):
-        return LaurentSeries(self.mode, self.row_dims, self.col_dims, {}, truncation)
 
     # -- algebra -----------------------------------------------------------------
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
@@ -186,6 +177,31 @@ class LaurentSeries:
     __repr__ = __str__
 
 
+def _split_lead(s: LaurentSeries, what: str):
+    """Write s = c*lam^k*(1 + n); return (c, k, n).
+
+    The leading coefficient must be a constant multiple of the identity and n
+    strictly lower order.  n carries the truncation s.truncation + k, and a
+    nonzero n needs a truncated s: its power series would not end.
+    """
+    if s.is_zero:
+        raise ValueError(f"cannot {what} the zero series")
+    k = s.max_power
+    c = _constant_scalar(s.coeffs[k])
+    if c is None:
+        raise ValueError("leading coefficient is not a constant multiple of the identity")
+    cinv = GR_ONE / c
+    norm = s.shift(-k).map_coefficients(lambda m: m.scale(cinv))
+    n = norm - LaurentSeries.identity(s.mode, s.row_dims, truncation=norm.truncation)
+    if not n.is_zero:
+        if n.max_power >= 0:
+            raise ValueError("lower-order part is not strictly lower order")
+        if s.truncation is None:
+            raise TruncationError(f"{what} of an exact series with a tail is infinite; "
+                                  "truncate first")
+    return c, k, n
+
+
 def series_invert(s: LaurentSeries) -> LaurentSeries:
     """Geometric-series inverse of c*lam^k*(1 + n) with constant invertible lead.
 
@@ -193,33 +209,16 @@ def series_invert(s: LaurentSeries) -> LaurentSeries:
     only case the hierarchy needs); n must be strictly lower order.  The
     result satisfies s * invert(s) = identity up to the truncation.
     """
-    if s.is_zero:
-        raise ValueError("cannot invert the zero series")
     if s.row_dims != s.col_dims:
         raise ShapeError("inversion requires a square layout")
-    k = s.max_power
-    c = _constant_scalar(s.coeffs[k])
-    if c is None:
-        raise ValueError("leading coefficient is not an invertible constant block matrix")
-    cinv = GR_ONE / c
-    norm = s.shift(-k).map_coefficients(lambda m: m.scale(cinv))
-    n = norm - LaurentSeries.identity(s.mode, s.row_dims, truncation=norm.truncation)
-    if n.is_zero:
-        return LaurentSeries.identity(s.mode, s.row_dims,
-                                      truncation=s.truncation).map_coefficients(
-            lambda m: m.scale(cinv)).shift(-k)
-    if n.max_power >= 0:
-        raise ValueError("lower-order part is not strictly lower order")
-    if s.truncation is None:
-        raise TruncationError("inverse of an exact series with a tail is infinite; truncate first")
-    out = LaurentSeries.identity(s.mode, s.row_dims, truncation=s.truncation + k)
-    term = out
-    for _ in range(s.truncation + k + 1):
+    c, k, n = _split_lead(s, "invert")
+    out = term = LaurentSeries.identity(s.mode, s.row_dims, truncation=n.truncation)
+    for _ in range(0 if n.is_zero else n.truncation + 1):
         term = -(term * n)
         if term.is_zero:
             break
         out = out + term
-    return out.map_coefficients(lambda m: m.scale(cinv)).shift(-k)
+    return out.map_coefficients(lambda m: m.scale(GR_ONE / c)).shift(-k)
 
 
 def _constant_scalar(m: PolyMatrix):
@@ -249,28 +248,11 @@ def series_log(s: LaurentSeries):
     """
     if s.row_dims != ("1",) or s.col_dims != ("1",):
         raise ShapeError("series_log requires scalar shape")
-    if s.is_zero:
-        raise ValueError("vanishing leading coefficient")
-    k = s.max_power
-    lead = _constant_scalar(s.coeffs[k])
-    if lead is None:
-        raise ValueError("leading coefficient must be a nonzero constant")
-    cinv = GR_ONE / lead
-    n = s.shift(-k).map_coefficients(lambda m: m.scale(cinv)) \
-        - LaurentSeries.identity(s.mode, s.row_dims,
-                                 truncation=None if s.truncation is None
-                                 else s.truncation + k)
+    lead, k, n = _split_lead(s, "log")
     if n.is_zero:
         return LaurentSeries.zero(s.mode, ("1",), ("1",), s.truncation), (lead, k)
-    if n.max_power >= 0:
-        raise ValueError("lower-order part is not strictly lower order")
-    if s.truncation is None:
-        raise TruncationError("log of an exact series with a tail is infinite; truncate first")
-    depth = s.truncation + k
-    out = n
-    power = n
-    from fractions import Fraction
-    for j in range(2, depth + 1):
+    out = power = n
+    for j in range(2, n.truncation + 1):
         power = power * n
         if power.is_zero:
             break

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from laxforge import boundary, riccati
 from laxforge.boundary import (BVARS, BoundaryParamError, BoundaryParams,
                                boundary_u, bulk_u2, extract_boundary_conditions,
                                k_matrix, open_charge_expansion,
@@ -12,6 +13,8 @@ from laxforge.coeff import gr
 from laxforge.ncpoly import NCPolynomial
 from laxforge.parser import parse_poly
 from laxforge.ratfunc import MPoly, MPolyMatrix
+from laxforge.riccati import solve_w_z
+from laxforge.series import LaurentSeries, series_invert
 
 
 def test_reflection_residual_symbolic_zero():
@@ -45,30 +48,35 @@ def test_poisson_residual_zero(which):
 
 @pytest.mark.parametrize("which", ["V", "U"])
 def test_poisson_antisymmetry(which):
-    defect = poisson_antisymmetry_defect(which)
-    assert all(e.is_zero for row in defect for e in row)
+    assert poisson_antisymmetry_defect(which).is_zero
 
 
-def test_poisson_divisibility_is_exact():
-    # the commutator division must not silently drop a remainder
-    from laxforge.boundary import BiPoly
-    p = BiPoly.of(NCPolynomial.unit("scalar"), 1, 0)  # lam alone: not divisible
-    with pytest.raises(ArithmeticError):
-        p.divide_by_lam_minus_mu()
-    q = (BiPoly.of(NCPolynomial.unit("scalar"), 1, 0)
-         - BiPoly.of(NCPolynomial.unit("scalar"), 0, 1))
-    assert q.divide_by_lam_minus_mu().terms == \
-        BiPoly.of(NCPolynomial.unit("scalar")).terms
+@pytest.mark.parametrize("which,pair", [(w, pair) for w in ("V", "U")
+                                        for pair in boundary._BRACKETS[w]])
+def test_poisson_detects_a_flipped_bracket_sign(which, pair, monkeypatch):
+    table = dict(boundary._BRACKETS[which])
+    table[pair] = -table[pair]
+    monkeypatch.setitem(boundary._BRACKETS, which, table)
+    assert not poisson_residual(which).is_zero
 
 
-def test_bipoly_sums_that_cancel_leave_no_key():
-    from laxforge.boundary import BiPoly
-    one = NCPolynomial.unit("scalar")
-    lam, mu = BiPoly.of(one, 1, 0), BiPoly.of(one, 0, 1)
-    assert (lam - lam).terms == {} and BiPoly.of(NCPolynomial.zero("scalar")).terms == {}
-    square = (lam - mu) * (lam + mu)
-    assert sorted(square.terms) == [(0, 2), (2, 0)]  # the lam*mu terms cancel
-    assert (square.divide_by_lam_minus_mu() - (lam + mu)).terms == {}
+def test_poisson_detects_a_changed_lax_operator(monkeypatch):
+    # a second copy of the momenta at lam^0: the brackets no longer fit V
+    monkeypatch.setattr(boundary, "nls_v", lambda mode: riccati.nls_v(mode)
+                        + LaurentSeries.of(riccati.p_a_matrix(mode)))
+    assert not poisson_residual("V").is_zero
+
+
+def test_lax_operators_outside_the_poisson_variables_are_refused():
+    with pytest.raises(ValueError, match="not an underived field"):
+        boundary._lax_matrix(riccati.nls_v("scalar").differentiate_t())
+
+
+def test_hat_commutes_with_series_invert():
+    """lam -> -lam is a ring automorphism, so it commutes with inversion,
+    truncation included; open_charge_expansion inverts 1 + What this way."""
+    s = solve_w_z(6, "scalar").one_plus_w()
+    assert series_invert(boundary._hat(s)) == boundary._hat(series_invert(s))
 
 
 # -- boundary operators and conditions ---------------------------------------

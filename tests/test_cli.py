@@ -56,6 +56,30 @@ def test_boundary_poisson_check(capsys):
         assert code == 0 and "residual == 0" in out
 
 
+def test_boundary_reflect_check_fails_on_a_non_solution(capsys, monkeypatch):
+    from laxforge import boundary
+    from laxforge.ratfunc import MPoly, MPolyMatrix
+    lam, one = MPoly.variable(boundary.RVARS, "lam"), MPoly.constant(boundary.RVARS, 1)
+    monkeypatch.setattr(boundary, "k_matrix", lambda: MPolyMatrix(
+        boundary.RVARS, [[lam, lam * lam], [one, -lam]]))
+    code, out, err = run_cli("boundary", "reflect-check", capsys=capsys)
+    assert code == 1 and out == "" and "NOT zero" in err
+    assert "  entry (0,1): " in err
+
+
+@pytest.mark.parametrize("which", ["V", "U"])
+def test_boundary_poisson_check_fails_on_a_wrong_bracket(which, capsys, monkeypatch):
+    from laxforge import boundary
+    table = {pair: -sign for pair, sign in boundary._BRACKETS[which].items()}
+    monkeypatch.setitem(boundary._BRACKETS, which, table)
+    code, out, err = run_cli("boundary", "poisson-check", "--which", which,
+                             capsys=capsys)
+    assert code == 1 and out == ""
+    assert f"Poisson residual for {which} is NOT zero" in err
+    entries = [line for line in err.splitlines() if line.startswith("  entry (")]
+    assert len(entries) == len(boundary.poisson_residual(which).nonzero_entries()) > 0
+
+
 def test_boundary_extract_bc(capsys):
     code, out, _ = run_cli("boundary", "extract-bc", "--side", "both", capsys=capsys)
     assert code == 0
@@ -168,7 +192,7 @@ def test_golden_mismatch_fails(tmp_path, capsys):
 
 def test_config_file_and_seed_env(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("mode = scalar\nseed = 5\ntolerance = 1e-8\ntrials = 3\n"
+    cfg.write_text("seed = 5\ntolerance = 1e-8\ntrials = 3\n"
                    "order.riccati = 2\n")
     monkeypatch.setenv("LAXFORGE_SEED", "99")
     from laxforge.cli import RunConfig
@@ -177,6 +201,12 @@ def test_config_file_and_seed_env(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli("--config", str(cfg), "riccati", "--out", "json",
                            capsys=capsys)
     assert code == 0 and json.loads(out)["order"] == 2
+
+
+def test_seed_env_applies_without_a_config_file(monkeypatch):
+    monkeypatch.setenv("LAXFORGE_SEED", "99")
+    from laxforge.cli import RunConfig
+    assert RunConfig.from_file(None).seed == 99
 
 
 def test_config_rejects_bad_values(tmp_path):
@@ -188,3 +218,14 @@ def test_config_rejects_bad_values(tmp_path):
     cfg.write_text("tolerance = -1\n")
     with pytest.raises(ValueError):
         RunConfig.from_file(str(cfg))
+
+
+@pytest.mark.parametrize("line", ["mode = scalar", "format = json", "out-path = x.json",
+                                  "order.charges = 3", "bogus = 1"])
+def test_config_refuses_keys_no_command_reads(line, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 5\n{line}\n")
+    code, out, err = run_cli("--config", str(cfg), "riccati", "--order", "2",
+                             capsys=capsys)
+    key = line.split(" = ")[0]
+    assert code == 2 and out == "" and err == f"config error: unknown config key {key!r}\n"

@@ -42,6 +42,23 @@ def test_ring_operations_agree_with_eval(a, b, m, xi, ka):
     sa, sb, sm = (_value(p.subs_values(exact)) for p in (a, b, m))
     assert _value((a * b).subs_values(exact)) == sa * sb
     assert _value((a / m).subs_values(exact)) == sa / sm
+    # renaming: a swap is a ring automorphism of order two; a one-way rename
+    # evaluates as the source variable set to the target's value
+    swap = {"xi": "ka", "ka": "xi"}
+    assert a.rename(swap).rename(swap) == a
+    assert (a * b).rename(swap) == a.rename(swap) * b.rename(swap)
+    swapped = {"xi": point["ka"], "ka": point["xi"]}
+    assert abs(a.rename(swap).eval(point) - a.eval(swapped)) <= 1e-9 * (1 + abs(av))
+    same = {"xi": point["ka"], "ka": point["ka"]}
+    assert abs(a.rename({"xi": "ka"}).eval(point) - a.eval(same)) \
+        <= 1e-9 * (1 + abs(a.eval(same)))
+    # partial derivatives: linear, Leibniz, and exact on monomials
+    for v in VARS:
+        assert (a + b).partial(v) == a.partial(v) + b.partial(v)
+        assert (a * b).partial(v) == a.partial(v) * b + a * b.partial(v)
+        assert (a / m).partial(v) == (a.partial(v) * m - a * m.partial(v)) / (m * m)
+    (e, c), = m.terms.items()
+    assert m.partial("ka") == MPoly(VARS, {(e[0], e[1] - 1): c * e[1]})
 
 
 @settings(max_examples=60, deadline=None)

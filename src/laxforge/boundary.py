@@ -19,7 +19,7 @@ from .atoms import atom
 from .coeff import GaussianRational, collect, gr
 from .hierarchy import ChargeDensity, LaxOperator, dress_u
 from .matrices import PolyMatrix
-from .ncpoly import NCPolynomial
+from .ncpoly import NCPolynomial, eliminate, sole_word
 from .ratfunc import MPoly, MPolyMatrix
 from .riccati import nls_v, omega_matrix, solve_w_z
 from .series import LaurentSeries, series_invert, series_log
@@ -247,54 +247,25 @@ def extract_boundary_conditions(bulk: LaxOperator, bdry: LaxOperator,
                                 side: str = "+") -> BoundaryConditions:
     """Solve delta U = 0 entrywise; lam-dependent leftovers become flags."""
     delta = bdry.series - bulk.series
-    entries = []
-    for p in sorted(delta.coeffs, reverse=True):
-        m = delta.coefficient(p)
-        for row in m.entries:
-            for e in row:
-                if not e.is_zero:
-                    entries.append((p, e))
-    equations: list[tuple[str, NCPolynomial]] = []
-    while True:
-        entries = [(p, e) for p, e in entries if not e.is_zero]
-        pick = None
-        for p, e in entries:
-            if p != 0:
-                continue
-            for w, c in e.sorted_terms():
-                if len(w) != 1 or w.atoms[0].dt or w.atoms[0].dx:
-                    continue
-                a = w.atoms[0]
-                others = e - NCPolynomial("scalar", ("1", "1"), {w: c})
-                if a.base not in {x.base for ww in others.terms for x in ww}:
-                    value = others.scale(-(_bconst(1) / c))
-                    pick = (a, value)
-                    break
-            if pick:
-                break
-        if pick is None:
-            break
-        equations.append((pick[0].base, pick[1]))
-        entries = [(p, e.substitute([pick])) for p, e in entries]
-    flags = []
-    for p, e in entries:
-        if e.is_zero:
-            continue
-        if p != 0:
-            flags.append(f"lam^{p} coefficient {e} (negligible only for large constants)")
-        else:
-            raise ValueError(f"inconsistent boundary system: residual entry {e}")
-    # chain solved values into each other until stable
-    for _ in range(len(equations) + 1):
-        rules = {b: v for b, v in equations}
-        new = [(b, v.substitute([(atom(o, mode="scalar"), ov)
-                                 for o, ov in rules.items() if o != b]))
-               for b, v in equations]
-        if new == equations:
-            break
-        equations = new
-    equations.sort(key=lambda kv: kv[0])
-    residual_after = delta.substitute([(atom(b, mode="scalar"), v) for b, v in equations])
+
+    def lone_field(e: NCPolynomial):
+        """An underived field alone in its word and absent from the other words."""
+        for w, _ in e.sorted_terms():
+            if len(w) == 1 and not (w.atoms[0].dt or w.atoms[0].dx) and \
+                    sole_word(e, lambda a: a.base == w.atoms[0].base) == w:
+                return w
+        return None
+
+    found, left = eliminate(
+        [e for row in delta.coefficient(0).entries for e in row], lone_field)
+    if left:
+        raise ValueError(f"inconsistent boundary system: residual entry {left[0]}")
+    equations = sorted(((pat[0].base, v.substitute(found)) for pat, v in found),
+                       key=lambda kv: kv[0])
+    residual_after = delta.substitute(found)
+    flags = [f"lam^{p} coefficient {e} (negligible only for large constants)"
+             for p in residual_after.coeffs
+             for row in residual_after.coefficient(p).entries for e in row if e]
     return BoundaryConditions(side, equations, sorted(flags), residual_after)
 
 

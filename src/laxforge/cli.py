@@ -84,7 +84,7 @@ def _emit(args, payload_json: dict, payload_objs: list, golden_name: str) -> int
 
 def _cmd_riccati(args, cfg) -> int:
     from .riccati import solve_gamma, solve_w_z
-    order = args.order or cfg.orders.get("riccati", 4)
+    order = args.order if args.order is not None else cfg.orders.get("riccati", 4)
     if args.which == "wz":
         sol = solve_w_z(order, args.mode)
         payload = {
@@ -105,7 +105,7 @@ def _cmd_riccati(args, cfg) -> int:
 
 def _cmd_hierarchy_u(args, cfg) -> int:
     from .hierarchy import dress_u, generate_u
-    n = args.n or cfg.orders.get("hierarchy", 4)
+    n = args.n if args.n is not None else cfg.orders.get("hierarchy", 4)
     op = generate_u(n, args.mode) if args.route == "gen" else dress_u(n, args.mode)
     payload = {"command": "hierarchy-u", "route": args.route, "n": n,
                "mode": args.mode, "series": serialize.to_dict(op.series)}
@@ -137,10 +137,6 @@ def _cmd_hierarchy_verify(args, cfg) -> int:
                      f"flux = {proof.flux}\n")
     if args.out == "json":
         sys.stdout.write(serialize.dumps(payload))
-    if args.golden:
-        return _emit(argparse.Namespace(out="json", out_path=args.out_path,
-                                        golden=args.golden),
-                     payload, [], f"verify-{args.k}.json")
     return 0
 
 
@@ -201,13 +197,18 @@ def _cmd_boundary_extract(args, cfg) -> int:
             sys.stdout.write(f"{f}({point}) = {v}\n")
         for fl in bc.flags:
             sys.stdout.write(f"flag: {fl}\n")
-    payload = {"command": "boundary-extract-bc", "sides": results}
     if args.out == "json":
-        sys.stdout.write(serialize.dumps(payload))
-    if args.golden:
-        return _emit(argparse.Namespace(out="json", out_path=None, golden=args.golden),
-                     payload, [], "boundary-extract-bc.json")
+        sys.stdout.write(serialize.dumps({"command": "boundary-extract-bc",
+                                          "sides": results}))
     return 0
+
+
+def _positive(text: str) -> int:
+    """An order, flow or charge index: refused at parse time below 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _target(name: str) -> str:
@@ -249,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "time-like boundary conditions.")
     ap.add_argument("--config", help="key=value configuration file")
     ap.add_argument("--golden", metavar="DIR",
-                    help="compare emitted JSON against checked-in tables")
+                    help="compare emitted JSON against checked-in tables (riccati, "
+                         "hierarchy u, hierarchy charges, boundary charges, expr)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_common(p):
@@ -257,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-path", help="write the artifact here instead of stdout")
 
     p = sub.add_parser("riccati", help="solve the time Riccati system")
-    p.add_argument("--order", type=int)
+    p.add_argument("--order", type=_positive)
     p.add_argument("--mode", choices=("scalar", "matrix"), default="scalar")
     p.add_argument("--which", choices=("wz", "gamma", "gamma-hat"), default="wz")
     add_common(p)
@@ -267,28 +269,26 @@ def build_parser() -> argparse.ArgumentParser:
     hsub = ph.add_subparsers(dest="subcommand", required=True)
     p = hsub.add_parser("u", help="construct a flow operator")
     p.add_argument("--route", choices=("gen", "dress"), default="gen")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_positive)
     p.add_argument("--mode", choices=("scalar", "matrix"), default="scalar")
     add_common(p)
     p.set_defaults(fn=_cmd_hierarchy_u)
     p = hsub.add_parser("charges", help="conserved charge densities")
     p.add_argument("--kind", choices=("H", "I"), default="H")
-    p.add_argument("--max-k", type=int, default=4)
+    p.add_argument("--max-k", type=_positive, default=4)
     add_common(p)
     p.set_defaults(fn=_cmd_hierarchy_charges)
     p = hsub.add_parser("verify", help="certify conservation of one charge")
-    p.add_argument("--k", type=int, required=True)
-    add_common(p)
+    p.add_argument("--k", type=_positive, required=True)
+    p.add_argument("--out", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_hierarchy_verify)
 
     pb = sub.add_parser("boundary", help="reflection, Poisson, boundary operators")
     bsub = pb.add_subparsers(dest="subcommand", required=True)
     p = bsub.add_parser("reflect-check", help="reflection-equation residual")
-    add_common(p)
     p.set_defaults(fn=_cmd_boundary_reflect)
     p = bsub.add_parser("poisson-check", help="ultralocal Poisson residual")
     p.add_argument("--which", choices=("V", "U"), default="V")
-    add_common(p)
     p.set_defaults(fn=_cmd_boundary_poisson)
     p = bsub.add_parser("charges", help="open-chain charge expansion")
     p.add_argument("--order", type=int, choices=(2,), default=2,
@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_boundary_charges)
     p = bsub.add_parser("extract-bc", help="boundary conditions from delta U = 0")
     p.add_argument("--side", choices=("+", "-", "both"), default="both")
-    add_common(p)
+    p.add_argument("--out", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_boundary_extract)
 
     pv = sub.add_parser("verify", help="numeric verification battery")
@@ -327,6 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.golden and args.fn not in (_cmd_riccati, _cmd_hierarchy_u, _cmd_expr,
+                                       _cmd_hierarchy_charges, _cmd_boundary_charges):
+        ap.error("--golden: this command has no golden table")
     try:
         cfg = RunConfig.from_file(args.config)
     except (OSError, ValueError) as e:

@@ -5,8 +5,9 @@ Two independent routes construct the space components of the Lax pairs:
 * generating route: expand (1 + W) D (1 + W)^-1 / (lam - mu), pick the
   lam^-n coefficient and relabel mu -> lam;
 * dressing route: run the recursion w_{n-2} = [K, Sigma]/2,
-  w_{k-1} = -w_k K and eliminate the opaque kernel blocks K11/K22 through a
-  frozen rewrite set derived blockwise from Y = -XK and dK/dt = YK.
+  w_{k-1} = -w_k K and eliminate the opaque kernel blocks K11/K22 through
+  rewrite rules that ``ncpoly.eliminate`` solves from the entries of
+  Y = -XK and dK/dt = YK, closed under d/dt as deep as flow n needs.
 
 The two agree up to the bare shift lam^(n-1)/2 * identity, which reflects
 the diag(1,0)-vs-Sigma/2 leading-term conventions of the two routes.
@@ -16,19 +17,20 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
-from .atoms import FIELD_BASES, FieldAtom, atom
-from .coeff import GaussianRational, gr
+from .atoms import KERNEL_BASES, FieldAtom, atom
+from .coeff import gr
 from .matrices import PolyMatrix
-from .ncpoly import (NCPolynomial, TracePolynomial, is_total_t_derivative,
-                     nc_mul)
+from .ncpoly import (NCPolynomial, TracePolynomial, eliminate,
+                     is_total_t_derivative, nc_mul, sole_word)
 from .riccati import (BLOCK_DIMS, _f, nls_v, projector_d, sigma_matrix,
-                      solve_gamma, solve_w_z, x_matrix)
+                      solve_gamma, solve_w_z, x_matrix, y_matrix)
 from .series import LaurentSeries, series_invert
 
 
 class DressRewriteError(RuntimeError):
-    """The frozen kernel-block rewrite set does not close at this order."""
+    """Kernel blocks survive the derived rewrite rules at this order."""
 
 
 @dataclass
@@ -75,26 +77,30 @@ def generate_u(n: int, mode: str = "scalar") -> LaxOperator:
     return LaxOperator(acc, flow=n, kind="U_bulk", mode=mode)
 
 
-# frozen rewrite set for the opaque kernel blocks, derived once blockwise
-# from Y = -XK (diagonal blocks) and dK/dt = YK (all four blocks)
-def _kernel_rules(mode: str = "matrix"):
-    u, uh, pi, pih = (_f(b, mode) for b in FIELD_BASES)
-    k11 = atom("K11", mode=mode)
-    k22 = atom("K22", mode=mode)
-    k11_t = atom("K11", dt=1, mode=mode)
-    k22_t = atom("K22", dt=1, mode=mode)
-    au = atom("u", mode=mode)
-    auh = atom("uh", mode=mode)
-    api = atom("pi", mode=mode)
-    apih = atom("pih", mode=mode)
-    return [
-        ((au, k11), pih),                                        # u K11 = pih
-        ((auh, k22), -pi),                                       # uh K22 = -pi
-        ((apih, k11), nc_mul(nc_mul(u, uh), u) - u.differentiate_t()),
-        ((api, k22), -uh.differentiate_t() - nc_mul(nc_mul(uh, u), uh)),
-        ((k11_t,), nc_mul(pi, u) - nc_mul(uh, pih)),             # dK11/dt
-        ((k22_t,), nc_mul(pih, uh) - nc_mul(u, pi)),             # dK22/dt
-    ]
+@lru_cache(maxsize=None)
+def _kernel_rules(mode: str, depth: int) -> tuple:
+    """Rewrite rules for the kernel blocks, from Y = -XK and dK/dt = YK.
+
+    Each rule solves one identity for its sole word holding K11/K22.  Each
+    of ``depth`` closure levels lifts every product rule a*K -> r to
+    a_t*K -> r_t - a*K_t by the rules so far; earlier lifts reduce to zero.
+    """
+    def kernel_word(p: NCPolynomial):
+        return sole_word(p, lambda a: a.base in KERNEL_BASES)
+
+    K, X, Y = _kernel_matrix(mode), x_matrix(mode), y_matrix(mode)
+    entries = [e for m in (Y + X * K, K.differentiate_t() - Y * K)
+               for row in m.entries for e in row]
+    rules, left = eliminate(entries, kernel_word)
+    for _ in range(depth):
+        lifted = [(NCPolynomial.from_word(pat, mode) - r).differentiate_t()
+                  for pat, r in rules if len(pat) > 1]
+        rules, unsolved = eliminate(lifted, kernel_word, rules)
+        left += unsolved
+    if left:
+        raise DressRewriteError("kernel identities left unsolved: "
+                                + "; ".join(str(e) for e in left))
+    return tuple(rules)
 
 
 def _kernel_matrix(mode: str = "matrix") -> PolyMatrix:
@@ -106,11 +112,11 @@ def _kernel_matrix(mode: str = "matrix") -> PolyMatrix:
 
 def _assert_kernel_free(mat: PolyMatrix, n: int):
     residual = sorted({str(a) for row in mat.entries for e in row
-                       for w in e.terms for a in w if a.base in ("K11", "K22")})
+                       for w in e.terms for a in w if a.base in KERNEL_BASES})
     if residual:
         raise DressRewriteError(
             f"kernel blocks {residual} survive rewriting at flow {n}; "
-            "the frozen rule set does not close at this order")
+            "the rule closure is too shallow for this order")
 
 
 def dress_u(n: int, mode: str = "matrix") -> LaxOperator:
@@ -120,13 +126,14 @@ def dress_u(n: int, mode: str = "matrix") -> LaxOperator:
     if mode == "scalar":
         op = dress_u(n, "matrix")
         return LaxOperator(op.series.scalarized(), n, "U_bulk", "scalar")
-    rules = _kernel_rules(mode)
     K = _kernel_matrix(mode)
     w: dict[int, PolyMatrix] = {}
     if n >= 2:
         w[n - 2] = x_matrix(mode)  # (1/2)[K, Sigma]
         for k in range(n - 2, 0, -1):
-            w[k - 1] = (-(w[k] * K)).substitute(rules)
+            # the t-order of the atom next to K rises by at most one every two
+            # steps, so flow n needs the rules closed (n - 3) // 2 times
+            w[k - 1] = (-(w[k] * K)).substitute(_kernel_rules(mode, (n - 3) // 2))
             _assert_kernel_free(w[k - 1], n)
     series = bare_u(n, mode).series
     for k, mat in w.items():
@@ -134,14 +141,11 @@ def dress_u(n: int, mode: str = "matrix") -> LaxOperator:
     return LaxOperator(series, flow=n, kind="U_bulk", mode=mode)
 
 
-def route_difference(n: int) -> LaurentSeries:
-    """generate_u - dress_u - bare identity shift, in scalar mode (must vanish)."""
-    gen = generate_u(n, "scalar").series
-    dre = dress_u(n, "scalar").series
-    half = gr(Fraction(1, 2))
-    shift = LaurentSeries.of(
-        PolyMatrix.identity("scalar", ("1", "1")).scale(half), n - 1)
-    return gen - dre - shift
+def route_difference(n: int, mode: str = "scalar") -> LaurentSeries:
+    """generate_u - dress_u - bare identity shift (must vanish)."""
+    shift = PolyMatrix.identity(mode, BLOCK_DIMS[mode]).scale(gr(Fraction(1, 2)))
+    return (generate_u(n, mode).series - dress_u(n, mode).series
+            - LaurentSeries.of(shift, n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -218,56 +222,30 @@ class EOMExtractionError(RuntimeError):
     pass
 
 
-def _bare_unknown(poly: NCPolynomial, flow: int):
-    """Unknown x_flow-derivative atoms that occur as single-atom words."""
-    out = set()
-    for w in poly.terms:
-        if len(w) == 1 and w.atoms[0].dx > 0 and w.atoms[0].flow == flow:
-            out.add(w.atoms[0])
-    return out
-
-
-def _unknowns(poly: NCPolynomial, flow: int):
-    return {a for w in poly.terms for a in w if a.dx > 0 and a.flow == flow}
-
-
 def extract_eom(u_op: LaxOperator, v_op: LaxOperator) -> EOMRules:
     """Solve the residual entrywise for the x_n-derivatives of the fields."""
-    from .atoms import make_word
     flow, mode = u_op.flow, u_op.mode
     res = zero_curvature_residual(u_op, v_op)
-    entries: list[NCPolynomial] = []
-    for p in sorted(res.coeffs, reverse=True):
-        mat = res.coefficient(p)
-        entries.extend(e for row in mat.entries for e in row if not e.is_zero)
-    rules: list[tuple[FieldAtom, NCPolynomial]] = []
-    while True:
-        entries = [e for e in entries if not e.is_zero]
-        pick = None
-        for e in entries:
-            for a in sorted(_bare_unknown(e, flow), key=lambda x: x.sort_key):
-                word = make_word([a], mode)
-                coeff = e.terms[word]
-                rest = e - NCPolynomial(mode, e.shape, {word: coeff})
-                if not _unknowns(rest, flow):
-                    pick = (a, rest.scale(-(GaussianRational.of(1) / coeff)))
-                    break
-            if pick:
-                break
-        if pick is None:
-            break
-        rules.append(pick)
-        entries = [e.substitute([pick]) for e in entries]
-    unsolved = [e for e in entries if _unknowns(e, flow)]
+
+    def unknown(a: FieldAtom) -> bool:
+        return a.dx > 0 and a.flow == flow
+
+    def bare_unknown(e: NCPolynomial):
+        w = sole_word(e, unknown)
+        return w if w is not None and len(w) == 1 else None
+
+    found, entries = eliminate(
+        [e for p in sorted(res.coeffs, reverse=True)
+         for row in res.coefficient(p).entries for e in row], bare_unknown)
+    rules = sorted(((pat[0], r) for pat, r in found), key=lambda r: r[0].sort_key)
+    unsolved = [e for e in entries if any(unknown(a) for a in e.atoms_set())]
     if unsolved:
         raise EOMExtractionError(
             "entries not solvable by linear elimination: "
             + "; ".join(str(e) for e in unsolved))
-    bad = [e for e in entries if not e.is_zero]
-    if bad:
+    if entries:
         raise EOMExtractionError(
-            "inconsistent residual entries: " + "; ".join(str(e) for e in bad))
-    rules.sort(key=lambda r: r[0].sort_key)
+            "inconsistent residual entries: " + "; ".join(str(e) for e in entries))
     out = EOMRules(flow, mode, rules)
     by_atom = {(a.base, a.dt, a.dx): r for a, r in rules}
     for fld, momentum in (("uh", "pi"), ("u", "pih")):

@@ -215,6 +215,34 @@ class NCPolynomial:
         raise SubstitutionError("rewriting exceeded step bound; rule set is not confluent here")
 
 
+def sole_word(p: NCPolynomial, hit: Callable[[FieldAtom], bool]) -> Word | None:
+    """The only word of p holding an atom that ``hit`` marks; None if none or several."""
+    words = [w for w in p.terms if any(hit(a) for a in w)]
+    return words[0] if len(words) == 1 else None
+
+
+def eliminate(entries, choose, rules=()):
+    """Solve vanishing polynomials one word at a time.
+
+    The entries are first rewritten by the seed ``rules``.  Then, while some
+    entry has a word ``w = choose(entry)`` (coefficient c), the first such
+    entry becomes the rule ``w -> -(entry - c*w)/c``, which is substituted
+    into every entry.  Returns the rules (seed first, then in solving order)
+    and the nonzero entries left unsolved.
+    """
+    rules = list(rules)
+    left = [e.substitute(rules) for e in entries]
+    while True:
+        left = [e for e in left if e]
+        pick = next(((e, w) for e in left if (w := choose(e)) is not None), None)
+        if pick is None:
+            return rules, left
+        e, w = pick
+        rest = _poly(e.mode, e.shape, {v: x for v, x in e.terms.items() if v != w})
+        rules.append((w.atoms, rest.scale(-(GR_ONE / e.terms[w]))))
+        left = [x.substitute(rules) for x in left]
+
+
 def _poly(mode: str, shape, terms: dict) -> NCPolynomial:
     """An NCPolynomial over a collected dict, stored as is (it holds no zero)."""
     p = NCPolynomial(mode, shape)

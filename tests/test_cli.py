@@ -44,6 +44,61 @@ def test_hierarchy_u_latex(capsys):
     assert r"\begin{pmatrix}" in out and r"\hat{u}" in out
 
 
+def test_hierarchy_u_dress_reaches_flow_8(capsys):
+    code, out, _ = run_cli("hierarchy", "u", "--route", "dress", "--n", "8",
+                           "--mode", "matrix", "--out", "json", capsys=capsys)
+    assert code == 0 and json.loads(out)["n"] == 8
+
+
+@pytest.mark.parametrize("argv", [
+    ["riccati", "--order"], ["hierarchy", "u", "--n"],
+    ["hierarchy", "charges", "--max-k"], ["hierarchy", "verify", "--k"]])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_orders_below_one_are_refused_at_parse_time(argv, value, capsys):
+    """A zero order once fell back silently to the default 4."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, value])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "must be >= 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["boundary", "reflect-check", "--out", "json"],
+    ["boundary", "reflect-check", "--out-path", "x.txt"],
+    ["boundary", "poisson-check", "--out", "text"],
+    ["boundary", "poisson-check", "--out-path", "x.txt"],
+    ["boundary", "extract-bc", "--out", "latex"],
+    ["boundary", "extract-bc", "--out-path", "x.txt"],
+    ["hierarchy", "verify", "--k", "2", "--out", "latex"],
+    ["hierarchy", "verify", "--k", "2", "--out-path", "x.txt"]])
+def test_options_a_command_ignores_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, _ = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["hierarchy", "verify", "--k", "2", "--out", "json"],
+    ["boundary", "extract-bc", "--out", "json"],
+    ["boundary", "reflect-check"],
+    ["boundary", "poisson-check"],
+    ["verify", "numeric", "--target", "route", "--trials", "1"]])
+def test_golden_is_refused_without_a_golden_table(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--golden", str(REPO / "goldens"), *argv])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "no golden table" in err
+
+
+def test_hierarchy_verify_json_prints_the_payload_once(capsys):
+    code, out, _ = run_cli("hierarchy", "verify", "--k", "2", "--out", "json",
+                           capsys=capsys)
+    line, payload = out.split("\n", 1)
+    assert code == 0 and line.startswith("charge 2: total t-derivative certified")
+    assert json.loads(payload)["k"] == 2
+
+
 def test_boundary_reflect_check(capsys):
     code, out, _ = run_cli("boundary", "reflect-check", capsys=capsys)
     assert code == 0 and "residual == 0" in out

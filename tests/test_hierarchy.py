@@ -1,13 +1,52 @@
 """Flow operators, charges, equations of motion, conservation."""
 import pytest
 
+import laxforge.hierarchy as H
 import laxforge.tables as T
+from laxforge.atoms import atom, make_word
 from laxforge.hierarchy import (DressRewriteError, bare_u, charges, dress_u,
                                 eliminate_x, extract_eom, generate_u,
                                 nls_v_operator, route_difference,
                                 verify_conservation, zero_curvature_residual)
-from laxforge.ncpoly import NCPolynomial, set_fields_zero
+from laxforge.ncpoly import NCPolynomial, nc_mul, set_fields_zero
 from laxforge.parser import parse_poly
+
+
+def typed_kernel_rules(mode):
+    """Reference data: the six seed kernel rules written out by hand, blockwise
+    from Y = -XK (off-diagonal blocks) and dK/dt = YK (all four blocks)."""
+    u, uh, pi, pih = (NCPolynomial.from_atom(atom(b, mode=mode), mode)
+                      for b in ("u", "uh", "pi", "pih"))
+    k11, k22 = atom("K11", mode=mode), atom("K22", mode=mode)
+    a = {b: atom(b, mode=mode) for b in ("u", "uh", "pi", "pih")}
+    return [
+        ((a["u"], k11), pih),                                     # u K11 = pih
+        ((a["uh"], k22), -pi),                                    # uh K22 = -pi
+        ((a["pih"], k11), nc_mul(nc_mul(u, uh), u) - u.differentiate_t()),
+        ((a["pi"], k22), -uh.differentiate_t() - nc_mul(nc_mul(uh, u), uh)),
+        ((atom("K11", dt=1, mode=mode),), nc_mul(pi, u) - nc_mul(uh, pih)),
+        ((atom("K22", dt=1, mode=mode),), nc_mul(pih, uh) - nc_mul(u, pi)),
+    ]
+
+
+@pytest.mark.parametrize("mode", ["matrix", "scalar"])
+def test_derived_seed_rules_equal_the_typed_ones(mode):
+    def as_set(rules):
+        return {(make_word(pat, mode), rep) for pat, rep in rules}
+    derived = H._kernel_rules(mode, 0)
+    assert len(derived) == 6
+    assert as_set(derived) == as_set(typed_kernel_rules(mode))
+
+
+def test_kernel_closure_adds_the_differentiated_product_rules():
+    """Each level lifts the four product rules a*K -> r to a_t*K -> r_t - a*K_t."""
+    seed, once = H._kernel_rules("matrix", 0), H._kernel_rules("matrix", 1)
+    assert once[:6] == seed and len(once) == 10
+    lifted = {tuple((a.base, a.dt) for a in pat) for pat, _ in once[6:]}
+    assert lifted == {(("u", 1), ("K11", 0)), (("uh", 1), ("K22", 0)),
+                      (("pih", 1), ("K11", 0)), (("pi", 1), ("K22", 0))}
+    u_t_k11 = dict(once)[(atom("u", dt=1, mode="matrix"), atom("K11", mode="matrix"))]
+    assert u_t_k11 == parse_poly("pih_t - u*pi*u + u*uh*pih", mode="matrix")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -20,10 +59,26 @@ def test_dress_goldens(n):
     assert dress_u(n).series.coeffs == T.u_dress_matrix(n).coeffs
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_route_agreement(n):
     """The two routes differ by exactly the bare shift lam^(n-1)/2 * 1."""
     assert route_difference(n).is_zero
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_route_agreement_matrix(n):
+    """In matrix mode too the routes differ by the bare shift alone."""
+    assert route_difference(n, "matrix").is_zero
+
+
+@pytest.mark.parametrize("mode", ["matrix", "scalar"])
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+def test_dress_beyond_the_seed_rules(n, mode):
+    op = dress_u(n, mode)
+    kernel = {a.base for c in op.series.coeffs.values() for row in c.entries
+              for e in row for a in e.atoms_set()} & {"K11", "K22"}
+    assert op.flow == n and not kernel
+    assert max(op.series.coeffs) == n - 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -32,7 +87,7 @@ def test_charge_operator_pairing(n):
     assert [list(r) for r in got.entries] == T.w0_matrix(n)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_bare_limit(n):
     """All fields -> 0 in the dressed operator leaves the vacuum operator."""
     op = dress_u(n)
@@ -41,8 +96,12 @@ def test_bare_limit(n):
     assert stripped.coeffs == bare_u(n).series.coeffs
 
 
-def test_dress_fails_loudly_beyond_rule_closure():
-    with pytest.raises(DressRewriteError):
+def test_dress_fails_loudly_when_closure_too_shallow(monkeypatch):
+    """Flow 5 needs the rules closed once under d/dt; the seed rules alone
+    leave kernel blocks behind, and dressing must say so."""
+    derive = H._kernel_rules
+    monkeypatch.setattr(H, "_kernel_rules", lambda mode, depth: derive(mode, 0))
+    with pytest.raises(DressRewriteError, match="flow 5"):
         dress_u(5)
 
 

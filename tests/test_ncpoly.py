@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from laxforge.atoms import MATRIX_SHAPES, ShapeError, atom, make_word
 from laxforge.coeff import gr
 from laxforge.ncpoly import (NCPolynomial, SubstitutionError, TracePolynomial,
-                             euler_derivative, is_total_t_derivative, nc_mul,
-                             scalarize)
+                             eliminate, euler_derivative, is_total_t_derivative,
+                             nc_mul, scalarize, sole_word)
 from laxforge.parser import parse_poly
 
 
@@ -139,6 +139,46 @@ def test_substitute_divergent_rules_flagged():
     rule = (atom("u", mode="scalar"), f("u") + NCPolynomial.unit("scalar"))
     with pytest.raises(SubstitutionError):
         f("u").substitute([rule], max_steps=20)
+
+
+# -- elimination -------------------------------------------------------------------
+
+def _underived_u_or_pi(p):
+    return sole_word(p, lambda a: a.base in ("u", "pi") and a.dt == 0)
+
+
+def test_sole_word():
+    p = parse_poly("u*uh + 2*pi - uh_t")
+    assert sole_word(p, lambda a: a.base == "pi") == make_word([atom("pi", mode="scalar")], "scalar")
+    assert sole_word(p, lambda a: a.base == "uh") is None   # two words hold uh
+    assert sole_word(p, lambda a: a.base == "pih") is None  # no word holds pih
+
+
+def test_eliminate_keeps_seed_first_then_solving_order():
+    seed = [((atom("uh", mode="scalar"),), parse_poly("pih"))]
+    rules, left = eliminate([parse_poly("u + pi + uh"), parse_poly("2*pi - 4*uh_t")],
+                            _underived_u_or_pi, seed)
+    assert left == []
+    assert rules == [((atom("uh", mode="scalar"),), parse_poly("pih")),
+                     ((atom("pi", mode="scalar"),), parse_poly("2*uh_t")),
+                     ((atom("u", mode="scalar"),), parse_poly("-2*uh_t - pih"))]
+
+
+def test_eliminate_substitutes_each_rule_into_later_entries():
+    """The second entry is solvable only once the first entry's rule is in it."""
+    rules, left = eliminate([parse_poly("pi - uh_t"), parse_poly("u + pi")],
+                            _underived_u_or_pi)
+    assert left == []
+    assert rules == [((atom("pi", mode="scalar"),), parse_poly("uh_t")),
+                     ((atom("u", mode="scalar"),), parse_poly("-uh_t"))]
+
+
+def test_eliminate_returns_inconsistent_entries_and_drops_vanishing_ones():
+    rules, left = eliminate([parse_poly("pi - uh_t"), parse_poly("2*pi - 2*uh_t"),
+                             parse_poly("pi - uh_t + 3"), parse_poly("uh*pih")],
+                            _underived_u_or_pi)
+    assert rules == [((atom("pi", mode="scalar"),), parse_poly("uh_t"))]
+    assert left == [parse_poly("3"), parse_poly("uh*pih")]
 
 
 # -- Euler operator / total-derivative test ----------------------------------------

@@ -123,3 +123,10 @@ def test_mode_budget():
         for f in s.fields.values():
             assert 1 <= len(f.modes) <= 8
             assert all(abs(a) <= 1 for a, _ in f.modes)
+
+
+def test_route_check_reaches_flow_8():
+    """Generating and dressing routes agree numerically through flow 8."""
+    from laxforge.checks import check_route
+    rep = check_route(3, 1e-9, 7, max_n=8)
+    assert rep["passed"] and rep["max_abs"] < 1e-12

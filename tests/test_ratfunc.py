@@ -2,7 +2,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laxforge.boundary import BVARS
@@ -28,8 +28,10 @@ def _value(p):
 
 
 @settings(max_examples=60, deadline=None)
-@given(laurent, laurent, ka_monomials, coeffs, nonzero)
-def test_ring_operations_agree_with_eval(a, b, m, xi, ka):
+@given(laurent, laurent, ka_monomials, coeffs, nonzero, nonzero)
+@example(MPoly(VARS, {(0, -1): gr(0, 1)}), MPoly(VARS), MPoly(VARS, {(0, 0): gr(0, 1)}),
+         gr(0), gr(0, 1), gr(1))  # xi = 0 under a negative power of ka
+def test_ring_operations_agree_with_eval(a, b, m, xi, ka, w):
     exact = {"xi": xi, "ka": ka}
     point = {k: v.to_complex() for k, v in exact.items()}
     av, bv, mv = a.eval(point), b.eval(point), m.eval(point)
@@ -43,12 +45,15 @@ def test_ring_operations_agree_with_eval(a, b, m, xi, ka):
     assert _value((a * b).subs_values(exact)) == sa * sb
     assert _value((a / m).subs_values(exact)) == sa / sm
     # renaming: a swap is a ring automorphism of order two; a one-way rename
-    # evaluates as the source variable set to the target's value
+    # evaluates as the source variable set to the target's value. A swap moves
+    # the negative powers of ka onto xi, so it is evaluated where both are nonzero.
     swap = {"xi": "ka", "ka": "xi"}
     assert a.rename(swap).rename(swap) == a
     assert (a * b).rename(swap) == a.rename(swap) * b.rename(swap)
-    swapped = {"xi": point["ka"], "ka": point["xi"]}
-    assert abs(a.rename(swap).eval(point) - a.eval(swapped)) <= 1e-9 * (1 + abs(av))
+    both = {"xi": w.to_complex(), "ka": point["ka"]}
+    swapped = {"xi": both["ka"], "ka": both["xi"]}
+    assert abs(a.rename(swap).eval(both) - a.eval(swapped)) \
+        <= 1e-9 * (1 + abs(a.eval(swapped)))
     same = {"xi": point["ka"], "ka": point["ka"]}
     assert abs(a.rename({"xi": "ka"}).eval(point) - a.eval(same)) \
         <= 1e-9 * (1 + abs(a.eval(same)))

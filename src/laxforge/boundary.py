@@ -319,7 +319,8 @@ def open_charge_expansion(params: BoundaryParams | None = None,
     Builds the plus-end generator ((1 + What^t) Omega K+ (1 + W))_11 and the
     minus-end generator ((1 + W)^-1 K- Omega ((1 + What)^-1)^t)_11 at the
     respective boundary points, takes series logs, halves, and returns the
-    lam^-2 coefficients with field-independent constants stripped.
+    lam^-2 coefficients with field-independent constants stripped.  Only
+    lam^-2 of each log is read, so each generator is logged cut at lam^-2.
     """
     if order < 3:
         raise ValueError("order must be >= 3: the lam^-2 bulk term is Z^(2), which "
@@ -331,20 +332,21 @@ def open_charge_expansion(params: BoundaryParams | None = None,
     one_plus_what = _hat(one_plus_w)
     omega = LaurentSeries.of(promote_matrix(omega_matrix("scalar"))).truncated(order)
 
+    read = 2  # the power of each log that is read: the lam^-2 charge
     a_fac = _transpose_series(one_plus_what) * (omega * _k_series("+").truncated(order)) \
         * one_plus_w
     w_plus = a_fac.block(0, 0)
-    log_plus, prefix_plus = series_log(w_plus)
+    log_plus, prefix_plus = series_log(w_plus.truncated(read))
 
     inv_w = series_invert(one_plus_w)   # lam -> -lam is a ring automorphism:
     inv_what = _hat(inv_w)               # (1 + What)^-1 is the hat of (1 + W)^-1
     b_fac = inv_w * (_k_series("-").truncated(order) * omega) * _transpose_series(inv_what)
     w_minus = b_fac.block(0, 0)
-    log_minus, prefix_minus = series_log(w_minus)
+    log_minus, prefix_minus = series_log(w_minus.truncated(read))
 
     half = gr(Fraction(1, 2))
-    plus_term = log_plus.coefficient(-2).entries[0][0].scale(half).strip_constant()
-    minus_term = log_minus.coefficient(-2).entries[0][0].scale(half).strip_constant()
+    plus_term = log_plus.coefficient(-read).entries[0][0].scale(half).strip_constant()
+    minus_term = log_minus.coefficient(-read).entries[0][0].scale(half).strip_constant()
 
     # bulk part: (Z11 + Z11-hat)/2 at lam^-2 equals the closed-chain density
     z11 = sol.z(2).entries[0][0]

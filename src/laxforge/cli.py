@@ -56,7 +56,7 @@ class RunConfig:
         return cfg
 
 
-def _emit(args, payload_json: dict, payload_objs: list, golden_name: str) -> int:
+def _emit(args, payload_json: dict, payload_objs: list, golden_name: str | None = None) -> int:
     """Write the artifact in the requested format; run golden comparison."""
     if args.out == "json":
         text = serialize.dumps(payload_json)
@@ -239,7 +239,7 @@ def _cmd_expr(args, cfg) -> int:
     s = parse_expression(args.expression, mode=args.mode)
     payload = {"command": "expr", "mode": args.mode,
                "value": serialize.to_dict(s)}
-    return _emit(args, payload, [s], "expr.json")
+    return _emit(args, payload, [s])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="key=value configuration file")
     ap.add_argument("--golden", metavar="DIR",
                     help="compare emitted JSON against checked-in tables (riccati, "
-                         "hierarchy u, hierarchy charges, boundary charges, expr)")
+                         "hierarchy u, hierarchy charges, boundary charges)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_common(p):
@@ -327,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.golden and args.fn not in (_cmd_riccati, _cmd_hierarchy_u, _cmd_expr,
-                                       _cmd_hierarchy_charges, _cmd_boundary_charges):
+    if args.golden and args.fn not in (_cmd_riccati, _cmd_hierarchy_u, _cmd_hierarchy_charges,
+                                       _cmd_boundary_charges):
         ap.error("--golden: this command has no golden table")
     try:
         cfg = RunConfig.from_file(args.config)

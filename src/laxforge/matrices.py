@@ -124,8 +124,8 @@ class PolyMatrix:
     def differentiate_x(self, flow=2):
         return self.map_entries(lambda e: e.differentiate_x(flow))
 
-    def substitute(self, rules, max_steps=10000):
-        return self.map_entries(lambda e: e.substitute(rules, max_steps))
+    def substitute(self, rules):
+        return self.map_entries(lambda e: e.substitute(rules))
 
     def scalarized(self) -> "PolyMatrix":
         ones = tuple("1" for _ in self.row_dims), tuple("1" for _ in self.col_dims)

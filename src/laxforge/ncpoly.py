@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .atoms import (EMPTY_WORD, FIELD_BASES, FieldAtom, ShapeError, Word,
+from .atoms import (EMPTY_WORD, FieldAtom, ShapeError, Word,
                     chain_shape, cyclic_canonical, make_word)
-from .coeff import GaussianRational, ONE as GR_ONE, ZERO as GR_ZERO, collect
+from .coeff import GaussianRational, ONE as GR_ONE, collect
 
 
 class SubstitutionError(RuntimeError):
@@ -439,110 +439,43 @@ def euler_derivative(p: NCPolynomial | TracePolynomial, base: str):
     return total
 
 
-def _lowered_words(p, mode: str):
-    """Candidate antiderivative words: lower one atom's dt in each word of p."""
-    out = set()
-    for w in p.terms:
-        for k, a in enumerate(w.atoms):
-            if a.dt > 0:
-                la = FieldAtom(a.base, a.dt - 1, a.dx, a.flow, a.shape)
-                ats = w.atoms[:k] + (la,) + w.atoms[k + 1:]
-                if mode == "trace":
-                    out.add(cyclic_canonical(Word(ats)))
-                else:
-                    out.add(make_word(ats, mode))
-    return out
-
-
-def _raised_terms(w: Word, mode: str):
-    terms = {}
-    for k, a in enumerate(w.atoms):
-        ra = a.with_derivative("t")
-        ats = w.atoms[:k] + (ra,) + w.atoms[k + 1:]
-        rw = cyclic_canonical(Word(ats)) if mode == "trace" else make_word(ats, mode)
-        terms[rw] = terms.get(rw, 0) + 1
-    return terms
-
-
 def is_total_t_derivative(p: NCPolynomial | TracePolynomial):
-    """Euler-operator test; on success also returns an explicit antiderivative.
+    """Euler-operator test; on success also returns the antiderivative.
 
-    The witness is found by a degree-bounded ansatz: candidate words are the
-    t-lowerings of p's words (closure iterated a few times), and the exact
-    linear system ``d/dt(sum x_w w) = p`` is solved over the coefficients.
-    Returns ``(True, witness)`` or ``(False, None)``.
+    Behind the Euler gate the witness is built by integrating by parts.
+    With f_N the atom of highest t-order (ties broken by sort key) and A
+    the gradient of p along it, each word v of A holding k copies of
+    f_(N-1) gives v*f_(N-1)/(k+1), an antiderivative Phi whose f_(N-1)
+    gradient is A (Euler's theorem for homogeneous, or cyclic, words);
+    then p <- p - dPhi/dt.  What remains has an antiderivative free of
+    f_(N-1), so its top atom is lower than f_N and the loop ends; a top that
+    fails to fall (p not linear in f_N, or f_N back) raises RuntimeError
+    naming it, which the Euler gate rules out.  The antiderivative without a
+    constant term is unique, so no linear solve is needed.  Returns
+    ``(True, witness)`` or ``(False, None)``.
     """
     trace = isinstance(p, TracePolynomial)
     if isinstance(p, NCPolynomial) and p.mode == "matrix":
         raise ValueError("matrix mode requires a formal trace wrapper")
     if not trace and EMPTY_WORD in p.terms:
         return False, None  # nonzero constants have no polynomial antiderivative
-    if p.is_zero:
-        return True, TracePolynomial() if trace else NCPolynomial("scalar", ("1", "1"))
-    for base in FIELD_BASES:
+    for base in {a.base for w in p.terms for a in w}:
         e = euler_derivative(p, base)
         if e is not None and not e.is_zero:
             return False, None
-    mode = "trace" if trace else "scalar"
-    candidates = _lowered_words(p, mode)
-    for _ in range(6):
-        witness = _solve_antiderivative(p, candidates, mode)
-        if witness is not None:
-            return True, witness
-        grown = set(candidates)
-        for w in candidates:
-            for rw in _raised_terms(w, mode):
-                fake = TracePolynomial({rw: GR_ONE}) if trace else \
-                    NCPolynomial("scalar", ("1", "1"), {rw: GR_ONE})
-                grown |= _lowered_words(fake, mode)
-        if grown == candidates:
-            break
-        candidates = grown
-    raise RuntimeError("Euler test passed but no antiderivative found in the ansatz closure")
-
-
-def _solve_antiderivative(p, candidates, mode: str):
-    """Exact least-structure solve of d/dt(ansatz) = p over the candidate words."""
-    cand = sorted(candidates, key=lambda w: w.sort_key)
-    if not cand:
-        return None
-    rows: dict[Word, dict[int, GaussianRational]] = {}
-    for j, w in enumerate(cand):
-        for rw, mult in _raised_terms(w, mode).items():
-            rows.setdefault(rw, {})[j] = rows.get(rw, {}).get(j, GR_ZERO) + GaussianRational.of(mult)
-    targets = dict(p.terms)
-    all_rows = sorted(set(rows) | set(targets), key=lambda w: w.sort_key)
-    # dense exact Gaussian elimination (systems here are tiny)
-    A = [[rows.get(w, {}).get(j, GR_ZERO) for j in range(len(cand))] for w in all_rows]
-    b = [GaussianRational.of(0) + targets.get(w, GR_ZERO) for w in all_rows]
-    m, n = len(A), len(cand)
-    piv_cols = []
-    r = 0
-    for col in range(n):
-        piv = next((k for k in range(r, m) if A[k][col]), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        b[r], b[piv] = b[piv], b[r]
-        inv = A[r][col]
-        A[r] = [x / inv for x in A[r]]
-        b[r] = b[r] / inv
-        for k in range(m):
-            if k != r and A[k][col]:
-                f = A[k][col]
-                A[k] = [x - f * y for x, y in zip(A[k], A[r])]
-                b[k] = b[k] - f * b[r]
-        piv_cols.append(col)
-        r += 1
-        if r == m:
-            break
-    for k in range(r, m):
-        if b[k]:
-            return None  # inconsistent: p is not in the span
-    x = [GR_ZERO] * n
-    for row, col in enumerate(piv_cols):
-        x[col] = b[row]
-    terms = {w: x[j] for j, w in enumerate(cand) if x[j]}
-    if mode == "trace":
-        return TracePolynomial(terms)
-    return NCPolynomial("scalar", ("1", "1"), terms)
+    witness = TracePolynomial() if trace else NCPolynomial("scalar", ("1", "1"))
+    bound = (float("inf"),)
+    while not p.is_zero:
+        top = max((a for w in p.terms for a in w), key=lambda a: (a.dt, a.sort_key))
+        if top.dt == 0 or (top.dt, top.sort_key) >= bound:
+            raise RuntimeError(f"Euler test passed but {top} does not integrate by parts")
+        bound = (top.dt, top.sort_key)
+        grad = p.cyclic_partial(top) if trace else p.partial(top)
+        low = FieldAtom(top.base, top.dt - 1, top.dx, top.flow, top.shape)
+        phi = collect(((cyclic_canonical(Word(w.atoms + (low,))) if trace
+                        else make_word(w.atoms + (low,), "scalar"),
+                        c / (w.atoms.count(low) + 1)) for w, c in grad.terms.items()))
+        phi = _trace(phi) if trace else _poly("scalar", ("1", "1"), phi)
+        witness = witness + phi
+        p = p - phi.differentiate_t()
+    return True, witness

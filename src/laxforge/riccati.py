@@ -127,16 +127,14 @@ class RiccatiSolution:
             raise IndexError(f"Z^({k}) not computed (order {self.order})")
         return self.z_coeffs[k - 1]
 
-    def w_series(self, truncation: int | None = None) -> LaurentSeries:
-        t = self.order if truncation is None else min(truncation, self.order)
-        coeffs = {-k: self.w_coeffs[k - 1] for k in range(1, t + 1)}
+    def w_series(self) -> LaurentSeries:
+        coeffs = {-k: self.w_coeffs[k - 1] for k in range(1, self.order + 1)}
         n, m = BLOCK_DIMS[self.mode]
-        return LaurentSeries(self.mode, (n, m), (n, m), coeffs, t)
+        return LaurentSeries(self.mode, (n, m), (n, m), coeffs, self.order)
 
-    def one_plus_w(self, truncation: int | None = None) -> LaurentSeries:
+    def one_plus_w(self) -> LaurentSeries:
         n, m = BLOCK_DIMS[self.mode]
-        w = self.w_series(truncation)
-        return LaurentSeries.identity(self.mode, (n, m), truncation=w.truncation) + w
+        return LaurentSeries.identity(self.mode, (n, m), truncation=self.order) + self.w_series()
 
 
 @lru_cache(maxsize=None)

@@ -139,8 +139,8 @@ class LaurentSeries:
     def differentiate_x(self, flow=2):
         return self.map_coefficients(lambda m: m.differentiate_x(flow))
 
-    def substitute(self, rules, max_steps=10000):
-        return self.map_coefficients(lambda m: m.substitute(rules, max_steps))
+    def substitute(self, rules):
+        return self.map_coefficients(lambda m: m.substitute(rules))
 
     def commutator(self, other: "LaurentSeries") -> "LaurentSeries":
         return self * other - other * self

@@ -83,7 +83,8 @@ def test_options_a_command_ignores_are_refused(argv, capsys):
     ["boundary", "extract-bc", "--out", "json"],
     ["boundary", "reflect-check"],
     ["boundary", "poisson-check"],
-    ["verify", "numeric", "--target", "route", "--trials", "1"]])
+    ["verify", "numeric", "--target", "route", "--trials", "1"],
+    ["expr", "u*uh", "--out", "json"]])
 def test_golden_is_refused_without_a_golden_table(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--golden", str(REPO / "goldens"), *argv])

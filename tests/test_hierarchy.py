@@ -65,7 +65,7 @@ def test_route_agreement(n):
     assert route_difference(n).is_zero
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_route_agreement_matrix(n):
     """In matrix mode too the routes differ by the bare shift alone."""
     assert route_difference(n, "matrix").is_zero

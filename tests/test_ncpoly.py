@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from laxforge.atoms import MATRIX_SHAPES, ShapeError, atom, make_word
 from laxforge.coeff import gr
+from laxforge.hierarchy import verify_conservation
 from laxforge.ncpoly import (NCPolynomial, SubstitutionError, TracePolynomial,
                              eliminate, euler_derivative, is_total_t_derivative,
                              nc_mul, scalarize, sole_word)
@@ -228,6 +229,66 @@ def test_trace_cyclic_identification():
 def test_constant_is_not_exact():
     ok, _ = is_total_t_derivative(NCPolynomial.unit("scalar"))
     assert not ok
+
+
+def test_euler_gate_reads_kernel_atoms_too():
+    k11_t = f("K11", dt=1)
+    assert is_total_t_derivative(nc_mul(k11_t, k11_t)) == (False, None)
+
+
+def test_integration_by_parts_divides_by_the_copies_of_the_lower_atom():
+    ok, witness = is_total_t_derivative(parse_poly("u_t*u_tt"))
+    assert ok and witness == parse_poly("1/2*u_t*u_t")
+    # u_t twice in one trace word: each cyclic gradient word holds one copy
+    q = TracePolynomial.from_nc(parse_poly("u_t*uh*u_t*pi", mode="matrix"))
+    assert is_total_t_derivative(q.differentiate_t()) == (True, q)
+
+
+# d_x H^(8) on the NLS flow, and the flux the ansatz solve returned for it
+_FLUX_8 = ("uh*pih_ttt - u*u*uh*pi_tt - 6*u*u_t*uh*pi_t - 6*u*u_tt*uh*pi - 5*u_t*u_t*uh*pi"
+           " + 4*u_t*uh*uh*pih_t + 2*u_t*uh*uh_t*pih + 4*u_tt*uh*uh*pih + 4*uh*pi*pih*pih_t"
+           " + uh*pi_t*pih*pih + 2*u*u*u*uh*uh*pi_t + 4*u*u*u*uh*uh_t*pi + 10*u*u*u_t*uh*uh*pi"
+           " - 4*u*u*uh*uh*uh*pih_t - 6*u*u*uh*uh*uh_t*pih - 6*u*u*uh*pi*pi*pih"
+           " - 8*u*u_t*uh*uh*uh*pih + 6*u*uh*uh*pi*pih*pih - 2*uh*uh*uh*pih*pih*pih"
+           " + u*u*u*u*uh*uh*uh*pi")
+
+
+def test_conservation_flux_at_order_8():
+    proof = verify_conservation(8)
+    assert proof.flux == parse_poly(_FLUX_8)
+    assert is_total_t_derivative(proof.x_derivative) == (True, parse_poly(_FLUX_8))
+
+
+# field atoms only (the Euler gate reads the four fields), up to two t-derivatives
+_FIELD_ATOMS = [atom(b, dt, mode="scalar") for b in ("u", "uh", "pi", "pih") for dt in (0, 1, 2)]
+_FIELD_STEPS = [(atom(a, da, mode="matrix"), atom(b, db, mode="matrix"))
+                for a in ("u", "pih") for b in ("uh", "pi") for da in (0, 2) for db in (0, 1)]
+
+
+@st.composite
+def antiderivatives(draw, trace):
+    """q without constant term: scalar, or the trace of an M x M polynomial."""
+    mode = "matrix" if trace else "scalar"
+    if trace:
+        words = st.lists(st.sampled_from(_FIELD_STEPS), min_size=1, max_size=2).map(
+            lambda steps: [a for step in steps for a in step])
+    else:
+        words = st.lists(st.sampled_from(_FIELD_ATOMS), min_size=1, max_size=3)
+    pairs = draw(st.lists(st.tuples(words, _small), max_size=4))
+    q = NCPolynomial(mode, ("M", "M") if trace else ("1", "1"),
+                     {make_word(ats, mode): c for ats, c in pairs})
+    return TracePolynomial.from_nc(q) if trace else q
+
+
+@given(st.sampled_from([False, True]).flatmap(antiderivatives))
+@settings(max_examples=60, deadline=None)
+def test_integration_by_parts_recovers_every_antiderivative(q):
+    trace = isinstance(q, TracePolynomial)
+    p = q.differentiate_t()
+    assert is_total_t_derivative(p) == (True, q)
+    bad = parse_poly("u_t*uh", mode="matrix" if trace else "scalar")
+    bad = TracePolynomial.from_nc(bad) if trace else bad
+    assert is_total_t_derivative(p + bad) == (False, None)
 
 
 # -- the add-and-drop-zeros accumulator (coeff.collect) ------------------------

@@ -10,15 +10,14 @@ polynomials over Q(i) in the boundary constants).
 from .atoms import FieldAtom, Word, atom
 from .coeff import GaussianRational, gr
 from .matrices import PolyMatrix
-from .ncpoly import (NCPolynomial, TracePolynomial, is_total_t_derivative,
-                     nc_mul, scalarize)
+from .ncpoly import NCPolynomial, is_total_t_derivative, nc_mul, scalarize, trace
 from .parser import parse_expression, parse_poly
 from .series import LaurentSeries, series_invert, series_log
 
 __all__ = [
     "FieldAtom", "Word", "atom", "GaussianRational", "gr", "PolyMatrix",
-    "NCPolynomial", "TracePolynomial", "is_total_t_derivative", "nc_mul",
-    "scalarize", "parse_expression", "parse_poly", "LaurentSeries",
+    "NCPolynomial", "is_total_t_derivative", "nc_mul", "scalarize", "trace",
+    "parse_expression", "parse_poly", "LaurentSeries",
     "series_invert", "series_log",
 ]
 

@@ -5,9 +5,11 @@ pi, pih ("pi-hat"), or an opaque dressing-kernel diagonal block K11/K22.
 Block shapes use the symbolic dimensions 'N', 'M' and the scalar dimension
 '1'; scalar mode forces every shape to (1, 1).
 
-Words are ordered products of atoms.  In matrix mode the factor order is
-meaningful and adjacent shapes must chain; in scalar mode words are stored in
-a fixed canonical total order (sort key: base, dt, dx, flow).
+Words are products of atoms, and each word mode is a rule for a word's
+canonical form, applied by ``make_word`` alone.  In matrix mode the factor
+order is meaningful and adjacent shapes must chain; in scalar mode words are
+stored in a fixed canonical total order (sort key: base, dt, dx, flow); in
+trace mode a word is a closed chain stored as its minimal rotation.
 """
 from __future__ import annotations
 
@@ -131,21 +133,24 @@ def chain_shape(atoms: Iterable[FieldAtom]) -> tuple[Dim, Dim] | None:
 
 
 def make_word(atoms: Iterable[FieldAtom], mode: str) -> Word:
+    """Canonical word of ``atoms`` in ``mode``.
+
+    Matrix mode keeps the order given (the shapes must chain); scalar mode
+    sorts the atoms (the commutative quotient); trace mode takes the minimal
+    rotation of a closed chain (the cyclic quotient), raising ShapeError when
+    the chain does not close.
+    """
     atoms = tuple(atoms)
     if mode == "scalar":
         for a in atoms:
             if a.shape != ("1", "1"):
                 raise ShapeError(f"scalar-mode word contains non-scalar atom {a}")
         return Word(tuple(sorted(atoms, key=lambda a: a.sort_key)))
-    chain_shape(atoms)
+    shape = chain_shape(atoms)
+    if mode == "trace" and atoms:
+        if shape[0] != shape[1]:
+            raise ShapeError(f"trace word {Word(atoms)} is an open chain of shape {shape}")
+        keys = [a.sort_key for a in atoms]
+        k = min(range(len(atoms)), key=lambda k: keys[k:] + keys[:k])
+        atoms = atoms[k:] + atoms[:k]
     return Word(atoms)
-
-
-def cyclic_canonical(word: Word) -> Word:
-    """Minimal rotation of a trace word; all rotations of a closed chain are valid."""
-    ats = word.atoms
-    if len(ats) <= 1:
-        return word
-    rotations = [ats[k:] + ats[:k] for k in range(len(ats))]
-    best = min(rotations, key=lambda r: tuple(a.sort_key for a in r))
-    return Word(best)

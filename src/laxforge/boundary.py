@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .atoms import atom
 from .coeff import GaussianRational, collect, gr
-from .hierarchy import ChargeDensity, LaxOperator, dress_u
+from .hierarchy import LaxOperator, dress_u
 from .matrices import PolyMatrix
 from .ncpoly import NCPolynomial, eliminate, sole_word
 from .ratfunc import MPoly, MPolyMatrix
@@ -202,8 +202,7 @@ def _two_by_two(e11, e12, e21, e22) -> PolyMatrix:
 
 def bulk_u2() -> LaxOperator:
     """The second-flow bulk operator in the half-normalized convention."""
-    return LaxOperator(promote_series(dress_u(2, "scalar").series), flow=2,
-                       kind="U_bulk", mode="scalar")
+    return LaxOperator(promote_series(dress_u(2, "scalar").series), flow=2, mode="scalar")
 
 
 def boundary_u(side: str, params: BoundaryParams | None = None) -> LaxOperator:
@@ -229,7 +228,7 @@ def boundary_u(side: str, params: BoundaryParams | None = None) -> LaxOperator:
         lam1 = _two_by_two(_bpoly_const(half), z, lam1_corner, _bpoly_const(-half))
         lam0 = _two_by_two(-diag_field, _bfield("uh"), corner, diag_field)
     series = LaurentSeries.of(lam1, 1) + LaurentSeries.of(lam0, 0)
-    return LaxOperator(series, flow=2, kind="U_bulk", mode="scalar")
+    return LaxOperator(series, flow=2, mode="scalar")
 
 
 @dataclass
@@ -305,11 +304,6 @@ class OpenChargeExpansion:
     minus_prefix: tuple
     generator_plus: LaurentSeries
     generator_minus: LaurentSeries
-
-    def charge_density(self):
-        """The order-2 open-chain charge with its boundary terms attached."""
-        return ChargeDensity("H", 2, self.bulk_density,
-                             boundary_terms=(self.plus_term, self.minus_term))
 
 
 def open_charge_expansion(params: BoundaryParams | None = None,

@@ -22,8 +22,8 @@ from functools import lru_cache
 from .atoms import KERNEL_BASES, FieldAtom, atom
 from .coeff import gr
 from .matrices import PolyMatrix
-from .ncpoly import (NCPolynomial, TracePolynomial, eliminate,
-                     is_total_t_derivative, nc_mul, sole_word)
+from .ncpoly import (NCPolynomial, eliminate, is_total_t_derivative, nc_mul,
+                     sole_word, trace)
 from .riccati import (BLOCK_DIMS, _f, nls_v, projector_d, sigma_matrix,
                       solve_gamma, solve_w_z, x_matrix, y_matrix)
 from .series import LaurentSeries, series_invert
@@ -38,7 +38,6 @@ class LaxOperator:
     """Polynomial-in-lambda operator attached to one flow of the hierarchy."""
     series: LaurentSeries
     flow: int
-    kind: str  # 'V' | 'U_bulk' | 'U_bare'
     mode: str
 
     def coefficient(self, power: int) -> PolyMatrix:
@@ -46,7 +45,7 @@ class LaxOperator:
 
 
 def nls_v_operator(mode: str = "scalar") -> LaxOperator:
-    return LaxOperator(nls_v(mode), flow=0, kind="V", mode=mode)
+    return LaxOperator(nls_v(mode), flow=0, mode=mode)
 
 
 def bare_u(n: int, mode: str = "matrix") -> LaxOperator:
@@ -55,7 +54,7 @@ def bare_u(n: int, mode: str = "matrix") -> LaxOperator:
         raise ValueError("flow index must be >= 1")
     half = gr(Fraction(1, 2))
     s = LaurentSeries.of(sigma_matrix(mode).scale(half), n - 1)
-    return LaxOperator(s, flow=n, kind="U_bare", mode=mode)
+    return LaxOperator(s, flow=n, mode=mode)
 
 
 def generate_u(n: int, mode: str = "scalar") -> LaxOperator:
@@ -74,7 +73,7 @@ def generate_u(n: int, mode: str = "scalar") -> LaxOperator:
     acc = LaurentSeries.zero(mode, m_series.row_dims, m_series.col_dims)
     for k in range(n):
         acc = acc + LaurentSeries.of(m_series.coefficient(-k), n - 1 - k)
-    return LaxOperator(acc, flow=n, kind="U_bulk", mode=mode)
+    return LaxOperator(acc, flow=n, mode=mode)
 
 
 @lru_cache(maxsize=None)
@@ -125,7 +124,7 @@ def dress_u(n: int, mode: str = "matrix") -> LaxOperator:
         raise ValueError("flow index must be >= 1")
     if mode == "scalar":
         op = dress_u(n, "matrix")
-        return LaxOperator(op.series.scalarized(), n, "U_bulk", "scalar")
+        return LaxOperator(op.series.scalarized(), n, "scalar")
     K = _kernel_matrix(mode)
     w: dict[int, PolyMatrix] = {}
     if n >= 2:
@@ -138,7 +137,7 @@ def dress_u(n: int, mode: str = "matrix") -> LaxOperator:
     series = bare_u(n, mode).series
     for k, mat in w.items():
         series = series + LaurentSeries.of(mat, k)
-    return LaxOperator(series, flow=n, kind="U_bulk", mode=mode)
+    return LaxOperator(series, flow=n, mode=mode)
 
 
 def route_difference(n: int, mode: str = "scalar") -> LaurentSeries:
@@ -154,11 +153,10 @@ def route_difference(n: int, mode: str = "scalar") -> LaurentSeries:
 
 @dataclass
 class ChargeDensity:
-    """One conserved-charge integrand; boundary terms attach in the open case."""
+    """One conserved-charge integrand: scalar H, or trace-mode I."""
     kind: str  # 'H' | 'I'
     index: int
-    density: NCPolynomial | TracePolynomial
-    boundary_terms: tuple | None = None
+    density: NCPolynomial
 
 
 def charges(kind: str, max_k: int, mode: str | None = None) -> list[ChargeDensity]:
@@ -183,7 +181,7 @@ def charges(kind: str, max_k: int, mode: str | None = None) -> list[ChargeDensit
         uh, pi = _f("uh", "matrix"), _f("pi", "matrix")
         for k in range(1, max_k + 1):
             inner = nc_mul(uh, sol.gamma(k + 1)) + nc_mul(pi, sol.gamma(k))
-            out.append(ChargeDensity("I", k, TracePolynomial.from_nc(inner)))
+            out.append(ChargeDensity("I", k, trace(inner)))
         return out
     raise ValueError("kind must be 'H' or 'I'")
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 from .atoms import FieldAtom
 from .coeff import GaussianRational
 from .matrices import PolyMatrix
-from .ncpoly import NCPolynomial, TracePolynomial
+from .ncpoly import NCPolynomial
 from .series import LaurentSeries
 
 _BASE_TEX = {"u": "u", "uh": r"\hat{u}", "pi": r"\pi", "pih": r"\hat{\pi}",
@@ -41,7 +41,7 @@ def _coeff_tex(c) -> str:
     return str(c)
 
 
-def poly_tex(p: NCPolynomial | TracePolynomial) -> str:
+def poly_tex(p: NCPolynomial) -> str:
     items = p.sorted_terms()
     if not items:
         return "0"
@@ -61,7 +61,7 @@ def poly_tex(p: NCPolynomial | TracePolynomial) -> str:
     out = parts[0]
     for t in parts[1:]:
         out += " - " + t[1:] if t.startswith("-") else " + " + t
-    if isinstance(p, TracePolynomial):
+    if p.mode == "trace":
         return rf"\mathrm{{tr}}\left({out}\right)"
     return out
 
@@ -90,7 +90,7 @@ def series_tex(s: LaurentSeries) -> str:
 
 
 def tex(obj) -> str:
-    if isinstance(obj, (NCPolynomial, TracePolynomial)):
+    if isinstance(obj, NCPolynomial):
         return poly_tex(obj)
     if isinstance(obj, PolyMatrix):
         return matrix_tex(obj)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .atoms import ShapeError
-from .ncpoly import NCPolynomial, TracePolynomial, nc_mul, scalarize
+from .ncpoly import NCPolynomial, nc_mul, scalarize
 
 
 class PolyMatrix:
@@ -98,20 +98,6 @@ class PolyMatrix:
         ent = [[self.entries[j][i] for j in range(len(self.row_dims))]
                for i in range(len(self.col_dims))]
         return PolyMatrix(self.mode, self.col_dims, self.row_dims, ent)
-
-    def trace(self):
-        """Formal trace: plain polynomial in scalar mode, cyclic classes otherwise."""
-        if self.row_dims != self.col_dims:
-            raise ShapeError("trace requires a square block layout")
-        if self.mode == "scalar":
-            acc = NCPolynomial.zero("scalar", ("1", "1"))
-            for i in range(len(self.row_dims)):
-                acc = acc + self.entries[i][i]
-            return acc
-        acc = TracePolynomial()
-        for i in range(len(self.row_dims)):
-            acc = acc + TracePolynomial.from_nc(self.entries[i][i])
-        return acc
 
     # -- maps ------------------------------------------------------------------
     def map_entries(self, fn: Callable[[NCPolynomial], NCPolynomial]) -> "PolyMatrix":

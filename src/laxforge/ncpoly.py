@@ -1,8 +1,10 @@
 """Noncommutative differential polynomials with exact coefficients.
 
-An NCPolynomial is a finite Q(i)-linear combination of words.  Matrix mode
-keeps factor order and chains block shapes; scalar mode is the commutative
-image (all shapes (1,1), words canonically sorted).  The coefficient type is
+An NCPolynomial is a finite Q(i)-linear combination of words in one of three
+word modes, each canonicalised by ``atoms.make_word``: matrix mode keeps
+factor order and chains block shapes; scalar mode is the commutative image
+(shape (1,1), words sorted); trace mode is the cyclic image, the formal trace
+of a square matrix polynomial (shape (1,1), words rotated).  The coefficient type is
 pluggable: anything with +, -, *, ==, and truthiness-as-nonzero works, so the
 boundary module can swap in Laurent polynomials in the boundary constants.
 Every sum of terms goes through ``coeff.collect``, which relies on exactly
@@ -12,8 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .atoms import (EMPTY_WORD, FieldAtom, ShapeError, Word,
-                    chain_shape, cyclic_canonical, make_word)
+from .atoms import EMPTY_WORD, FieldAtom, ShapeError, Word, chain_shape, make_word
 from .coeff import GaussianRational, ONE as GR_ONE, collect
 
 
@@ -33,7 +34,7 @@ class NCPolynomial:
     __slots__ = ("mode", "shape", "terms")
 
     def __init__(self, mode: str, shape, terms=None):
-        if mode not in ("scalar", "matrix"):
+        if mode not in ("scalar", "matrix", "trace"):
             raise ValueError(f"bad mode {mode!r}")
         self.mode = mode
         self.shape = tuple(shape)
@@ -144,6 +145,9 @@ class NCPolynomial:
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key)
 
     def __str__(self):
+        if self.mode == "trace":
+            return "tr(" + (" + ".join((f"{c}*{w}" if str(c) != "1" else str(w))
+                                       for w, c in self.sorted_terms()) or "0") + ")"
         if self.is_zero:
             return "0"
         parts = []
@@ -180,9 +184,18 @@ class NCPolynomial:
         return self.differentiate("x", flow)
 
     def partial(self, a: FieldAtom) -> "NCPolynomial":
-        """Commutative partial derivative with respect to one atom (scalar mode)."""
+        """Gradient along one atom: commutative in scalar mode, cyclic in trace mode.
+
+        The cyclic derivative rotates each occurrence of ``a`` to the front of
+        its trace word and drops it, leaving a matrix-mode polynomial of shape
+        (a.cols, a.rows).  Matrix mode has no gradient and raises ValueError.
+        """
+        if self.mode == "trace":
+            return _poly("matrix", (a.cols, a.rows), collect(
+                (Word(w.atoms[k + 1:] + w.atoms[:k]), c)
+                for w, c in self.terms.items() for k, x in enumerate(w.atoms) if x == a))
         if self.mode != "scalar":
-            raise ValueError("partial derivatives are defined in scalar mode")
+            raise ValueError("partial derivatives are defined in scalar and trace mode")
         pairs = []
         for w, c in self.terms.items():
             n = sum(1 for x in w.atoms if x == a)
@@ -200,8 +213,12 @@ class NCPolynomial:
         ``rules`` is a list of ``(pattern, replacement)`` where pattern is a
         FieldAtom or a tuple of FieldAtoms and replacement an NCPolynomial of
         the matching shape.  Non-termination within ``max_steps`` rewriting
-        passes signals a non-confluent rule set.
+        passes signals a non-confluent rule set.  Trace mode raises
+        ValueError: subword matching would miss matches that wrap around a
+        cyclic word.
         """
+        if self.mode == "trace":
+            raise ValueError("substitution is not defined on trace words")
         norm = []
         for pat, rep in rules:
             pat = (pat,) if isinstance(pat, FieldAtom) else tuple(pat)
@@ -297,9 +314,14 @@ def _rewrite_once(p: NCPolynomial, rules) -> NCPolynomial | None:
 
 
 def nc_mul(p: NCPolynomial, q: NCPolynomial) -> NCPolynomial:
-    """Bilinear product; concatenation in matrix mode, canonical sort in scalar."""
+    """Bilinear product; concatenation in matrix mode, canonical sort in scalar.
+
+    Trace mode raises ValueError: tr(a)tr(b) is not the trace of a word.
+    """
     if p.mode != q.mode:
         raise ValueError("mode mismatch")
+    if p.mode == "trace":
+        raise ValueError("traces do not multiply as words")
     if p.shape[1] != q.shape[0]:
         raise ShapeError(f"cannot multiply shapes {p.shape} and {q.shape}")
     mode = p.mode
@@ -318,6 +340,16 @@ def scalarize(p: NCPolynomial) -> NCPolynomial:
         for w, c in p.terms.items()))
 
 
+def trace(p: NCPolynomial) -> NCPolynomial:
+    """Cyclic image of a square matrix-mode polynomial: its formal trace."""
+    if p.mode != "matrix":
+        raise ValueError("trace takes a matrix-mode polynomial")
+    if p.shape[0] != p.shape[1]:
+        raise ShapeError("trace requires a square shape")
+    return _poly("trace", ("1", "1"), collect(
+        (make_word(w.atoms, "trace"), c) for w, c in p.terms.items()))
+
+
 def set_fields_zero(p: NCPolynomial) -> NCPolynomial:
     """Keep only the field-independent (empty-word) part."""
     kept = {w: c for w, c in p.terms.items() if len(w) == 0}
@@ -325,102 +357,18 @@ def set_fields_zero(p: NCPolynomial) -> NCPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# trace-scalar polynomials (cyclic word classes)
-# ---------------------------------------------------------------------------
-
-class TracePolynomial:
-    """Formal trace of a square matrix-mode polynomial: cyclic word classes."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms: dict[Word, object] = {}
-        if terms:
-            for w, c in terms.items():
-                if c:
-                    self.terms[w] = c
-
-    @staticmethod
-    def from_nc(p: NCPolynomial) -> "TracePolynomial":
-        if p.shape[0] != p.shape[1]:
-            raise ShapeError("trace requires a square shape")
-        return _trace(collect((cyclic_canonical(w), c) for w, c in p.terms.items()))
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, TracePolynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "TracePolynomial") -> "TracePolynomial":
-        return _trace(collect(other.terms.items(), dict(self.terms)))
-
-    def __neg__(self):
-        return TracePolynomial({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = _coerce(c)
-        return TracePolynomial({w: v * c for w, v in self.terms.items()} if c else {})
-
-    def differentiate_t(self) -> "TracePolynomial":
-        return _trace(collect(
-            (cyclic_canonical(Word(w.atoms[:k] + (a.with_derivative("t"),) + w.atoms[k + 1:])), c)
-            for w, c in self.terms.items() for k, a in enumerate(w.atoms)))
-
-    def cyclic_partial(self, a: FieldAtom) -> NCPolynomial:
-        """Cyclic derivative: rotate each occurrence of ``a`` to the front, drop it."""
-        shape = (a.cols, a.rows)  # leftover chain runs from a's right back to a's left
-        pairs = []
-        for w, c in self.terms.items():
-            for k, x in enumerate(w.atoms):
-                if x == a:
-                    rest = w.atoms[k + 1:] + w.atoms[:k]
-                    if rest:
-                        pairs.append((make_word(rest, "matrix"), c))
-                    elif a.rows == a.cols:
-                        pairs.append((EMPTY_WORD, c))
-        return _poly("matrix", shape, collect(pairs))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key)
-
-    def __str__(self):
-        if self.is_zero:
-            return "tr(0)"
-        return "tr(" + " + ".join(
-            (f"{c}*{w}" if str(c) != "1" else str(w)) for w, c in self.sorted_terms()) + ")"
-
-    __repr__ = __str__
-
-
-def _trace(terms: dict) -> TracePolynomial:
-    """A TracePolynomial over a collected dict, stored as is (it holds no zero)."""
-    p = TracePolynomial()
-    p.terms = terms
-    return p
-
-
-# ---------------------------------------------------------------------------
 # total-t-derivative test (Euler operator) and antiderivative witness
 # ---------------------------------------------------------------------------
 
-def euler_derivative(p: NCPolynomial | TracePolynomial, base: str):
+def euler_derivative(p: NCPolynomial, base: str):
     """Variational derivative of p with respect to the field ``base``.
 
-    Scalar polynomials use the commutative partial derivative; trace-scalars
-    the cyclic derivative.  Returns a polynomial that vanishes identically iff
-    p has no genuine dependence on the field modulo total t-derivatives.
+    Built from ``partial``: commutative in scalar mode, cyclic in trace mode.
+    Returns a polynomial that vanishes identically iff p has no genuine
+    dependence on the field modulo total t-derivatives.
     """
-    if isinstance(p, NCPolynomial) and p.mode == "matrix":
+    if p.mode == "matrix":
         raise ValueError("matrix mode requires a formal trace wrapper")
-    trace = isinstance(p, TracePolynomial)
     atoms = {a for w in p.terms for a in w if a.base == base}
     if any(a.dx > 0 for a in atoms):
         raise ValueError("eliminate x-derivative atoms before the Euler test")
@@ -430,7 +378,7 @@ def euler_derivative(p: NCPolynomial | TracePolynomial, base: str):
         proto = next((a for a in atoms if a.dt == j), None)
         if proto is None:
             continue
-        part = p.cyclic_partial(proto) if trace else p.partial(proto)
+        part = p.partial(proto)
         for _ in range(j):
             part = part.differentiate_t()
         if j % 2 == 1:
@@ -439,7 +387,7 @@ def euler_derivative(p: NCPolynomial | TracePolynomial, base: str):
     return total
 
 
-def is_total_t_derivative(p: NCPolynomial | TracePolynomial):
+def is_total_t_derivative(p: NCPolynomial):
     """Euler-operator test; on success also returns the antiderivative.
 
     Behind the Euler gate the witness is built by integrating by parts.
@@ -451,31 +399,31 @@ def is_total_t_derivative(p: NCPolynomial | TracePolynomial):
     f_(N-1), so its top atom is lower than f_N and the loop ends; a top that
     fails to fall (p not linear in f_N, or f_N back) raises RuntimeError
     naming it, which the Euler gate rules out.  The antiderivative without a
-    constant term is unique, so no linear solve is needed.  Returns
-    ``(True, witness)`` or ``(False, None)``.
+    constant term is unique, so no linear solve is needed.  The same steps
+    serve scalar and trace mode: ``partial`` is the commutative or the
+    cyclic gradient, and ``make_word`` sorts or rotates each word of Phi.
+    Returns ``(True, witness)`` or ``(False, None)``; matrix mode raises
+    ValueError.
     """
-    trace = isinstance(p, TracePolynomial)
-    if isinstance(p, NCPolynomial) and p.mode == "matrix":
+    if p.mode == "matrix":
         raise ValueError("matrix mode requires a formal trace wrapper")
-    if not trace and EMPTY_WORD in p.terms:
+    if EMPTY_WORD in p.terms:
         return False, None  # nonzero constants have no polynomial antiderivative
     for base in {a.base for w in p.terms for a in w}:
         e = euler_derivative(p, base)
         if e is not None and not e.is_zero:
             return False, None
-    witness = TracePolynomial() if trace else NCPolynomial("scalar", ("1", "1"))
+    witness = NCPolynomial(p.mode, ("1", "1"))
     bound = (float("inf"),)
     while not p.is_zero:
         top = max((a for w in p.terms for a in w), key=lambda a: (a.dt, a.sort_key))
         if top.dt == 0 or (top.dt, top.sort_key) >= bound:
             raise RuntimeError(f"Euler test passed but {top} does not integrate by parts")
         bound = (top.dt, top.sort_key)
-        grad = p.cyclic_partial(top) if trace else p.partial(top)
         low = FieldAtom(top.base, top.dt - 1, top.dx, top.flow, top.shape)
-        phi = collect(((cyclic_canonical(Word(w.atoms + (low,))) if trace
-                        else make_word(w.atoms + (low,), "scalar"),
-                        c / (w.atoms.count(low) + 1)) for w, c in grad.terms.items()))
-        phi = _trace(phi) if trace else _poly("scalar", ("1", "1"), phi)
+        phi = _poly(p.mode, ("1", "1"), collect(
+            (make_word(w.atoms + (low,), p.mode), c / (w.atoms.count(low) + 1))
+            for w, c in p.partial(top).terms.items()))
         witness = witness + phi
         p = p - phi.differentiate_t()
     return True, witness

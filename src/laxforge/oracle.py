@@ -16,7 +16,7 @@ import numpy as np
 from .atoms import FieldAtom
 from .coeff import GaussianRational
 from .matrices import PolyMatrix
-from .ncpoly import NCPolynomial, TracePolynomial
+from .ncpoly import NCPolynomial
 from .series import LaurentSeries
 
 MAX_MODES = 8
@@ -136,18 +136,12 @@ def evaluate(expr, sample, point, lam: complex | None = None, params: dict | Non
     """Exact analytic evaluation of kernel values on a field sample.
 
     NCPolynomial -> complex (scalar) or ndarray (matrix); PolyMatrix ->
-    assembled ndarray; LaurentSeries -> value at the given lam.  Trace
+    assembled ndarray; LaurentSeries -> value at the given lam.  Trace-mode
     polynomials evaluate through numpy traces.
     """
     t, x = point
     if isinstance(expr, NCPolynomial):
         return _eval_poly(expr, sample, t, x, params)
-    if isinstance(expr, TracePolynomial):
-        out = 0j
-        for w, c in expr.terms.items():
-            val = _eval_word_matrix(w, sample, t, x)
-            out += _coeff_value(c, params) * np.trace(np.atleast_2d(val))
-        return out
     if isinstance(expr, PolyMatrix):
         return _eval_matrix(expr, sample, t, x, params)
     if isinstance(expr, LaurentSeries):
@@ -167,15 +161,6 @@ def evaluate(expr, sample, point, lam: complex | None = None, params: dict | Non
     raise TypeError(f"cannot evaluate {type(expr).__name__}")
 
 
-def _eval_word_matrix(w, sample, t, x):
-    val = None
-    for a in w.atoms:
-        v = sample.atom_value(a, t, x)
-        v = np.atleast_2d(v) if not np.isscalar(v) else np.array([[v]])
-        val = v if val is None else val @ v
-    return val
-
-
 def _eval_poly(p: NCPolynomial, sample, t, x, params=None):
     scalar = p.mode == "scalar" or all(d == "1" for d in p.shape)
     dim = (lambda d: 1) if not hasattr(sample, "dim_of") else sample.dim_of
@@ -185,6 +170,8 @@ def _eval_poly(p: NCPolynomial, sample, t, x, params=None):
     for w, c in p.terms.items():
         cv = _coeff_value(c, params)
         if len(w) == 0:
+            if p.mode == "trace":
+                raise ValueError("the trace of a constant depends on the block size")
             out += cv * np.eye(rows, cols, dtype=complex)
             continue
         val = None
@@ -192,7 +179,7 @@ def _eval_poly(p: NCPolynomial, sample, t, x, params=None):
             v = sample.atom_value(a, t, x)
             v = np.array([[v]]) if np.isscalar(v) else np.atleast_2d(v)
             val = v if val is None else val @ v
-        out += cv * val
+        out += cv * (np.trace(val) if p.mode == "trace" else val)
     if scalar and out.shape == (1, 1):
         return out[0, 0]
     return out

@@ -169,17 +169,9 @@ def _mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
         for p, c in ca.items():
             acc = acc + b.shift(p).map_coefficients(lambda m, c=c: m.scale(c))
         return acc
-    cb = _scalar_const_coeffs(b)
-    if cb is not None:
-        return _mul(b, a) if a.mode == "scalar" else _mul_right_const(a, cb)
+    if _scalar_const_coeffs(b) is not None:
+        return _mul(b, a)  # scaling by a pure-number series commutes in every mode
     return a * b
-
-
-def _mul_right_const(a: LaurentSeries, cb) -> LaurentSeries:
-    acc = LaurentSeries.zero(a.mode, a.row_dims, a.col_dims, a.truncation)
-    for p, c in cb.items():
-        acc = acc + a.shift(p).map_coefficients(lambda m, c=c: m.scale(c))
-    return acc
 
 
 def parse_expression(text: str, mode: str = "scalar") -> LaurentSeries:

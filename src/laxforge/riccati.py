@@ -137,12 +137,18 @@ class RiccatiSolution:
         return LaurentSeries.identity(self.mode, (n, m), truncation=self.order) + self.w_series()
 
 
+# one growing tower {k: W^(k)} per mode from W^(0) = 0: W^(k) depends only on
+# lower orders, so a solve extends the tower and never re-solves a lower order
+_TOWER: dict[str, dict[int, PolyMatrix]] = {}
+
+
 @lru_cache(maxsize=None)
 def solve_w_z(order: int, mode: str = "scalar") -> RiccatiSolution:
     """Solve the anti-diagonal/diagonal system to the requested order.
 
     Integration constants at each order are fixed to zero: every W^(k) is a
-    differential polynomial in the fields with no free constants.
+    differential polynomial in the fields with no free constants.  W is read
+    from (and grown in) the mode's tower.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -155,12 +161,12 @@ def solve_w_z(order: int, mode: str = "scalar") -> RiccatiSolution:
     uuh = nc_mul(_f("u", mode), _f("uh", mode))
     YD = PolyMatrix.diag(mode, (n, m), [-uhu, uuh])
     zero = PolyMatrix.zero(mode, (n, m), (n, m))
-    W: dict[int, PolyMatrix] = {0: zero}
+    W = _TOWER.setdefault(mode, {0: zero})
 
     def getw(k):
         return W.get(k, zero)
 
-    for k in range(-1, order - 1):
+    for k in range(len(W) - 2, order - 1):
         rhs = -getw(k).differentiate_t() - getw(k).commutator(YD)
         for a in range(1, k + 1):
             b = k + 1 - a

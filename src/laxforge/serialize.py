@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import json
 
-from .atoms import FieldAtom, Word, make_word
+from .atoms import FieldAtom, make_word
 from .coeff import collect, format_coeff, parse_coeff
 from .matrices import PolyMatrix
-from .ncpoly import NCPolynomial, TracePolynomial
+from .ncpoly import NCPolynomial
 from .series import LaurentSeries
 
 
@@ -29,28 +29,17 @@ def poly_to_dict(p: NCPolynomial) -> dict:
     terms = [{"word": [atom_to_dict(a) for a in w.atoms],
               "coeff": format_coeff(c)}
              for w, c in p.sorted_terms()]
+    if p.mode == "trace":  # a trace is always (1, 1): its record has no mode or shape
+        return {"kind": "trace", "terms": terms}
     return {"kind": "ncpoly", "mode": p.mode, "shape": list(p.shape), "terms": terms}
 
 
 def poly_from_dict(d: dict) -> NCPolynomial:
-    p = NCPolynomial(d["mode"], tuple(d["shape"]))
-    p.terms = collect((make_word([atom_from_dict(x) for x in t["word"]], d["mode"]),
+    mode, shape = ("trace", ("1", "1")) if d["kind"] == "trace" else (d["mode"], d["shape"])
+    p = NCPolynomial(mode, tuple(shape))
+    p.terms = collect((make_word([atom_from_dict(x) for x in t["word"]], mode),
                        parse_coeff(t["coeff"])) for t in d["terms"])
     return p
-
-
-def trace_to_dict(p: TracePolynomial) -> dict:
-    terms = [{"word": [atom_to_dict(a) for a in w.atoms],
-              "coeff": format_coeff(c)}
-             for w, c in p.sorted_terms()]
-    return {"kind": "trace", "terms": terms}
-
-
-def trace_from_dict(d: dict) -> TracePolynomial:
-    out = TracePolynomial()
-    out.terms = collect((Word(tuple(atom_from_dict(x) for x in t["word"])),
-                         parse_coeff(t["coeff"])) for t in d["terms"])
-    return out
 
 
 def matrix_to_dict(m: PolyMatrix) -> dict:
@@ -81,8 +70,6 @@ def series_from_dict(d: dict) -> LaurentSeries:
 def to_dict(obj):
     if isinstance(obj, NCPolynomial):
         return poly_to_dict(obj)
-    if isinstance(obj, TracePolynomial):
-        return trace_to_dict(obj)
     if isinstance(obj, PolyMatrix):
         return matrix_to_dict(obj)
     if isinstance(obj, LaurentSeries):
@@ -92,7 +79,7 @@ def to_dict(obj):
 
 def from_dict(d: dict):
     kind = d.get("kind")
-    loaders = {"ncpoly": poly_from_dict, "trace": trace_from_dict,
+    loaders = {"ncpoly": poly_from_dict, "trace": poly_from_dict,
                "polymatrix": matrix_from_dict, "laurent": series_from_dict}
     if kind not in loaders:
         raise ValueError(f"unknown serialized kind {kind!r}")

@@ -17,6 +17,7 @@ defects that the engine's solutions expose:
 """
 from __future__ import annotations
 
+from .ncpoly import NCPolynomial, trace
 from .parser import parse_poly
 
 # ---------------------------------------------------------------------------
@@ -156,7 +157,6 @@ def gamma_matrix(k: int):
 
 def _lift(p, mode, r, c):
     """Lift a pure-number entry to the identity of a square block."""
-    from .ncpoly import NCPolynomial
     if p.shape == (r, c):
         return p
     if not p.strip_constant().is_zero:
@@ -172,7 +172,6 @@ def _lift(p, mode, r, c):
 def _entries_to_series(rows, mode):
     """Assemble a 2x2 table of lam-expression strings into one block series."""
     from .matrices import PolyMatrix
-    from .ncpoly import NCPolynomial
     from .parser import parse_expression
     from .series import LaurentSeries
     dims = ("1", "1") if mode == "scalar" else ("N", "M")
@@ -223,9 +222,7 @@ def w5_transcription():
 
 
 def i_matrix(k: int):
-    from .ncpoly import TracePolynomial
-    out = TracePolynomial()
+    out = NCPolynomial.zero("trace")
     for term in I_MATRIX[k]:
-        p = parse_poly(term, mode="matrix")
-        out = out + TracePolynomial.from_nc(p)
+        out = out + trace(parse_poly(term, mode="matrix"))
     return out

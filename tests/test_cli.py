@@ -236,6 +236,17 @@ def test_boundary_charges_golden_match(capsys):
     assert out == (REPO / "goldens" / "boundary-charges-2.json").read_text()
 
 
+def test_goldens_regenerate_byte_for_byte(tmp_path):
+    import runpy
+    make = runpy.run_path(str(REPO / "scripts" / "make_goldens.py"), run_name="goldens")
+    make["main"](str(tmp_path))
+    golden = REPO / "goldens"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in golden.iterdir())
+    assert len(list(golden.iterdir())) == 13
+    for p in golden.iterdir():
+        assert (tmp_path / p.name).read_bytes() == p.read_bytes(), p.name
+
+
 def test_golden_mismatch_fails(tmp_path, capsys):
     bad = tmp_path / "goldens"
     bad.mkdir()

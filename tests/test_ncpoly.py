@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from laxforge.atoms import MATRIX_SHAPES, ShapeError, atom, make_word
 from laxforge.coeff import gr
 from laxforge.hierarchy import verify_conservation
-from laxforge.ncpoly import (NCPolynomial, SubstitutionError, TracePolynomial,
-                             eliminate, euler_derivative, is_total_t_derivative,
-                             nc_mul, scalarize, sole_word)
+from laxforge.ncpoly import (NCPolynomial, SubstitutionError, eliminate,
+                             euler_derivative, is_total_t_derivative, nc_mul,
+                             scalarize, sole_word, trace)
 from laxforge.parser import parse_poly
 
 
@@ -215,15 +215,28 @@ def test_matrix_mode_requires_trace():
 def test_trace_total_derivative():
     inner = nc_mul(f("u", dt=1, mode="matrix"), f("uh", mode="matrix")) + \
         nc_mul(f("u", mode="matrix"), f("uh", dt=1, mode="matrix"))
-    ok, witness = is_total_t_derivative(TracePolynomial.from_nc(inner))
+    ok, witness = is_total_t_derivative(trace(inner))
     assert ok
-    assert witness.differentiate_t() == TracePolynomial.from_nc(inner)
+    assert witness.differentiate_t() == trace(inner)
 
 
 def test_trace_cyclic_identification():
     a = nc_mul(f("u", mode="matrix"), f("uh", mode="matrix"))
     b = nc_mul(f("uh", mode="matrix"), f("u", mode="matrix"))
-    assert TracePolynomial.from_nc(a) == TracePolynomial.from_nc(b)
+    assert trace(a) == trace(b)
+
+
+def test_trace_mode_refuses_products_substitution_and_open_chains():
+    q = trace(parse_poly("u*uh", mode="matrix"))
+    with pytest.raises(ValueError):
+        nc_mul(q, q)
+    with pytest.raises(ValueError):
+        q.substitute([(atom("u", mode="matrix"), f("pih", mode="matrix"))])
+    with pytest.raises(ShapeError):
+        make_word([atom("u", mode="matrix")], "trace")
+    with pytest.raises(ShapeError):
+        make_word([atom("u", mode="matrix"), atom("uh", mode="matrix"),
+                   atom("pih", mode="matrix")], "trace")
 
 
 def test_constant_is_not_exact():
@@ -240,7 +253,7 @@ def test_integration_by_parts_divides_by_the_copies_of_the_lower_atom():
     ok, witness = is_total_t_derivative(parse_poly("u_t*u_tt"))
     assert ok and witness == parse_poly("1/2*u_t*u_t")
     # u_t twice in one trace word: each cyclic gradient word holds one copy
-    q = TracePolynomial.from_nc(parse_poly("u_t*uh*u_t*pi", mode="matrix"))
+    q = trace(parse_poly("u_t*uh*u_t*pi", mode="matrix"))
     assert is_total_t_derivative(q.differentiate_t()) == (True, q)
 
 
@@ -266,28 +279,28 @@ _FIELD_STEPS = [(atom(a, da, mode="matrix"), atom(b, db, mode="matrix"))
 
 
 @st.composite
-def antiderivatives(draw, trace):
+def antiderivatives(draw, traced):
     """q without constant term: scalar, or the trace of an M x M polynomial."""
-    mode = "matrix" if trace else "scalar"
-    if trace:
+    mode = "matrix" if traced else "scalar"
+    if traced:
         words = st.lists(st.sampled_from(_FIELD_STEPS), min_size=1, max_size=2).map(
             lambda steps: [a for step in steps for a in step])
     else:
         words = st.lists(st.sampled_from(_FIELD_ATOMS), min_size=1, max_size=3)
     pairs = draw(st.lists(st.tuples(words, _small), max_size=4))
-    q = NCPolynomial(mode, ("M", "M") if trace else ("1", "1"),
+    q = NCPolynomial(mode, ("M", "M") if traced else ("1", "1"),
                      {make_word(ats, mode): c for ats, c in pairs})
-    return TracePolynomial.from_nc(q) if trace else q
+    return trace(q) if traced else q
 
 
 @given(st.sampled_from([False, True]).flatmap(antiderivatives))
 @settings(max_examples=60, deadline=None)
 def test_integration_by_parts_recovers_every_antiderivative(q):
-    trace = isinstance(q, TracePolynomial)
+    traced = q.mode == "trace"
     p = q.differentiate_t()
     assert is_total_t_derivative(p) == (True, q)
-    bad = parse_poly("u_t*uh", mode="matrix" if trace else "scalar")
-    bad = TracePolynomial.from_nc(bad) if trace else bad
+    bad = parse_poly("u_t*uh", mode="matrix" if traced else "scalar")
+    bad = trace(bad) if traced else bad
     assert is_total_t_derivative(p + bad) == (False, None)
 
 
@@ -342,8 +355,8 @@ def test_accumulated_algebra_is_exact_and_stores_no_zero(pqr, c):
         assert kept((p + q).partial(a)) == kept(kept(p.partial(a)) + kept(q.partial(a)))
     else:
         assert kept(scalarize(p + q)) == kept(kept(scalarize(p)) + kept(scalarize(q)))
-        tp, tq = TracePolynomial.from_nc(p), TracePolynomial.from_nc(q)
-        assert TracePolynomial.from_nc(p + q) == tp + tq
+        tp, tq = trace(p), trace(q)
+        assert trace(p + q) == tp + tq
         assert (tp + tq).differentiate_t() == tp.differentiate_t() + tq.differentiate_t()
         seen += [tp, tq, tp + tq, (tp + tq).differentiate_t()]
     assert all(all(x.terms.values()) for x in seen)
@@ -357,7 +370,7 @@ def test_cancellations_leave_no_key():
     m = {b: f(b, mode="matrix") for b in ("u", "uh", "pih")}
     assert scalarize(nc_mul(nc_mul(m["u"], m["uh"]), m["pih"])
                      - nc_mul(nc_mul(m["pih"], m["uh"]), m["u"])).terms == {}
-    tr = TracePolynomial.from_nc
+    tr = trace
     assert (tr(nc_mul(m["u"], m["uh"])) - tr(nc_mul(m["uh"], m["u"]))).terms == {}
     rule = (atom("pi", mode="scalar"), f("uh", dx=1))
     assert parse_poly("pi - uh_x").substitute([rule]).terms == {}

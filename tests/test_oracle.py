@@ -48,6 +48,20 @@ def test_unhoused_atom_rejected():
                  sample, (0.0, 0.0))
 
 
+def test_trace_evaluates_as_numpy_trace():
+    import numpy as np
+
+    from laxforge.ncpoly import nc_mul, trace
+    from laxforge.riccati import solve_gamma
+    g = solve_gamma(3)
+    uh, pi = (NCPolynomial.from_atom(atom(b, mode="matrix"), "matrix") for b in ("uh", "pi"))
+    inner = nc_mul(uh, g.gamma(3)) + nc_mul(pi, g.gamma(2))  # I^(2) = tr(inner)
+    sample = FieldSample.random(9, mode="matrix", dims=(2, 1))
+    for point in ((0.1, -0.2), (0.7, 0.4)):
+        want = np.trace(evaluate(inner, sample, point))
+        assert abs(evaluate(trace(inner), sample, point) - want) < 1e-12
+
+
 def test_matrix_sample_shapes():
     sample = FieldSample.random(5, mode="matrix", dims=(2, 1))
     v = evaluate(NCPolynomial.from_atom(atom("u", mode="matrix"), "matrix"),

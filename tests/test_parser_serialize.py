@@ -78,6 +78,7 @@ def test_trace_roundtrip():
     from laxforge.hierarchy import charges
     tr = charges("I", 2)[1].density
     assert serialize.from_dict(serialize.to_dict(tr)) == tr
+    assert set(serialize.to_dict(tr)) == {"kind", "terms"}
 
 
 def test_dumps_canonical_and_stable():

@@ -2,10 +2,14 @@
 """Derive the whole tower and run every verification; print a summary.
 
 Usage: python scripts/run_all_checks.py [--trials N] [--seed S]
+
+Exits 1, naming each failing line on stderr, when a symbolic residual does
+not vanish or a numeric check fails.
 """
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 
 from laxforge.boundary import (boundary_u, bulk_u2, extract_boundary_conditions,
@@ -25,6 +29,12 @@ def main():
     ap.add_argument("--seed", type=int, default=42)
     args = ap.parse_args()
     t0 = time.perf_counter()
+    failures = []
+
+    def claim(line: str, ok: bool):
+        print(f"  {line}: {ok}")
+        if not ok:
+            failures.append(line)
 
     print("== Riccati tower ==")
     sol = solve_w_z(5, "scalar")
@@ -32,18 +42,18 @@ def main():
         print(f"  W^({k}) = {sol.w(k)}")
     for k in range(1, 5):
         print(f"  Z^({k}) = {sol.z(k)}")
-    print(f"  residual vanishes: {riccati_residual(sol).is_zero}")
+    claim("W/Z residual vanishes", riccati_residual(sol).is_zero)
     gam = solve_gamma(4)
     for k in range(1, 5):
         print(f"  G^({k}) = {gam.gamma(k)}")
-    print(f"  residual vanishes: {gamma_residual(gam).is_zero}")
+    claim("G residual vanishes", gamma_residual(gam).is_zero)
 
     print("== Flow operators ==")
     for n in range(1, 5):
         print(f"  generating n={n}: {generate_u(n, 'scalar').series}")
         print(f"  dressing   n={n}: {dress_u(n).series}")
-        print(f"  routes agree (scalar, up to bare shift): "
-              f"{route_difference(n).is_zero}")
+        claim(f"routes agree at n={n} (scalar, up to bare shift)",
+              route_difference(n).is_zero)
 
     print("== Charges and conservation ==")
     for c in charges("H", 4):
@@ -59,9 +69,9 @@ def main():
               f"({proof.elapsed:.3f}s)")
 
     print("== Boundary algebra ==")
-    print(f"  reflection residual zero: {reflection_residual(k_matrix()).is_zero}")
+    claim("reflection residual zero", reflection_residual(k_matrix()).is_zero)
     for which in ("V", "U"):
-        print(f"  Poisson residual ({which}) zero: {poisson_residual(which).is_zero}")
+        claim(f"Poisson residual ({which}) zero", poisson_residual(which).is_zero)
     exp = open_charge_expansion()
     print(f"  open bulk density: {exp.bulk_density}")
     print(f"  boundary term (+): {exp.plus_term}")
@@ -73,11 +83,18 @@ def main():
     print("== Numeric battery ==")
     rep = run_numeric("all", args.trials, 1e-9, args.seed)
     for c in rep["checks"]:
-        print(f"  {c['name']:13s} max |.| = {c['max_abs']:.3e}  "
-              f"{'ok' if c['passed'] else 'FAIL'}")
+        line = f"{c['name']:13s} max |.| = {c['max_abs']:.3e}"
+        print(f"  {line}  {'ok' if c['passed'] else 'FAIL'}")
+        if not c["passed"]:
+            failures.append(f"numeric {line}")
+    if not rep["passed"]:
+        failures.append("numeric battery")
     print(f"total: {time.perf_counter() - t0:.1f}s; "
           f"numeric battery {'pass' if rep['passed'] else 'FAIL'}")
+    for line in failures:
+        print(f"FAIL: {line}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -2,9 +2,10 @@
 
 Each check recomputes a symbolic zero through an independent numeric route:
 matrix products and commutators via numpy on evaluated coefficients, boundary
-algebra via complex arithmetic on randomly drawn constants.  A report is a
-plain dict so the CLI can emit it as canonical JSON; identical seeds produce
-byte-identical reports.
+algebra via complex arithmetic on randomly drawn constants.  Every check runs
+one trial loop (``_worst``) and returns one report dict (``_report``) so the
+CLI can emit it as canonical JSON; identical seeds produce byte-identical
+reports.
 """
 from __future__ import annotations
 
@@ -12,13 +13,103 @@ import random
 
 import numpy as np
 
-from .atoms import atom
+from .atoms import FIELD_BASES, atom
 from .hierarchy import (dress_u, extract_eom, generate_u, nls_v_operator,
-                        verify_conservation)
+                        verify_conservation, zero_curvature_residual)
 from .oracle import ExponentialSolution, FieldSample, evaluate
-from .riccati import solve_gamma, solve_w_z
+from .riccati import (p_a_matrix, sigma_matrix, solve_gamma, solve_w_z, x_matrix,
+                      y_matrix)
 
-_FIELDS = ("u", "uh", "pi", "pih")
+
+def _worst(trials: int, seed: int, residual, rng: random.Random | None = None):
+    """``(max_abs, worst_seed)`` of ``residual(s_seed, rng)`` over the trials.
+
+    Each trial draws its sample seed ``s_seed`` from ``rng`` (by default a
+    generator seeded with ``seed``); the residual may draw its point from the
+    same generator.  ``worst_seed`` names the sample of ``max_abs``, or
+    ``seed`` when no residual is positive.
+    """
+    rng = rng or random.Random(seed)
+    max_abs, worst_seed = 0.0, seed
+    for _ in range(trials):
+        s_seed = rng.randrange(2 ** 31)
+        d = residual(s_seed, rng)
+        if d > max_abs:
+            max_abs, worst_seed = d, s_seed
+    return max_abs, worst_seed
+
+
+def _report(name: str, trials: int, tol: float, max_abs: float, worst_seed: int,
+            **extra) -> dict:
+    return {"name": name, "trials": trials, "tol": tol, "max_abs": max_abs,
+            "worst_seed": worst_seed, "passed": bool(max_abs < tol), **extra}
+
+
+def _point(rng: random.Random, r: float) -> tuple[float, float]:
+    return (rng.uniform(-r, r), rng.uniform(-r, r))
+
+
+def _lam(rng: random.Random) -> complex:
+    return rng.uniform(0.5, 2.0) + 1j * rng.uniform(-1, 1)
+
+
+def identity_check(lhs, rhs, trials: int, tol: float, seed: int = 0,
+                   name: str = "identity", mode: str = "scalar",
+                   lam: complex | None = None, params: dict | None = None) -> dict:
+    """Max |lhs - rhs| over random samples and points; never raises on failure."""
+    def residual(s_seed, rng):
+        sample = FieldSample.random(s_seed, mode)
+        point = _point(rng, 2)
+        a = evaluate(lhs, sample, point, lam, params)
+        b = evaluate(rhs, sample, point, lam, params)
+        return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+    return _report(name, trials, tol, *_worst(trials, seed, residual))
+
+
+def _riccati_residual(mode: str, order: int):
+    """Residual of one mode's anti-diagonal system, one order k at a time."""
+    sol = solve_w_z(order, mode)
+    W = {k: sol.w(k) for k in range(1, order + 1)}
+    dW = {k: W[k].differentiate_t() for k in W}
+    X, PA = x_matrix(mode), p_a_matrix(mode)
+    Sig = sigma_matrix(mode)
+    YD_blocks = y_matrix(mode)  # diagonal part only is needed
+
+    def residual(s_seed, rng):
+        sample = FieldSample.random(s_seed, mode)
+        point = _point(rng, 2)
+        Xv = np.atleast_2d(evaluate(X, sample, point))
+        PAv = np.atleast_2d(evaluate(PA, sample, point))
+        Sv = np.atleast_2d(evaluate(Sig, sample, point))
+        Yv = np.atleast_2d(evaluate(YD_blocks, sample, point))
+        Yd = np.zeros_like(Yv)
+        n = Xv.shape[0] // 2 if mode == "scalar" else sample.dims[0]
+        Yd[:n, :n] = Yv[:n, :n]
+        Yd[n:, n:] = Yv[n:, n:]
+        Wv = {k: np.atleast_2d(evaluate(W[k], sample, point)) for k in W}
+        dWv = {k: np.atleast_2d(evaluate(dW[k], sample, point)) for k in W}
+        ds = []
+        for k in range(-1, order - 1):
+            r = np.zeros_like(Xv)
+            if k >= 1:
+                r = r + dWv[k] + Wv[k] @ Yd - Yd @ Wv[k]
+            if k + 2 <= order:
+                r = r + (Wv[k + 2] @ Sv - Sv @ Wv[k + 2]) / 2
+            for a in range(1, k + 1):
+                b = k + 1 - a
+                if b >= 1:
+                    r = r + Wv[a] @ Xv @ Wv[b]
+            for a in range(1, k):
+                b = k - a
+                if b >= 1:
+                    r = r + Wv[a] @ PAv @ Wv[b]
+            if k == -1:
+                r = r - Xv
+            if k == 0:
+                r = r - PAv
+            ds.append(float(np.max(np.abs(r))))
+        return max(ds)
+    return residual
 
 
 def check_riccati(trials: int, tol: float, seed: int, order: int = 5) -> dict:
@@ -26,83 +117,33 @@ def check_riccati(trials: int, tol: float, seed: int, order: int = 5) -> dict:
 
     For each k <= order-2 the five contributions (time derivative, both
     commutator parts, both quadratic convolutions, inhomogeneity) are
-    evaluated separately and summed as complex matrices.
+    evaluated separately and summed as complex matrices.  ``worst_seed``
+    names the sample of the mode whose maximum is reported.
     """
     rng = random.Random(seed)
-    results = {"scalar": 0.0, "matrix": 0.0}
-    worst_seed = seed
-    for mode in ("scalar", "matrix"):
-        sol = solve_w_z(order, mode)
-        W = {k: sol.w(k) for k in range(1, order + 1)}
-        dW = {k: W[k].differentiate_t() for k in W}
-        from .riccati import p_a_matrix, sigma_matrix, x_matrix, y_matrix
-        X, PA = x_matrix(mode), p_a_matrix(mode)
-        Sig = sigma_matrix(mode)
-        YD_blocks = y_matrix(mode)  # diagonal part only is needed
-        for _ in range(max(1, trials // 2)):
-            s_seed = rng.randrange(2 ** 31)
-            sample = FieldSample.random(s_seed, mode)
-            point = (rng.uniform(-2, 2), rng.uniform(-2, 2))
-            Xv = np.atleast_2d(evaluate(X, sample, point))
-            PAv = np.atleast_2d(evaluate(PA, sample, point))
-            Sv = np.atleast_2d(evaluate(Sig, sample, point))
-            Yv = np.atleast_2d(evaluate(YD_blocks, sample, point))
-            Yd = np.zeros_like(Yv)
-            n = Xv.shape[0] // 2 if mode == "scalar" else sample.dims[0]
-            Yd[:n, :n] = Yv[:n, :n]
-            Yd[n:, n:] = Yv[n:, n:]
-            Wv = {k: np.atleast_2d(evaluate(W[k], sample, point)) for k in W}
-            dWv = {k: np.atleast_2d(evaluate(dW[k], sample, point)) for k in W}
-            for k in range(-1, order - 1):
-                r = np.zeros_like(Xv)
-                if k >= 1:
-                    r = r + dWv[k] + Wv[k] @ Yd - Yd @ Wv[k]
-                if k + 2 <= order:
-                    r = r + (Wv[k + 2] @ Sv - Sv @ Wv[k + 2]) / 2
-                for a in range(1, k + 1):
-                    b = k + 1 - a
-                    if b >= 1:
-                        r = r + Wv[a] @ Xv @ Wv[b]
-                for a in range(1, k):
-                    b = k - a
-                    if b >= 1:
-                        r = r + Wv[a] @ PAv @ Wv[b]
-                if k == -1:
-                    r = r - Xv
-                if k == 0:
-                    r = r - PAv
-                d = float(np.max(np.abs(r)))
-                if d > results[mode]:
-                    results[mode] = d
-                    worst_seed = s_seed
-    max_abs = max(results.values())
-    return {"name": "riccati", "order": order, "trials": trials, "tol": tol,
-            "per_mode": results, "max_abs": max_abs, "worst_seed": worst_seed,
-            "passed": max_abs < tol}
+    worst = {mode: _worst(max(1, trials // 2), seed, _riccati_residual(mode, order), rng)
+             for mode in ("scalar", "matrix")}
+    max_abs, worst_seed = max(worst.values(), key=lambda w: w[0])
+    return _report("riccati", trials, tol, max_abs, worst_seed, order=order,
+                   per_mode={mode: w[0] for mode, w in worst.items()})
 
 
 def check_gamma(trials: int, tol: float, seed: int, order: int = 5) -> dict:
     """Matrix Riccati recursion residual with numpy matrix arithmetic."""
-    rng = random.Random(seed)
     sol = solve_gamma(order)
     G = {k: sol.gamma(k) for k in range(1, order + 1)}
     dG = {k: G[k].differentiate_t() for k in G}
-    from .ncpoly import nc_mul
-    from .riccati import _f
-    u, uh, pi, pih = (_f(b, "matrix") for b in _FIELDS)
-    uuh, uhu = nc_mul(u, uh), nc_mul(uh, u)
-    max_abs, worst_seed = 0.0, seed
-    for _ in range(max(1, trials)):
-        s_seed = rng.randrange(2 ** 31)
+
+    def residual(s_seed, rng):
         sample = FieldSample.random(s_seed, "matrix")
-        point = (rng.uniform(-2, 2), rng.uniform(-2, 2))
-        ev = lambda p: np.atleast_2d(evaluate(p, sample, point))
-        Gv = {k: ev(G[k]) for k in G}
-        dGv = {k: ev(dG[k]) for k in G}
+        point = _point(rng, 2)
+        Gv = {k: np.atleast_2d(evaluate(G[k], sample, point)) for k in G}
+        dGv = {k: np.atleast_2d(evaluate(dG[k], sample, point)) for k in G}
         uv, uhv, piv, pihv = (
             np.atleast_2d(sample.atom_value(atom(b, mode="matrix"), *point))
-            for b in _FIELDS)
+            for b in FIELD_BASES)
         uuhv, uhuv = uv @ uhv, uhv @ uv
+        ds = []
         for k in range(-1, order - 1):
             r = -Gv[k + 2] if k + 2 <= order else 0 * Gv[1]
             if k >= 1:
@@ -116,72 +157,52 @@ def check_gamma(trials: int, tol: float, seed: int, order: int = 5) -> dict:
                 r = r + uv
             if k == 0:
                 r = r - pihv
-            d = float(np.max(np.abs(r)))
-            if d > max_abs:
-                max_abs, worst_seed = d, s_seed
-    return {"name": "gamma", "order": order, "trials": trials, "tol": tol,
-            "max_abs": max_abs, "worst_seed": worst_seed, "passed": max_abs < tol}
+            ds.append(float(np.max(np.abs(r))))
+        return max(ds)
+    return _report("gamma", trials, tol, *_worst(max(1, trials), seed, residual),
+                   order=order)
 
 
 def check_eom(trials: int, tol: float, seed: int) -> dict:
     """Zero-curvature residual of the second flow on exact exponential solutions."""
-    rng = random.Random(seed)
-    from .hierarchy import zero_curvature_residual
     res = zero_curvature_residual(generate_u(2, "scalar"), nls_v_operator("scalar"))
-    max_abs, worst_seed = 0.0, seed
-    for _ in range(trials):
-        s_seed = rng.randrange(2 ** 31)
+
+    def residual(s_seed, rng):
         sol = ExponentialSolution.random(s_seed)
-        point = (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-        lam = rng.uniform(0.5, 2.0) + 1j * rng.uniform(-1, 1)
-        v = evaluate(res, sol, point, lam=lam)
-        d = float(np.max(np.abs(v)))
-        if d > max_abs:
-            max_abs, worst_seed = d, s_seed
-    return {"name": "eom", "trials": trials, "tol": tol, "max_abs": max_abs,
-            "worst_seed": worst_seed, "passed": max_abs < tol}
+        point = _point(rng, 0.5)
+        v = evaluate(res, sol, point, lam=_lam(rng))
+        return float(np.max(np.abs(v)))
+    return _report("eom", trials, tol, *_worst(trials, seed, residual))
 
 
 def check_dispersion(trials: int, tol: float, seed: int) -> dict:
     """EOM residual of the exponential family itself (dispersion relation)."""
-    rng = random.Random(seed)
     rules = extract_eom(generate_u(2, "scalar"), nls_v_operator("scalar"))
-    max_abs, worst_seed = 0.0, seed
-    for _ in range(trials):
-        s_seed = rng.randrange(2 ** 31)
+
+    def residual(s_seed, rng):
         sol = ExponentialSolution.random(s_seed)
-        point = (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-        for e in rules.evolution.values():
-            d = float(abs(evaluate(e, sol, point)))
-            if d > max_abs:
-                max_abs, worst_seed = d, s_seed
-    return {"name": "dispersion", "trials": trials, "tol": tol, "max_abs": max_abs,
-            "worst_seed": worst_seed, "passed": max_abs < tol}
+        point = _point(rng, 0.5)
+        return max(float(abs(evaluate(e, sol, point))) for e in rules.evolution.values())
+    return _report("dispersion", trials, tol, *_worst(trials, seed, residual))
 
 
 def check_conservation(trials: int, tol: float, seed: int, max_k: int = 3) -> dict:
     """Flux identity d_x rho = d_t j on exponential solutions for k <= max_k."""
-    rng = random.Random(seed)
     pairs = []
     for k in range(1, max_k + 1):
         proof = verify_conservation(k)
         pairs.append((proof.density.differentiate_x(), proof.flux.differentiate_t()))
-    max_abs, worst_seed = 0.0, seed
-    for _ in range(trials):
-        s_seed = rng.randrange(2 ** 31)
+
+    def residual(s_seed, rng):
         sol = ExponentialSolution.random(s_seed)
-        point = (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-        for lhs, rhs in pairs:
-            d = float(abs(evaluate(lhs, sol, point) - evaluate(rhs, sol, point)))
-            if d > max_abs:
-                max_abs, worst_seed = d, s_seed
-    return {"name": "conservation", "trials": trials, "tol": tol, "max_abs": max_abs,
-            "worst_seed": worst_seed, "passed": max_abs < tol}
+        point = _point(rng, 0.5)
+        return max(float(abs(evaluate(lhs, sol, point) - evaluate(rhs, sol, point)))
+                   for lhs, rhs in pairs)
+    return _report("conservation", trials, tol, *_worst(trials, seed, residual))
 
 
 def check_algebra(trials: int, tol: float, seed: int) -> dict:
     """Reflection equation and both linear Poisson structures, numerically."""
-    rng = random.Random(seed)
     P = np.zeros((4, 4), dtype=complex)
     for i in range(2):
         for j in range(2):
@@ -191,10 +212,9 @@ def check_algebra(trials: int, tol: float, seed: int) -> dict:
         return np.array([[lam + 1j * xi, 1j * ka * lam],
                          [1j * ka * lam, -lam + 1j * xi]], dtype=complex)
 
-    max_abs, worst_seed = 0.0, seed
     eye = np.eye(2, dtype=complex)
-    for _ in range(trials):
-        s_seed = rng.randrange(2 ** 31)
+
+    def residual(s_seed, rng):
         r2 = random.Random(s_seed)
         def c():
             return r2.uniform(-2, 2) + 1j * r2.uniform(-2, 2)
@@ -209,7 +229,6 @@ def check_algebra(trials: int, tol: float, seed: int) -> dict:
         u, uh, pi, pih = c(), c(), c(), c()
         V = lambda l: np.array([[l * l / 2 - u * uh, l * uh + pi],
                                 [l * u - pih, -l * l / 2 + u * uh]], dtype=complex)
-        B = np.zeros((4, 4), dtype=complex)
         # nonzero brackets: {u,pi}={uh,pih}=1; d/dfield of V entries
         dV = {
             "u": lambda l: np.array([[-uh, 0], [l, uh]], dtype=complex),
@@ -218,42 +237,31 @@ def check_algebra(trials: int, tol: float, seed: int) -> dict:
             "pih": lambda l: np.array([[0, 0], [-1, 0]], dtype=complex),
         }
         table = [("u", "pi", 1), ("pi", "u", -1), ("uh", "pih", 1), ("pih", "uh", -1)]
-        for i in range(4):
-            for j in range(4):
-                acc = 0j
-                for f, g, sgn in table:
-                    acc += sgn * dV[f](lam)[i // 2, j // 2] * dV[g](mu)[i % 2, j % 2]
-                B[i, j] = acc
+        B = sum(sgn * np.kron(dV[f](lam), dV[g](mu)) for f, g, sgn in table)
         V1 = np.kron(V(lam), eye)
         V2 = np.kron(eye, V(mu))
         rhs = (P @ (V1 + V2) - (V1 + V2) @ P) / (lam - mu)
-        d = max(d, float(np.max(np.abs(B - rhs))))
-        if d > max_abs:
-            max_abs, worst_seed = d, s_seed
-    return {"name": "algebra", "trials": trials, "tol": tol, "max_abs": max_abs,
-            "worst_seed": worst_seed, "passed": max_abs < tol}
+        return max(d, float(np.max(np.abs(B - rhs))))
+    return _report("algebra", trials, tol, *_worst(trials, seed, residual))
 
 
 def check_route(trials: int, tol: float, seed: int, max_n: int = 4) -> dict:
     """Generating vs dressing route, numerically, including the bare shift."""
-    rng = random.Random(seed)
     ops = [(generate_u(n, "scalar").series, dress_u(n, "scalar").series, n)
            for n in range(1, max_n + 1)]
-    max_abs, worst_seed = 0.0, seed
-    for _ in range(trials):
-        s_seed = rng.randrange(2 ** 31)
+
+    def residual(s_seed, rng):
         sample = FieldSample.random(s_seed, "scalar")
-        point = (rng.uniform(-2, 2), rng.uniform(-2, 2))
-        lam = rng.uniform(0.5, 2.0) + 1j * rng.uniform(-1, 1)
+        point = _point(rng, 2)
+        lam = _lam(rng)
+        ds = []
         for gen, dre, n in ops:
             g = evaluate(gen, sample, point, lam=lam)
             h = evaluate(dre, sample, point, lam=lam)
             shift = lam ** (n - 1) / 2 * np.eye(2)
-            d = float(np.max(np.abs(g - h - shift)))
-            if d > max_abs:
-                max_abs, worst_seed = d, s_seed
-    return {"name": "route", "trials": trials, "tol": tol, "max_abs": max_abs,
-            "worst_seed": worst_seed, "passed": max_abs < tol}
+            ds.append(float(np.max(np.abs(g - h - shift))))
+        return max(ds)
+    return _report("route", trials, tol, *_worst(trials, seed, residual))
 
 
 TARGETS = {
@@ -273,11 +281,6 @@ def run_numeric(target: str, trials: int, tol: float, seed: int) -> dict:
         names = [target]
     else:
         raise ValueError(f"unknown target {target!r}")
-    checks = []
-    for name in names:
-        for fn in TARGETS[name]:
-            checks.append(fn(trials, tol, seed))
-    checks = [{k: (bool(v) if k == "passed" else v) for k, v in c.items()}
-              for c in checks]
+    checks = [fn(trials, tol, seed) for name in names for fn in TARGETS[name]]
     return {"target": target, "trials": trials, "tol": tol, "seed": seed,
             "checks": checks, "passed": all(c["passed"] for c in checks)}

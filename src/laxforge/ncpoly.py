@@ -56,14 +56,15 @@ class NCPolynomial:
 
     @staticmethod
     def from_atom(a: FieldAtom, mode: str, coeff=GR_ONE) -> "NCPolynomial":
-        return NCPolynomial(mode, a.shape, {make_word([a], mode): _coerce(coeff)})
+        return NCPolynomial.from_word((a,), mode, coeff)
 
     @staticmethod
     def from_word(atoms: Iterable[FieldAtom], mode: str, coeff=GR_ONE) -> "NCPolynomial":
+        """One word times ``coeff``; a trace (a closed chain) has shape (1, 1)."""
         w = make_word(atoms, mode)
-        shape = chain_shape(w.atoms)
-        if shape is None:
+        if not w.atoms:
             raise ValueError("use unit() for the empty word")
+        shape = ("1", "1") if mode == "trace" else chain_shape(w.atoms)
         return NCPolynomial(mode, shape, {w: _coerce(coeff)})
 
     # -- basics --------------------------------------------------------------

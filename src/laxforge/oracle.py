@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atoms import FieldAtom
+from .atoms import FIELD_BASES, MATRIX_SHAPES, FieldAtom
 from .coeff import GaussianRational
 from .matrices import PolyMatrix
 from .ncpoly import NCPolynomial
@@ -58,14 +58,14 @@ class FieldSample:
     @staticmethod
     def random(seed: int, mode: str = "scalar", dims: tuple[int, int] = (2, 1)) -> "FieldSample":
         rng = random.Random(seed)
-        fields = {}
-        for base in ("u", "uh", "pi", "pih"):
+        sample = FieldSample(seed, mode, dims)
+        for base in FIELD_BASES:
             if mode == "scalar":
-                fields[base] = _random_trig(rng)
+                sample.fields[base] = _random_trig(rng)
             else:
-                r, c = _concrete_shape(base, dims)
-                fields[base] = [[_random_trig(rng) for _ in range(c)] for _ in range(r)]
-        return FieldSample(seed, mode, dims, fields)
+                r, c = (sample.dim_of(d) for d in MATRIX_SHAPES[base])
+                sample.fields[base] = [[_random_trig(rng) for _ in range(c)] for _ in range(r)]
+        return sample
 
     def dim_of(self, d: str) -> int:
         return {"N": self.dims[0], "M": self.dims[1], "1": 1}[d]
@@ -78,14 +78,6 @@ class FieldSample:
             return f.value(t, x, a.dt, a.dx)
         return np.array([[g.value(t, x, a.dt, a.dx) for g in row] for row in f],
                         dtype=complex)
-
-
-def _concrete_shape(base: str, dims: tuple[int, int]) -> tuple[int, int]:
-    from .atoms import MATRIX_SHAPES
-    n, m = dims
-    table = {"N": n, "M": m, "1": 1}
-    r, c = MATRIX_SHAPES[base]
-    return table[r], table[c]
 
 
 @dataclass(frozen=True)
@@ -109,6 +101,9 @@ class ExponentialSolution:
         def c():
             return rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
         return ExponentialSolution(c(), c(), c())
+
+    def dim_of(self, d: str) -> int:
+        return 1  # every field is a scalar exponential
 
     def atom_value(self, a: FieldAtom, t: float, x: float) -> complex:
         w, k = self.omega, self.k
@@ -147,25 +142,16 @@ def evaluate(expr, sample, point, lam: complex | None = None, params: dict | Non
     if isinstance(expr, LaurentSeries):
         if lam is None:
             raise ValueError("a spectral-parameter value is required for series")
-        out = None
+        out = np.zeros((sum(map(sample.dim_of, expr.row_dims)),
+                        sum(map(sample.dim_of, expr.col_dims))), dtype=complex)
         for p, m in expr.coeffs.items():
-            v = _eval_matrix(m, sample, t, x, params) * lam ** p
-            out = v if out is None else out + v
-        if out is None:
-            rows = sum(sample.dim_of(d) for d in expr.row_dims) if hasattr(sample, "dim_of") \
-                else len(expr.row_dims)
-            cols = sum(sample.dim_of(d) for d in expr.col_dims) if hasattr(sample, "dim_of") \
-                else len(expr.col_dims)
-            return np.zeros((rows, cols), dtype=complex)
+            out = out + _eval_matrix(m, sample, t, x, params) * lam ** p
         return out
     raise TypeError(f"cannot evaluate {type(expr).__name__}")
 
 
 def _eval_poly(p: NCPolynomial, sample, t, x, params=None):
-    scalar = p.mode == "scalar" or all(d == "1" for d in p.shape)
-    dim = (lambda d: 1) if not hasattr(sample, "dim_of") else sample.dim_of
-    rows = 1 if p.shape[0] == "1" else dim(p.shape[0])
-    cols = 1 if p.shape[1] == "1" else dim(p.shape[1])
+    rows, cols = map(sample.dim_of, p.shape)
     out = np.zeros((rows, cols), dtype=complex)
     for w, c in p.terms.items():
         cv = _coeff_value(c, params)
@@ -176,66 +162,17 @@ def _eval_poly(p: NCPolynomial, sample, t, x, params=None):
             continue
         val = None
         for a in w.atoms:
-            v = sample.atom_value(a, t, x)
-            v = np.array([[v]]) if np.isscalar(v) else np.atleast_2d(v)
+            v = np.atleast_2d(sample.atom_value(a, t, x))
             val = v if val is None else val @ v
         out += cv * (np.trace(val) if p.mode == "trace" else val)
-    if scalar and out.shape == (1, 1):
+    if out.shape == (1, 1) and (p.mode == "scalar" or p.shape == ("1", "1")):
         return out[0, 0]
     return out
 
 
 def _eval_matrix(m: PolyMatrix, sample, t, x, params=None):
-    dim = (lambda d: 1) if not hasattr(sample, "dim_of") else sample.dim_of
-    blocks = []
-    for i, rd in enumerate(m.row_dims):
-        row = []
-        for j, cd in enumerate(m.col_dims):
-            v = _eval_poly(m.entries[i][j], sample, t, x, params)
-            v = np.array([[v]]) if np.isscalar(v) else v
-            want = (dim(rd) if rd != "1" else 1, dim(cd) if cd != "1" else 1)
-            if v.shape != want:
-                v = np.broadcast_to(v, want) if v.size == 1 else v
-            row.append(v)
-        blocks.append(row)
-    return np.block(blocks)
-
-
-# ---------------------------------------------------------------------------
-# reports
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CheckReport:
-    name: str
-    trials: int
-    tol: float
-    max_abs: float
-    worst_seed: int
-    passed: bool
-
-    def as_dict(self):
-        return {"name": self.name, "trials": self.trials, "tol": self.tol,
-                "max_abs": self.max_abs, "worst_seed": self.worst_seed,
-                "passed": self.passed}
-
-
-def identity_check(lhs, rhs, trials: int, tol: float, seed: int = 0,
-                   name: str = "identity", mode: str = "scalar",
-                   lam: complex | None = None, params: dict | None = None) -> CheckReport:
-    """Max |lhs - rhs| over random samples and points; never raises on failure."""
-    rng = random.Random(seed)
-    worst, worst_seed = 0.0, seed
-    for _ in range(trials):
-        s_seed = rng.randrange(2 ** 31)
-        sample = FieldSample.random(s_seed, mode)
-        point = (rng.uniform(-2, 2), rng.uniform(-2, 2))
-        a = evaluate(lhs, sample, point, lam, params)
-        b = evaluate(rhs, sample, point, lam, params)
-        d = float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
-        if d > worst:
-            worst, worst_seed = d, s_seed
-    return CheckReport(name, trials, tol, worst, worst_seed, worst < tol)
+    return np.block([[np.atleast_2d(_eval_poly(e, sample, t, x, params)) for e in row]
+                     for row in m.entries])
 
 
 def finite_difference_crosscheck(expr, sample, point, h: float, var: str = "t",
@@ -249,19 +186,15 @@ def finite_difference_crosscheck(expr, sample, point, h: float, var: str = "t",
         d = d.differentiate_t() if var == "t" else d.differentiate_x()
     exact = evaluate(d, sample, point)
 
-    def f(tt, xx):
-        return evaluate(expr, sample, (tt, xx))
+    dt, dx = (h, 0) if var == "t" else (0, h)
+
+    def f(s):
+        return evaluate(expr, sample, (t + s * dt, x + s * dx))
 
     if order == 1:
-        if var == "t":
-            fd = (f(t + h, x) - f(t - h, x)) / (2 * h)
-        else:
-            fd = (f(t, x + h) - f(t, x - h)) / (2 * h)
+        fd = (f(1) - f(-1)) / (2 * h)
     elif order == 2:
-        if var == "t":
-            fd = (f(t + h, x) - 2 * f(t, x) + f(t - h, x)) / h ** 2
-        else:
-            fd = (f(t, x + h) - 2 * f(t, x) + f(t, x - h)) / h ** 2
+        fd = (f(1) - 2 * f(0) + f(-1)) / h ** 2
     else:
         raise ValueError("order must be 1 or 2")
     err = float(np.max(np.abs(np.asarray(fd) - np.asarray(exact))))

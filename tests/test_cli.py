@@ -247,6 +247,20 @@ def test_goldens_regenerate_byte_for_byte(tmp_path):
         assert (tmp_path / p.name).read_bytes() == p.read_bytes(), p.name
 
 
+def test_run_all_checks_exits_1_on_a_failed_check(monkeypatch, capsys):
+    import runpy
+
+    import laxforge.checks
+    failed = {"passed": False, "checks": [
+        {"name": "riccati", "max_abs": 1.0, "passed": False}]}
+    monkeypatch.setattr(laxforge.checks, "run_numeric", lambda *a: failed)
+    monkeypatch.setattr(sys, "argv", ["run_all_checks.py"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(REPO / "scripts" / "run_all_checks.py"), run_name="__main__")
+    assert exc.value.code == 1
+    assert "riccati" in capsys.readouterr().err
+
+
 def test_golden_mismatch_fails(tmp_path, capsys):
     bad = tmp_path / "goldens"
     bad.mkdir()

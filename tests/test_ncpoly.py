@@ -239,6 +239,15 @@ def test_trace_mode_refuses_products_substitution_and_open_chains():
                    atom("pih", mode="matrix")], "trace")
 
 
+def test_trace_words_have_scalar_shape():
+    k = NCPolynomial.from_word([atom("K11")], "trace")
+    assert k.shape == ("1", "1")
+    q = trace(parse_poly("uh*u", mode="matrix"))
+    assert (q + k).terms == {**q.terms, **k.terms}
+    with pytest.raises(ShapeError):
+        NCPolynomial.from_atom(atom("u"), "trace")
+
+
 def test_constant_is_not_exact():
     ok, _ = is_total_t_derivative(NCPolynomial.unit("scalar"))
     assert not ok

@@ -1,12 +1,15 @@
 """Numeric oracle: exact evaluation, identity checks, finite differences."""
+import numpy as np
 import pytest
 
 from laxforge.atoms import atom
+from laxforge.checks import identity_check
 from laxforge.ncpoly import NCPolynomial
 from laxforge.oracle import (ExponentialSolution, FieldSample,
                              UnhousedAtomError, evaluate,
-                             finite_difference_crosscheck, identity_check)
+                             finite_difference_crosscheck)
 from laxforge.parser import parse_poly
+from laxforge.series import LaurentSeries
 
 
 def test_exponential_solution_at_origin():
@@ -70,25 +73,30 @@ def test_matrix_sample_shapes():
     prod = parse_poly("u*uh", mode="matrix")
     pv = evaluate(prod, sample, (0.1, -0.2))
     assert pv.shape == (1, 1)
+    zero = LaurentSeries.zero("matrix", ("N", "M"), ("N", "M"))
+    assert (evaluate(zero, sample, (0.1, -0.2), lam=1.5) == np.zeros((3, 3))).all()
+    sol = ExponentialSolution(0.7 + 0.2j, -0.3 + 0.1j, 0.4 - 0.5j)
+    zero = LaurentSeries.zero("scalar", ("1", "1"), ("1", "1"))
+    assert (evaluate(zero, sol, (0.1, -0.2), lam=1.5) == np.zeros((2, 2))).all()
 
 
 def test_identity_check_syntactic_equality_is_exact():
     p = parse_poly("u*uh + pi")
     rep = identity_check(p, p, trials=5, tol=1e-15, seed=9)
-    assert rep.passed and rep.max_abs == 0.0
+    assert rep["passed"] and rep["max_abs"] == 0.0
 
 
 def test_identity_check_reports_failure():
     rep = identity_check(parse_poly("u"), parse_poly("uh"), trials=5,
                          tol=1e-9, seed=9)
-    assert not rep.passed and rep.max_abs > 1e-3
+    assert not rep["passed"] and rep["max_abs"] > 1e-3
 
 
 def test_identity_check_deterministic():
     a, b = parse_poly("u*uh"), parse_poly("u*uh")
     r1 = identity_check(a, b, trials=7, tol=1e-9, seed=123)
     r2 = identity_check(a, b, trials=7, tol=1e-9, seed=123)
-    assert r1.as_dict() == r2.as_dict()
+    assert r1 == r2
 
 
 def test_fd_first_derivative():
@@ -144,3 +152,19 @@ def test_route_check_reaches_flow_8():
     from laxforge.checks import check_route
     rep = check_route(3, 1e-9, 7, max_n=8)
     assert rep["passed"] and rep["max_abs"] < 1e-12
+
+
+def test_riccati_worst_seed_names_the_sample_of_max_abs(monkeypatch):
+    """The reported seed belongs to the mode whose maximum is reported."""
+    from laxforge import checks
+    drawn = []
+    draw = FieldSample.random
+
+    def logged(seed, mode="scalar", dims=(2, 1)):
+        drawn.append((seed, mode))
+        return draw(seed, mode, dims)
+    monkeypatch.setattr(FieldSample, "random", staticmethod(logged))
+    rep = checks.check_riccati(20, 1e-9, 2)
+    assert rep["per_mode"]["scalar"] > rep["per_mode"]["matrix"]
+    assert rep["max_abs"] == rep["per_mode"]["scalar"]
+    assert (rep["worst_seed"], "scalar") in drawn

@@ -27,14 +27,15 @@ def _worst(trials: int, seed: int, residual, rng: random.Random | None = None):
     Each trial draws its sample seed ``s_seed`` from ``rng`` (by default a
     generator seeded with ``seed``); the residual may draw its point from the
     same generator.  ``worst_seed`` names the sample of ``max_abs``, or
-    ``seed`` when no residual is positive.
+    ``seed`` when no residual is positive.  A NaN residual is the worst
+    result: the first one is kept, so the report fails.
     """
     rng = rng or random.Random(seed)
     max_abs, worst_seed = 0.0, seed
     for _ in range(trials):
         s_seed = rng.randrange(2 ** 31)
         d = residual(s_seed, rng)
-        if d > max_abs:
+        if not d <= max_abs and max_abs == max_abs:
             max_abs, worst_seed = d, s_seed
     return max_abs, worst_seed
 
@@ -108,7 +109,7 @@ def _riccati_residual(mode: str, order: int):
             if k == 0:
                 r = r - PAv
             ds.append(float(np.max(np.abs(r))))
-        return max(ds)
+        return float(np.max(ds))
     return residual
 
 
@@ -123,7 +124,7 @@ def check_riccati(trials: int, tol: float, seed: int, order: int = 5) -> dict:
     rng = random.Random(seed)
     worst = {mode: _worst(max(1, trials // 2), seed, _riccati_residual(mode, order), rng)
              for mode in ("scalar", "matrix")}
-    max_abs, worst_seed = max(worst.values(), key=lambda w: w[0])
+    max_abs, worst_seed = max(worst.values(), key=lambda w: (w[0] != w[0], w[0]))
     return _report("riccati", trials, tol, max_abs, worst_seed, order=order,
                    per_mode={mode: w[0] for mode, w in worst.items()})
 
@@ -158,7 +159,7 @@ def check_gamma(trials: int, tol: float, seed: int, order: int = 5) -> dict:
             if k == 0:
                 r = r - pihv
             ds.append(float(np.max(np.abs(r))))
-        return max(ds)
+        return float(np.max(ds))
     return _report("gamma", trials, tol, *_worst(max(1, trials), seed, residual),
                    order=order)
 
@@ -182,7 +183,8 @@ def check_dispersion(trials: int, tol: float, seed: int) -> dict:
     def residual(s_seed, rng):
         sol = ExponentialSolution.random(s_seed)
         point = _point(rng, 0.5)
-        return max(float(abs(evaluate(e, sol, point))) for e in rules.evolution.values())
+        return float(np.max([float(abs(evaluate(e, sol, point)))
+                             for e in rules.evolution.values()]))
     return _report("dispersion", trials, tol, *_worst(trials, seed, residual))
 
 
@@ -196,8 +198,8 @@ def check_conservation(trials: int, tol: float, seed: int, max_k: int = 3) -> di
     def residual(s_seed, rng):
         sol = ExponentialSolution.random(s_seed)
         point = _point(rng, 0.5)
-        return max(float(abs(evaluate(lhs, sol, point) - evaluate(rhs, sol, point)))
-                   for lhs, rhs in pairs)
+        return float(np.max([float(abs(evaluate(lhs, sol, point) - evaluate(rhs, sol, point)))
+                             for lhs, rhs in pairs]))
     return _report("conservation", trials, tol, *_worst(trials, seed, residual))
 
 
@@ -241,7 +243,7 @@ def check_algebra(trials: int, tol: float, seed: int) -> dict:
         V1 = np.kron(V(lam), eye)
         V2 = np.kron(eye, V(mu))
         rhs = (P @ (V1 + V2) - (V1 + V2) @ P) / (lam - mu)
-        return max(d, float(np.max(np.abs(B - rhs))))
+        return float(np.max([d, float(np.max(np.abs(B - rhs)))]))
     return _report("algebra", trials, tol, *_worst(trials, seed, residual))
 
 
@@ -260,7 +262,7 @@ def check_route(trials: int, tol: float, seed: int, max_n: int = 4) -> dict:
             h = evaluate(dre, sample, point, lam=lam)
             shift = lam ** (n - 1) / 2 * np.eye(2)
             ds.append(float(np.max(np.abs(g - h - shift))))
-        return max(ds)
+        return float(np.max(ds))
     return _report("route", trials, tol, *_worst(trials, seed, residual))
 
 

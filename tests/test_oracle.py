@@ -168,3 +168,35 @@ def test_riccati_worst_seed_names_the_sample_of_max_abs(monkeypatch):
     assert rep["per_mode"]["scalar"] > rep["per_mode"]["matrix"]
     assert rep["max_abs"] == rep["per_mode"]["scalar"]
     assert (rep["worst_seed"], "scalar") in drawn
+
+
+def test_nan_residual_fails_the_check(monkeypatch):
+    """A NaN at an early order must not hide a large residual at a later one."""
+    from laxforge import checks
+    calls = []
+
+    def poisoned(obj, sample, point, lam=None, params=None):
+        calls.append(obj)  # 8 calls per sample: gen and dre for n = 1..4
+        return np.full((2, 2), np.nan if len(calls) == 1 else 1e3)
+    monkeypatch.setattr(checks, "evaluate", poisoned)
+    rep = checks.check_route(3, 1e-9, 7)
+    assert not rep["passed"] and np.isnan(rep["max_abs"])
+    first = checks._worst(1, 7, lambda s, rng: 1.0)[1]
+    assert rep["worst_seed"] == first
+    assert checks._worst(3, 1, lambda s, rng: float("nan"))[0] != 0.0
+    # nor may a NaN at a later equation hide behind a zero at an earlier one
+    calls.clear()
+    monkeypatch.setattr(checks, "evaluate", lambda *a, **k: (
+        calls.append(a[0]) or (np.nan if len(calls) == 2 else 0.0)))
+    rep = checks.check_dispersion(3, 1e-9, 7)
+    assert not rep["passed"] and rep["worst_seed"] == first
+
+
+def test_riccati_keeps_a_nan_mode(monkeypatch):
+    """A NaN in either mode is the reported maximum, whatever the other mode gives."""
+    from laxforge import checks
+    for nan_mode in ("scalar", "matrix"):
+        monkeypatch.setattr(checks, "_riccati_residual", lambda mode, order: (
+            lambda s, rng: float("nan") if mode == nan_mode else 1.0))
+        rep = checks.check_riccati(4, 1e-9, 3)
+        assert not rep["passed"] and np.isnan(rep["max_abs"]), nan_mode

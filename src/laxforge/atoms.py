@@ -13,7 +13,6 @@ trace mode a word is a closed chain stored as its minimal rotation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 Dim = str  # 'N' | 'M' | '1'
@@ -38,26 +37,39 @@ class ShapeError(ValueError):
     """Raised when block shapes fail to chain or match."""
 
 
-@dataclass(frozen=True)
 class FieldAtom:
     """One differentiated field symbol with t/x derivative orders.
 
     ``dx`` counts derivatives in the flow variable ``x_flow``; atoms with
     different flow indices are distinct symbols.  ``dx > 0`` atoms exist only
-    transiently before equation-of-motion substitution.
+    transiently before equation-of-motion substitution.  Atoms and words are
+    immutable by convention: each computes its hash and sort key once, at
+    construction.
     """
 
-    base: str
-    dt: int = 0
-    dx: int = 0
-    flow: int = 2
-    shape: tuple[Dim, Dim] = ("1", "1")
+    __slots__ = ("base", "dt", "dx", "flow", "shape", "sort_key", "_h")
 
-    def __post_init__(self):
-        if self.base not in BASES:
-            raise ValueError(f"unknown atom base {self.base!r}")
-        if self.dt < 0 or self.dx < 0:
+    def __init__(self, base: str, dt: int = 0, dx: int = 0, flow: int = 2,
+                 shape: tuple[Dim, Dim] = ("1", "1")):
+        if base not in _BASE_INDEX:
+            raise ValueError(f"unknown atom base {base!r}")
+        if dt < 0 or dx < 0:
             raise ValueError("derivative orders must be non-negative")
+        self.base, self.dt, self.dx, self.flow, self.shape = base, dt, dx, flow, shape
+        self.sort_key = (_BASE_INDEX[base], dt, dx, flow)
+        self._h = hash((base, dt, dx, flow, shape))
+
+    def __eq__(self, other):
+        if not isinstance(other, FieldAtom):
+            return NotImplemented
+        return self is other or (self._h == other._h and self.sort_key == other.sort_key
+                                 and self.shape == other.shape)
+
+    def __hash__(self):
+        return self._h
+
+    def __repr__(self):
+        return f"FieldAtom{(self.base, self.dt, self.dx, self.flow, self.shape)!r}"
 
     @property
     def rows(self) -> Dim:
@@ -66,10 +78,6 @@ class FieldAtom:
     @property
     def cols(self) -> Dim:
         return self.shape[1]
-
-    @property
-    def sort_key(self):
-        return (_BASE_INDEX[self.base], self.dt, self.dx, self.flow)
 
     def with_derivative(self, var: str, flow: int | None = None) -> "FieldAtom":
         if var == "t":
@@ -98,15 +106,26 @@ def atom(base: str, dt: int = 0, dx: int = 0, mode: str = "matrix",
     return FieldAtom(base, dt, dx, flow, shape)
 
 
-@dataclass(frozen=True)
 class Word:
     """Ordered product of atoms; the empty word is the multiplicative unit."""
 
-    atoms: tuple[FieldAtom, ...] = ()
+    __slots__ = ("atoms", "sort_key", "_h")
 
-    @property
-    def sort_key(self):
-        return (len(self.atoms), tuple(a.sort_key for a in self.atoms))
+    def __init__(self, atoms: tuple[FieldAtom, ...] = ()):
+        self.atoms = atoms = tuple(atoms)
+        self.sort_key = (len(atoms), tuple([a.sort_key for a in atoms]))
+        self._h = hash((atoms,))
+
+    def __eq__(self, other):
+        if not isinstance(other, Word):
+            return NotImplemented
+        return self is other or (self._h == other._h and self.atoms == other.atoms)
+
+    def __hash__(self):
+        return self._h
+
+    def __repr__(self):
+        return f"Word({self.atoms!r})"
 
     def __len__(self):
         return len(self.atoms)

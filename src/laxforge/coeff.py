@@ -6,8 +6,8 @@ anywhere in this module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 
 def _as_fraction(x) -> Fraction:
@@ -18,37 +18,56 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """Exact element of Q(i), stored as (real, imag) Fractions."""
+    """Exact element of Q(i), stored as ``(a + b*i) / d`` over Python ints.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    The form is normal: ``d > 0`` and ``gcd(a, b, d) == 1``, so equal values
+    have equal fields.  Each operation builds its result from ints and
+    normalises it with one ``gcd``.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re=0, im=0):
+        re, im = _as_fraction(re), _as_fraction(im)
+        p, q = re.denominator, im.denominator
+        d = p * q // gcd(p, q)
+        # both parts are reduced and d is their lcm, so gcd(a, b, d) == 1
+        self._a, self._b, self._d = re.numerator * (d // p), im.numerator * (d // q), d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def of(x) -> "GaussianRational":
-        if isinstance(x, GaussianRational):
-            return x
-        return GaussianRational(_as_fraction(x), Fraction(0))
+        return x if isinstance(x, GaussianRational) else GaussianRational(x)
 
     @staticmethod
     def _as_gr(x):
         if isinstance(x, GaussianRational):
             return x
         if isinstance(x, (int, Fraction)):
-            return GaussianRational(_as_fraction(x), Fraction(0))
+            return GaussianRational(x)
         return None
 
     def __add__(self, other):
         other = GaussianRational._as_gr(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d, e = self._d, other._d
+        if d == e:
+            return _normal(self._a + other._a, self._b + other._b, d)
+        return _normal(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _new(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
         other = GaussianRational._as_gr(other)
@@ -66,10 +85,8 @@ class GaussianRational:
         other = GaussianRational._as_gr(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _normal(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -77,32 +94,54 @@ class GaussianRational:
         other = GaussianRational._as_gr(other)
         if other is None:
             return NotImplemented
-        n = other.re * other.re + other.im * other.im
+        a, b, c, e = self._a, self._b, other._a, other._b
+        n = c * c + e * e
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        f = other._d
+        return _normal(f * (a * c + b * e), f * (b * c - a * e), self._d * n)
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _new(self._a, -self._b, self._d)
+
+    def __eq__(self, other):
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self):
+        return hash((self._a, self._b, self._d))
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self._a or self._b)
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self._a / self._d, self._b / self._d)
 
     def __str__(self):
         return format_coeff(self)
 
     def __repr__(self):
         return f"GR({format_coeff(self)})"
+
+
+def _new(a: int, b: int, d: int) -> GaussianRational:
+    """A GaussianRational from fields already in normal form."""
+    c = object.__new__(GaussianRational)
+    c._a, c._b, c._d = a, b, d
+    return c
+
+
+def _normal(a: int, b: int, d: int) -> GaussianRational:
+    """A GaussianRational from ``(a + b*i) / d`` with ``d > 0``, normalised."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _new(a, b, d)
 
 
 def collect(pairs, out=None) -> dict:
@@ -132,7 +171,7 @@ I = GaussianRational(Fraction(0), Fraction(1))
 
 
 def gr(re, im=0) -> GaussianRational:
-    return GaussianRational(_as_fraction(re), _as_fraction(im))
+    return GaussianRational(re, im)
 
 
 def _frac_str(f: Fraction) -> str:
@@ -141,13 +180,13 @@ def _frac_str(f: Fraction) -> str:
 
 def format_coeff(c: GaussianRational) -> str:
     """Stable textual form ``a/b+c/d*i`` (real part first, imag suffixed)."""
-    if c.im == 0:
-        return _frac_str(c.re)
-    imag = f"{_frac_str(abs(c.im))}*i" if abs(c.im) != 1 else "i"
-    sign = "-" if c.im < 0 else "+"
-    if c.re == 0:
-        return f"-{imag}" if c.im < 0 else imag
-    return f"{_frac_str(c.re)}{sign}{imag}"
+    re, im = c.re, c.im
+    if im == 0:
+        return _frac_str(re)
+    imag = f"{_frac_str(abs(im))}*i" if abs(im) != 1 else "i"
+    if re == 0:
+        return f"-{imag}" if im < 0 else imag
+    return f"{_frac_str(re)}{'-' if im < 0 else '+'}{imag}"
 
 
 def parse_coeff(s: str) -> GaussianRational:

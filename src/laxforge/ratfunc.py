@@ -19,10 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeff import GaussianRational, collect, format_coeff
-
-GR_ZERO = GaussianRational()
-GR_ONE = GaussianRational(Fraction(1))
+from .coeff import ONE as GR_ONE, ZERO as GR_ZERO, GaussianRational, collect, format_coeff
 
 
 class MPoly:

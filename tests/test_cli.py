@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, config, golden mode, determinism."""
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -184,6 +185,18 @@ def test_commands_other_than_verify_numeric_do_not_load_numpy():
             "sys.exit(3 if 'numpy' in sys.modules else 0)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["riccati", "--order", "6", "--mode", "matrix", "--out", "json"],
+    ["hierarchy", "u", "--route", "dress", "--n", "6", "--out", "json"]])
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    """Atoms and words cache their hashes; no hash order may reach an output."""
+    outs = [subprocess.run([sys.executable, "-m", "laxforge.cli", *argv],
+                           env=dict(os.environ, PYTHONHASHSEED=seed),
+                           capture_output=True, text=True, check=True).stdout
+            for seed in ("1", "2")]
+    assert outs[0] and outs[0] == outs[1]
 
 
 def test_verify_numeric_json_and_exit(tmp_path, capsys):

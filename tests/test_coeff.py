@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -58,3 +59,54 @@ def test_collect_sums_and_drops_zero_sums():
     out = {"a": gr(1)}
     assert collect([("a", gr(1)), ("b", gr(-1)), ("b", gr(1))], out) is out
     assert out == {"a": gr(2)}
+
+
+wide = st.fractions(max_denominator=10 ** 6)
+
+
+def _normal(c):
+    a, b, d = c._a, c._b, c._d
+    return type(a) is type(b) is type(d) is int and d > 0 and gcd(a, b, d) == 1
+
+
+def _old_complex(re, im):
+    """to_complex as it read when the parts were stored as two Fractions."""
+    z = complex(re) + 1j * complex(im)
+    return z.real.hex(), z.imag.hex()
+
+
+@given(st.tuples(wide, wide), st.tuples(wide, wide))
+def test_matches_a_fraction_pair_reference(p, q):
+    """Every operation agrees with (re, im) Fraction arithmetic and stays normal."""
+    (a, b), (c, d) = p, q
+    x, y = GaussianRational(a, b), GaussianRational(c, d)
+    cases = [(x + y, (a + c, b + d)), (x - y, (a - c, b - d)),
+             (x * y, (a * c - b * d, a * d + b * c)), (-x, (-a, -b)),
+             (x.conjugate(), (a, -b)), (x + c, (a + c, b)), (c - x, (c - a, -b)),
+             (x * c, (a * c, b * c)), (x, p)]
+    if c or d:
+        n = c * c + d * d
+        cases.append((x / y, ((a * c + b * d) / n, (b * c - a * d) / n)))
+    if c:
+        cases.append((x / c, (a / c, b / c)))
+    for got, (re, im) in cases:
+        want = GaussianRational(re, im)
+        assert _normal(got) and (got.re, got.im) == (re, im)
+        assert got == want and hash(got) == hash(want)
+        assert parse_coeff(format_coeff(got)) == got
+        z = got.to_complex()
+        assert (z.real.hex(), z.imag.hex()) == _old_complex(re, im)
+        assert bool(got) == (re != 0 or im != 0) == (not got.is_zero)
+    assert (x == y) == (p == q)
+
+
+def test_floats_are_refused():
+    for build in (lambda: GaussianRational(0.5), lambda: GaussianRational(1, 0.5),
+                  lambda: gr(0.5), lambda: gr(1) + 0.5, lambda: gr(1) * 0.5):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_equality_is_between_gaussian_rationals_only():
+    assert gr(0) != 0 and gr(1) != Fraction(1) and gr(2, 3) == gr(Fraction(4, 2), 3)
+    assert GaussianRational() == gr(0) and GaussianRational(im=1) == gr(0, 1)

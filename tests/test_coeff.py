@@ -64,7 +64,7 @@ def test_collect_sums_and_drops_zero_sums():
 wide = st.fractions(max_denominator=10 ** 6)
 
 
-def _normal(c):
+def _is_normal(c):
     a, b, d = c._a, c._b, c._d
     return type(a) is type(b) is type(d) is int and d > 0 and gcd(a, b, d) == 1
 
@@ -91,7 +91,7 @@ def test_matches_a_fraction_pair_reference(p, q):
         cases.append((x / c, (a / c, b / c)))
     for got, (re, im) in cases:
         want = GaussianRational(re, im)
-        assert _normal(got) and (got.re, got.im) == (re, im)
+        assert _is_normal(got) and (got.re, got.im) == (re, im)
         assert got == want and hash(got) == hash(want)
         assert parse_coeff(format_coeff(got)) == got
         z = got.to_complex()

@@ -28,6 +28,8 @@ def main():
     ap.add_argument("--trials", type=int, default=50)
     ap.add_argument("--seed", type=int, default=42)
     args = ap.parse_args()
+    if args.trials < 1:
+        ap.error(f"--trials must be >= 1, got {args.trials}")
     t0 = time.perf_counter()
     failures = []
 
@@ -52,8 +54,10 @@ def main():
     for n in range(1, 5):
         print(f"  generating n={n}: {generate_u(n, 'scalar').series}")
         print(f"  dressing   n={n}: {dress_u(n).series}")
-        claim(f"routes agree at n={n} (scalar, up to bare shift)",
-              route_difference(n).is_zero)
+    for mode in ("scalar", "matrix"):
+        for n in range(1, 13):
+            claim(f"routes agree at n={n} ({mode}, up to bare shift)",
+                  route_difference(n, mode).is_zero)
 
     print("== Charges and conservation ==")
     for c in charges("H", 4):

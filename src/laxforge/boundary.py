@@ -285,9 +285,7 @@ def _k_series(side: str) -> LaurentSeries:
 
 def _hat(series: LaurentSeries) -> LaurentSeries:
     """lam -> -lam on a Laurent series."""
-    return LaurentSeries(series.mode, series.row_dims, series.col_dims,
-                         {p: m if p % 2 == 0 else m.scale(gr(-1))
-                          for p, m in series.coeffs.items()}, series.truncation)
+    return series.map_powers(lambda p, m: -m if p % 2 else m)
 
 
 def _transpose_series(series: LaurentSeries) -> LaurentSeries:

@@ -276,13 +276,12 @@ TARGETS = {
 
 
 def run_numeric(target: str, trials: int, tol: float, seed: int) -> dict:
-    """Run one target (or 'all'); returns a canonical report dict."""
-    if target == "all":
-        names = sorted(TARGETS)
-    elif target in TARGETS:
-        names = [target]
-    else:
+    """Run one target (or 'all') with at least one trial; returns a canonical report dict."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if target not in (*TARGETS, "all"):
         raise ValueError(f"unknown target {target!r}")
+    names = sorted(TARGETS) if target == "all" else [target]
     checks = [fn(trials, tol, seed) for name in names for fn in TARGETS[name]]
     return {"target": target, "trials": trials, "tol": tol, "seed": seed,
             "checks": checks, "passed": all(c["passed"] for c in checks)}

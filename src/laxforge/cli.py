@@ -49,10 +49,10 @@ class RunConfig:
                 raise ValueError(f"unknown config key {key!r}")
         if "LAXFORGE_SEED" in os.environ:
             cfg.seed = int(os.environ["LAXFORGE_SEED"])
-        if any(v < 1 for v in cfg.orders.values()):
-            raise ValueError("orders must be >= 1")
-        if cfg.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if cfg.trials < 1 or any(v < 1 for v in cfg.orders.values()):
+            raise ValueError("trials and orders must be >= 1")
+        if not 0 < cfg.tolerance < float("inf"):  # NaN is refused too
+            raise ValueError("tolerance must be positive and finite")
         return cfg
 
 
@@ -204,10 +204,18 @@ def _cmd_boundary_extract(args, cfg) -> int:
 
 
 def _positive(text: str) -> int:
-    """An order, flow or charge index: refused at parse time below 1."""
+    """An order, flow or charge index or a trial count: refused at parse time below 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """A numeric tolerance: refused at parse time unless positive and finite."""
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return value
 
 
@@ -310,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("numeric", help="evaluate symbolic zeros numerically")
     p.add_argument("--target", type=_target, default="all",
                    help="a name in checks.TARGETS, or all")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--trials", type=_positive)
+    p.add_argument("--tol", type=_tolerance)
     p.add_argument("--seed", type=int)
     p.add_argument("--out-path")
     p.set_defaults(fn=_cmd_verify_numeric)

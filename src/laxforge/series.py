@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .atoms import ShapeError
-from .coeff import GaussianRational, ONE as GR_ONE, collect
+from .coeff import ONE as GR_ONE, collect
 from .matrices import PolyMatrix
 
 
@@ -129,9 +129,13 @@ class LaurentSeries:
                              {p + k: m for p, m in self.coeffs.items()},
                              None if low is None else -(low + k))
 
-    def map_coefficients(self, fn: Callable[[PolyMatrix], PolyMatrix]) -> "LaurentSeries":
+    def map_powers(self, fn: Callable[[int, PolyMatrix], PolyMatrix]) -> "LaurentSeries":
+        """Replace the coefficient m at each power p by fn(p, m)."""
         return LaurentSeries(self.mode, self.row_dims, self.col_dims,
-                             {p: fn(m) for p, m in self.coeffs.items()}, self.truncation)
+                             {p: fn(p, m) for p, m in self.coeffs.items()}, self.truncation)
+
+    def map_coefficients(self, fn: Callable[[PolyMatrix], PolyMatrix]) -> "LaurentSeries":
+        return self.map_powers(lambda p, m: fn(m))
 
     def differentiate_t(self):
         return self.map_coefficients(lambda m: m.differentiate_t())
@@ -190,8 +194,7 @@ def _split_lead(s: LaurentSeries, what: str):
     c = _constant_scalar(s.coeffs[k])
     if c is None:
         raise ValueError("leading coefficient is not a constant multiple of the identity")
-    cinv = GR_ONE / c
-    norm = s.shift(-k).map_coefficients(lambda m: m.scale(cinv))
+    norm = s.shift(-k) * (GR_ONE / c)
     n = norm - LaurentSeries.identity(s.mode, s.row_dims, truncation=norm.truncation)
     if not n.is_zero:
         if n.max_power >= 0:
@@ -202,8 +205,21 @@ def _split_lead(s: LaurentSeries, what: str):
     return c, k, n
 
 
+def _inverse_one_plus(n: LaurentSeries) -> LaurentSeries:
+    """(1 + n)^-1 to n's truncation, order by order, for n strictly negative in lam.
+
+    X_0 = 1 and X_m = -sum_{j=1..m} n_j X_{m-j}, with n_j the lam^-j coefficient;
+    n_j is the left factor, so the recurrence holds for noncommuting blocks too.
+    """
+    minus_n = (-n).coeffs
+    x = {0: PolyMatrix.identity(n.mode, n.row_dims)}
+    for m in range(1, (n.truncation or 0) + 1):
+        collect(((-m, minus_n[p] * x[-m - p]) for p in minus_n if -m - p in x), x)
+    return LaurentSeries(n.mode, n.row_dims, n.col_dims, x, n.truncation)
+
+
 def series_invert(s: LaurentSeries) -> LaurentSeries:
-    """Geometric-series inverse of c*lam^k*(1 + n) with constant invertible lead.
+    """Inverse of c*lam^k*(1 + n): lam^-k/c times the recurrence for (1 + n)^-1.
 
     The leading coefficient must be a constant multiple of the identity (the
     only case the hierarchy needs); n must be strictly lower order.  The
@@ -212,51 +228,30 @@ def series_invert(s: LaurentSeries) -> LaurentSeries:
     if s.row_dims != s.col_dims:
         raise ShapeError("inversion requires a square layout")
     c, k, n = _split_lead(s, "invert")
-    out = term = LaurentSeries.identity(s.mode, s.row_dims, truncation=n.truncation)
-    for _ in range(0 if n.is_zero else n.truncation + 1):
-        term = -(term * n)
-        if term.is_zero:
-            break
-        out = out + term
-    return out.map_coefficients(lambda m: m.scale(GR_ONE / c)).shift(-k)
+    return _inverse_one_plus(n).shift(-k) * (GR_ONE / c)
 
 
 def _constant_scalar(m: PolyMatrix):
     """If m == c * identity for a coefficient c, return c, else None."""
-    c = None
-    for i in range(len(m.row_dims)):
-        for j in range(len(m.col_dims)):
-            e = m.entries[i][j]
-            if i == j:
-                ct = e.constant_term()
-                if ct is None or e.strip_constant():
-                    return None
-                if c is None:
-                    c = ct
-                elif not (c == ct):
-                    return None
-            elif not e.is_zero:
-                return None
-    return c
+    diag = [m.entries[i][i] for i in range(len(m.row_dims))]
+    c = diag[0].constant_term()
+    if c is not None and m.is_diagonal() and all(
+            c == d.constant_term() and not d.strip_constant() for d in diag):
+        return c
+    return None
 
 
 def series_log(s: LaurentSeries):
-    """Mercator log of a scalar-shape series c*lam^k*(1 + n).
+    """log(1 + n) of a 1x1 scalar-mode series c*lam^k*(1 + n).
 
-    Returns ``(field_part, (c, k))``: the series log(1+n) to the stated
-    truncation plus the field-independent prefix as metadata.
+    With theta = lam*d/dlam, theta log(1 + n) = theta(n) * (1 + n)^-1, the
+    inverse from series_invert's recurrence; the lam^p coefficient is divided
+    by p.  The identity needs commuting coefficients: other modes are refused.
+    Returns ``(field_part, (c, k))``: log(1+n) to n's truncation and the
+    field-independent prefix as metadata.
     """
-    if s.row_dims != ("1",) or s.col_dims != ("1",):
-        raise ShapeError("series_log requires scalar shape")
+    if s.mode != "scalar" or s.row_dims != ("1",) or s.col_dims != ("1",):
+        raise ShapeError("series_log requires a 1x1 scalar-mode series")
     lead, k, n = _split_lead(s, "log")
-    if n.is_zero:
-        return LaurentSeries.zero(s.mode, ("1",), ("1",), s.truncation), (lead, k)
-    out = power = n
-    for j in range(2, n.truncation + 1):
-        power = power * n
-        if power.is_zero:
-            break
-        sign = 1 if j % 2 == 1 else -1
-        out = out + power.map_coefficients(
-            lambda m, j=j, sign=sign: m.scale(GaussianRational.of(Fraction(sign, j))))
-    return out, (lead, k)
+    theta_log = n.map_powers(lambda p, m: m.scale(p)) * _inverse_one_plus(n)
+    return theta_log.map_powers(lambda p, m: m.scale(Fraction(1, p))), (lead, k)

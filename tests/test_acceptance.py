@@ -80,11 +80,11 @@ def test_criterion_03_hierarchy_goldens():
     for n in range(1, 5):
         assert generate_u(n, "scalar").series.coeffs == T.u_gen_scalar(n).coeffs
         assert dress_u(n, "matrix").series.coeffs == T.u_dress_matrix(n).coeffs
-    for n in range(1, 9):
+    for n in range(1, 13):
         assert route_difference(n).is_zero, f"n={n}"
     report(3, "PASS", "both routes match their tables for n=1..4; routes agree "
                       "under N=M=1 up to the bare shift lam^(n-1)/2 * identity "
-                      "for n=1..8")
+                      "for n=1..12")
 
 
 def test_criterion_04_charges():

@@ -274,6 +274,14 @@ def test_run_all_checks_exits_1_on_a_failed_check(monkeypatch, capsys):
     assert "riccati" in capsys.readouterr().err
 
 
+def test_run_all_checks_refuses_zero_trials(monkeypatch, capsys):
+    import runpy
+    monkeypatch.setattr(sys, "argv", ["run_all_checks.py", "--trials", "0"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(REPO / "scripts" / "run_all_checks.py"), run_name="__main__")
+    assert exc.value.code == 2 and "--trials must be >= 1" in capsys.readouterr().err
+
+
 def test_golden_mismatch_fails(tmp_path, capsys):
     bad = tmp_path / "goldens"
     bad.mkdir()
@@ -305,13 +313,31 @@ def test_seed_env_applies_without_a_config_file(monkeypatch):
 
 def test_config_rejects_bad_values(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("order.riccati = 0\n")
     from laxforge.cli import RunConfig
-    with pytest.raises(ValueError):
-        RunConfig.from_file(str(cfg))
-    cfg.write_text("tolerance = -1\n")
-    with pytest.raises(ValueError):
-        RunConfig.from_file(str(cfg))
+    for line in ("order.riccati = 0", "tolerance = -1", "tolerance = nan",
+                 "tolerance = inf", "trials = 0", "trials = -3"):
+        cfg.write_text(line + "\n")
+        with pytest.raises(ValueError):
+            RunConfig.from_file(str(cfg))
+
+
+@pytest.mark.parametrize("argv", [["--trials", "0"], ["--trials", "-3"], ["--tol", "nan"],
+                                  ["--tol", "inf"], ["--tol", "0"], ["--tol=-1e-9"]])
+def test_verify_numeric_refuses_an_empty_or_unreadable_check(argv, capsys):
+    """Zero trials once passed with max_abs 0.0; a NaN or infinite tolerance
+    reached the report, and an infinite one passed every finite residual."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "numeric", "--target", "route", *argv])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "must be" in err
+
+
+def test_verify_numeric_refuses_zero_trials_from_a_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trials = 0\n")
+    code, out, err = run_cli("--config", str(cfg), "verify", "numeric", "--target",
+                             "route", capsys=capsys)
+    assert code == 2 and out == "" and "trials and orders must be >= 1" in err
 
 
 @pytest.mark.parametrize("line", ["mode = scalar", "format = json", "out-path = x.json",

@@ -200,3 +200,11 @@ def test_riccati_keeps_a_nan_mode(monkeypatch):
             lambda s, rng: float("nan") if mode == nan_mode else 1.0))
         rep = checks.check_riccati(4, 1e-9, 3)
         assert not rep["passed"] and np.isnan(rep["max_abs"]), nan_mode
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_run_numeric_refuses_fewer_than_one_trial(trials):
+    """With no sample drawn, every check would pass with max_abs 0.0."""
+    from laxforge.checks import run_numeric
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        run_numeric("route", trials, 1e-9, 7)

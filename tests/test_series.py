@@ -1,9 +1,12 @@
 """Laurent series arithmetic: truncation discipline, inverse, log."""
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laxforge.atoms import atom
+from laxforge.atoms import ShapeError, atom
+from laxforge.boundary import _bvar, promote_series
 from laxforge.coeff import gr
 from laxforge.matrices import PolyMatrix
 from laxforge.ncpoly import NCPolynomial
@@ -99,7 +102,7 @@ def test_log_mercator_example():
 @given(small_series())
 @settings(max_examples=30, deadline=None)
 def test_exp_log_roundtrip(s):
-    """exp(log(1+n)) == 1+n up to truncation, via the Mercator/Taylor series."""
+    """exp(log(1+n)) == 1+n up to truncation, exp summed as its Taylor series."""
     one11 = s
     log, (c, k) = series_log(one11)
     # exponentiate: sum log^j / j!
@@ -126,3 +129,98 @@ def test_exactness_no_floats():
         for row in sol.w(k).entries:
             for e in row:
                 assert all(isinstance(c, GaussianRational) for c in e.terms.values())
+
+
+def theta(s):
+    """lam*d/dlam: the lam^p coefficient times p."""
+    return s.map_powers(lambda p, m: m.scale(p))
+
+
+def mercator(n):
+    """The reference for series_log: the power sum sum_j (-1)^(j+1) n^j / j."""
+    out = power = n
+    for j in range(2, n.truncation + 1):
+        power = power * n
+        out = out + power * Fraction((-1) ** (j + 1), j)
+    return out
+
+
+def one_plus_part(s, c, k):
+    """(1 + n) = s / (c lam^k)."""
+    return s.shift(-k) * (gr(1) / c)
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def matrix_series(draw):
+    """c + sum_k lam^-k (rational mix of W and Z blocks), truncated: noncommuting
+    coefficients in the layout of the hierarchy's matrix mode."""
+    sol = solve_w_z(3, "matrix")
+    blocks = [sol.w(1), sol.w(2), sol.w(3), sol.z(1), sol.z(2)]
+    t = draw(st.integers(1, 3))
+    s = LaurentSeries.identity("matrix", ("N", "M"), truncation=t) \
+        * gr(draw(rationals.filter(bool)))
+    for k in range(1, t + 1):
+        for b in blocks:
+            w = draw(rationals)
+            if w:
+                s = s + LaurentSeries.of(b.scale(w), -k)
+    return s.truncated(t)
+
+
+@st.composite
+def boundary_ring_series(draw):
+    """A scalar series whose coefficients are Laurent polynomials in the
+    boundary constants, with a monomial (invertible) lead."""
+    names = st.sampled_from(("xi_p", "xi_m", "ka_p", "ka_m"))
+    s = promote_series(draw(small_series()))
+    weight = {p: _bvar(draw(names)) + p for p in s.coeffs}  # at p = 0 a monomial
+    return s.map_powers(lambda p, m: m.scale(weight[p]))
+
+
+@given(matrix_series())
+@settings(max_examples=20, deadline=None)
+def test_invert_defining_identity_matrix_mode(s):
+    for prod in (s * series_invert(s), series_invert(s) * s):
+        assert prod == LaurentSeries.identity("matrix", s.row_dims,
+                                              truncation=prod.truncation)
+
+
+@given(boundary_ring_series())
+@settings(max_examples=25, deadline=None)
+def test_invert_defining_identity_boundary_ring(s):
+    prod = s * series_invert(s)
+    one = promote_series(LaurentSeries.identity("scalar", ("1",), truncation=prod.truncation))
+    assert prod == one
+
+
+@given(small_series(), rationals.filter(bool), st.integers(-2, 2))
+@settings(max_examples=40, deadline=None)
+def test_log_theta_identity(body, c, shift):
+    """(1 + n) * theta(log(1 + n)) == theta(n), exactly to the truncation."""
+    s = body.shift(shift) * gr(c)
+    log, (lead, k) = series_log(s)
+    assert (lead, k) == (gr(c), shift)
+    one_plus_n = one_plus_part(s, lead, k)
+    n = one_plus_n - LaurentSeries.identity("scalar", ("1",), truncation=log.truncation)
+    assert one_plus_n * theta(log) == theta(n)
+
+
+@given(small_series())
+@settings(max_examples=40, deadline=None)
+def test_log_matches_the_mercator_sum(s):
+    """small_series keeps the power sum at truncation <= 4."""
+    log, (c, k) = series_log(s)
+    n = one_plus_part(s, c, k) - LaurentSeries.identity("scalar", ("1",),
+                                                        truncation=s.truncation)
+    assert log == mercator(n)
+
+
+@pytest.mark.parametrize("mode, dims", [("matrix", ("1",)), ("matrix", ("N",)),
+                                        ("scalar", ("1", "1"))])
+def test_log_refuses_all_but_1x1_scalar_mode(mode, dims):
+    """The theta identity needs commuting coefficients."""
+    with pytest.raises(ShapeError):
+        series_log(LaurentSeries.identity(mode, dims).truncated(3))

@@ -16,7 +16,7 @@ import numpy as np
 from .atoms import FIELD_BASES, atom
 from .hierarchy import (dress_u, extract_eom, generate_u, nls_v_operator,
                         verify_conservation, zero_curvature_residual)
-from .oracle import ExponentialSolution, FieldSample, evaluate
+from .oracle import ExponentialSolution, FieldSample, atom_values, evaluate, plan
 from .riccati import (p_a_matrix, sigma_matrix, solve_gamma, solve_w_z, x_matrix,
                       y_matrix)
 
@@ -28,8 +28,11 @@ def _worst(trials: int, seed: int, residual, rng: random.Random | None = None):
     generator seeded with ``seed``); the residual may draw its point from the
     same generator.  ``worst_seed`` names the sample of ``max_abs``, or
     ``seed`` when no residual is positive.  A NaN residual is the worst
-    result: the first one is kept, so the report fails.
+    result: the first one is kept, so the report fails.  Fewer than one
+    trial is refused: a check that samples nothing certifies nothing.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = rng or random.Random(seed)
     max_abs, worst_seed = 0.0, seed
     for _ in range(trials):
@@ -58,11 +61,13 @@ def identity_check(lhs, rhs, trials: int, tol: float, seed: int = 0,
                    name: str = "identity", mode: str = "scalar",
                    lam: complex | None = None, params: dict | None = None) -> dict:
     """Max |lhs - rhs| over random samples and points; never raises on failure."""
+    lhs, rhs = plan(lhs, params), plan(rhs, params)
+
     def residual(s_seed, rng):
         sample = FieldSample.random(s_seed, mode)
         point = _point(rng, 2)
-        a = evaluate(lhs, sample, point, lam, params)
-        b = evaluate(rhs, sample, point, lam, params)
+        a = evaluate(lhs, sample, point, lam)
+        b = evaluate(rhs, sample, point, lam)
         return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
     return _report(name, trials, tol, *_worst(trials, seed, residual))
 
@@ -70,25 +75,25 @@ def identity_check(lhs, rhs, trials: int, tol: float, seed: int = 0,
 def _riccati_residual(mode: str, order: int):
     """Residual of one mode's anti-diagonal system, one order k at a time."""
     sol = solve_w_z(order, mode)
-    W = {k: sol.w(k) for k in range(1, order + 1)}
-    dW = {k: W[k].differentiate_t() for k in W}
-    X, PA = x_matrix(mode), p_a_matrix(mode)
-    Sig = sigma_matrix(mode)
-    YD_blocks = y_matrix(mode)  # diagonal part only is needed
+    W = {k: plan(sol.w(k)) for k in range(1, order + 1)}
+    dW = {k: plan(sol.w(k).differentiate_t()) for k in W}
+    X, PA = plan(x_matrix(mode)), plan(p_a_matrix(mode))
+    Sig = plan(sigma_matrix(mode))
+    YD_blocks = plan(y_matrix(mode))  # diagonal part only is needed
 
     def residual(s_seed, rng):
         sample = FieldSample.random(s_seed, mode)
         point = _point(rng, 2)
-        Xv = np.atleast_2d(evaluate(X, sample, point))
-        PAv = np.atleast_2d(evaluate(PA, sample, point))
-        Sv = np.atleast_2d(evaluate(Sig, sample, point))
-        Yv = np.atleast_2d(evaluate(YD_blocks, sample, point))
+        Xv = evaluate(X, sample, point)
+        PAv = evaluate(PA, sample, point)
+        Sv = evaluate(Sig, sample, point)
+        Yv = evaluate(YD_blocks, sample, point)
         Yd = np.zeros_like(Yv)
         n = Xv.shape[0] // 2 if mode == "scalar" else sample.dims[0]
         Yd[:n, :n] = Yv[:n, :n]
         Yd[n:, n:] = Yv[n:, n:]
-        Wv = {k: np.atleast_2d(evaluate(W[k], sample, point)) for k in W}
-        dWv = {k: np.atleast_2d(evaluate(dW[k], sample, point)) for k in W}
+        Wv = {k: evaluate(W[k], sample, point) for k in W}
+        dWv = {k: evaluate(dW[k], sample, point) for k in W}
         ds = []
         for k in range(-1, order - 1):
             r = np.zeros_like(Xv)
@@ -119,30 +124,32 @@ def check_riccati(trials: int, tol: float, seed: int, order: int = 5) -> dict:
     For each k <= order-2 the five contributions (time derivative, both
     commutator parts, both quadratic convolutions, inhomogeneity) are
     evaluated separately and summed as complex matrices.  ``worst_seed``
-    names the sample of the mode whose maximum is reported.
+    names the sample of the mode whose maximum is reported; each mode draws
+    ``per_mode_trials = (trials + 1) // 2`` samples.
     """
     rng = random.Random(seed)
-    worst = {mode: _worst(max(1, trials // 2), seed, _riccati_residual(mode, order), rng)
+    per_mode = (trials + 1) // 2
+    worst = {mode: _worst(per_mode, seed, _riccati_residual(mode, order), rng)
              for mode in ("scalar", "matrix")}
     max_abs, worst_seed = max(worst.values(), key=lambda w: (w[0] != w[0], w[0]))
     return _report("riccati", trials, tol, max_abs, worst_seed, order=order,
-                   per_mode={mode: w[0] for mode, w in worst.items()})
+                   per_mode={mode: w[0] for mode, w in worst.items()},
+                   per_mode_trials=per_mode)
 
 
 def check_gamma(trials: int, tol: float, seed: int, order: int = 5) -> dict:
     """Matrix Riccati recursion residual with numpy matrix arithmetic."""
     sol = solve_gamma(order)
-    G = {k: sol.gamma(k) for k in range(1, order + 1)}
-    dG = {k: G[k].differentiate_t() for k in G}
+    G = {k: plan(sol.gamma(k)) for k in range(1, order + 1)}
+    dG = {k: plan(sol.gamma(k).differentiate_t()) for k in G}
+    fields = [atom(b, mode="matrix") for b in FIELD_BASES]
 
     def residual(s_seed, rng):
         sample = FieldSample.random(s_seed, "matrix")
         point = _point(rng, 2)
-        Gv = {k: np.atleast_2d(evaluate(G[k], sample, point)) for k in G}
-        dGv = {k: np.atleast_2d(evaluate(dG[k], sample, point)) for k in G}
-        uv, uhv, piv, pihv = (
-            np.atleast_2d(sample.atom_value(atom(b, mode="matrix"), *point))
-            for b in FIELD_BASES)
+        Gv = {k: evaluate(G[k], sample, point) for k in G}
+        dGv = {k: evaluate(dG[k], sample, point) for k in G}
+        uv, uhv, piv, pihv = atom_values(sample, fields, *point)
         uuhv, uhuv = uv @ uhv, uhv @ uv
         ds = []
         for k in range(-1, order - 1):
@@ -160,13 +167,13 @@ def check_gamma(trials: int, tol: float, seed: int, order: int = 5) -> dict:
                 r = r - pihv
             ds.append(float(np.max(np.abs(r))))
         return float(np.max(ds))
-    return _report("gamma", trials, tol, *_worst(max(1, trials), seed, residual),
+    return _report("gamma", trials, tol, *_worst(trials, seed, residual),
                    order=order)
 
 
 def check_eom(trials: int, tol: float, seed: int) -> dict:
     """Zero-curvature residual of the second flow on exact exponential solutions."""
-    res = zero_curvature_residual(generate_u(2, "scalar"), nls_v_operator("scalar"))
+    res = plan(zero_curvature_residual(generate_u(2, "scalar"), nls_v_operator("scalar")))
 
     def residual(s_seed, rng):
         sol = ExponentialSolution.random(s_seed)
@@ -179,12 +186,13 @@ def check_eom(trials: int, tol: float, seed: int) -> dict:
 def check_dispersion(trials: int, tol: float, seed: int) -> dict:
     """EOM residual of the exponential family itself (dispersion relation)."""
     rules = extract_eom(generate_u(2, "scalar"), nls_v_operator("scalar"))
+    evolution = [plan(e) for e in rules.evolution.values()]
 
     def residual(s_seed, rng):
         sol = ExponentialSolution.random(s_seed)
         point = _point(rng, 0.5)
         return float(np.max([float(abs(evaluate(e, sol, point)))
-                             for e in rules.evolution.values()]))
+                             for e in evolution]))
     return _report("dispersion", trials, tol, *_worst(trials, seed, residual))
 
 
@@ -193,7 +201,8 @@ def check_conservation(trials: int, tol: float, seed: int, max_k: int = 3) -> di
     pairs = []
     for k in range(1, max_k + 1):
         proof = verify_conservation(k)
-        pairs.append((proof.density.differentiate_x(), proof.flux.differentiate_t()))
+        pairs.append((plan(proof.density.differentiate_x()),
+                      plan(proof.flux.differentiate_t())))
 
     def residual(s_seed, rng):
         sol = ExponentialSolution.random(s_seed)
@@ -249,7 +258,7 @@ def check_algebra(trials: int, tol: float, seed: int) -> dict:
 
 def check_route(trials: int, tol: float, seed: int, max_n: int = 4) -> dict:
     """Generating vs dressing route, numerically, including the bare shift."""
-    ops = [(generate_u(n, "scalar").series, dress_u(n, "scalar").series, n)
+    ops = [(plan(generate_u(n, "scalar").series), plan(dress_u(n, "scalar").series), n)
            for n in range(1, max_n + 1)]
 
     def residual(s_seed, rng):
@@ -276,9 +285,7 @@ TARGETS = {
 
 
 def run_numeric(target: str, trials: int, tol: float, seed: int) -> dict:
-    """Run one target (or 'all') with at least one trial; returns a canonical report dict."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    """Run one target (or 'all'); returns a canonical report dict."""
     if target not in (*TARGETS, "all"):
         raise ValueError(f"unknown target {target!r}")
     names = sorted(TARGETS) if target == "all" else [target]

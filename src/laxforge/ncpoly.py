@@ -317,7 +317,9 @@ def _rewrite_once(p: NCPolynomial, rules) -> NCPolynomial | None:
 def nc_mul(p: NCPolynomial, q: NCPolynomial) -> NCPolynomial:
     """Bilinear product; concatenation in matrix mode, canonical sort in scalar.
 
-    Trace mode raises ValueError: tr(a)tr(b) is not the trace of a word.
+    Trace mode raises ValueError: tr(a)tr(b) is not the trace of a word.  In
+    matrix mode each factor's words already chain and the shapes were
+    checked to meet, so a product word is the concatenation as it stands.
     """
     if p.mode != q.mode:
         raise ValueError("mode mismatch")
@@ -325,10 +327,14 @@ def nc_mul(p: NCPolynomial, q: NCPolynomial) -> NCPolynomial:
         raise ValueError("traces do not multiply as words")
     if p.shape[1] != q.shape[0]:
         raise ShapeError(f"cannot multiply shapes {p.shape} and {q.shape}")
-    mode = p.mode
-    return _poly(mode, (p.shape[0], q.shape[1]), collect(
-        (make_word(w1.atoms + w2.atoms, mode), c1 * c2)
-        for w1, c1 in p.terms.items() for w2, c2 in q.terms.items()))
+    mode, left, right = p.mode, p.terms.items(), q.terms.items()
+    if mode == "matrix":
+        products = ((Word(w1.atoms + w2.atoms), c1 * c2)
+                    for w1, c1 in left for w2, c2 in right)
+    else:
+        products = ((make_word(w1.atoms + w2.atoms, mode), c1 * c2)
+                    for w1, c1 in left for w2, c2 in right)
+    return _poly(mode, (p.shape[0], q.shape[1]), collect(products))
 
 
 def scalarize(p: NCPolynomial) -> NCPolynomial:

@@ -113,6 +113,17 @@ def test_shape_chaining_preserved(p):
     assert q == p
 
 
+@given(matrix_polys(), matrix_polys())
+@settings(max_examples=60, deadline=None)
+def test_matrix_product_words_are_canonical(p, q):
+    """nc_mul concatenates matrix words without make_word; the result is the
+    word make_word would build, and its shapes chain."""
+    if p.shape[1] != q.shape[0]:
+        q = NCPolynomial.unit("matrix", p.shape[1])
+    for w in nc_mul(p, q).terms:
+        assert make_word(w.atoms, "matrix") == w
+
+
 # -- substitution ----------------------------------------------------------------
 
 def test_substitute_momentum():

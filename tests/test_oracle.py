@@ -1,14 +1,22 @@
 """Numeric oracle: exact evaluation, identity checks, finite differences."""
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from laxforge.atoms import atom
+from laxforge.atoms import FIELD_BASES, MATRIX_SHAPES, atom, make_word
 from laxforge.checks import identity_check
-from laxforge.ncpoly import NCPolynomial
+from laxforge.coeff import GaussianRational, gr
+from laxforge.matrices import PolyMatrix
+from laxforge.ncpoly import NCPolynomial, trace
 from laxforge.oracle import (ExponentialSolution, FieldSample,
                              UnhousedAtomError, evaluate,
                              finite_difference_crosscheck)
 from laxforge.parser import parse_poly
+from laxforge.ratfunc import MPoly
 from laxforge.series import LaurentSeries
 
 
@@ -208,3 +216,199 @@ def test_run_numeric_refuses_fewer_than_one_trial(trials):
     from laxforge.checks import run_numeric
     with pytest.raises(ValueError, match="trials must be >= 1"):
         run_numeric("route", trials, 1e-9, 7)
+
+
+# -- the compiled evaluation against the per-term algorithm ---------------------
+
+def _reference(expr, sample, point, lam=None, params=None):
+    """Per-term evaluation: every atom of every word evaluated afresh, each
+    entry summed in its own array and the blocks joined by ``np.block``."""
+    t, x = point
+
+    def coeff(c):
+        return c.to_complex() if isinstance(c, GaussianRational) else c.eval(params)
+
+    def poly(p):
+        rows, cols = map(sample.dim_of, p.shape)
+        out = np.zeros((rows, cols), dtype=complex)
+        for w, c in p.terms.items():
+            if not w.atoms:
+                out += coeff(c) * np.eye(rows, cols, dtype=complex)
+                continue
+            val = None
+            for a in w.atoms:
+                v = np.atleast_2d(sample.atom_value(a, t, x))
+                val = v if val is None else val @ v
+            out += coeff(c) * (np.trace(val) if p.mode == "trace" else val)
+        if out.shape == (1, 1) and (p.mode == "scalar" or p.shape == ("1", "1")):
+            return out[0, 0]
+        return out
+
+    def matrix(m):
+        return np.block([[np.atleast_2d(poly(e)) for e in row] for row in m.entries])
+
+    if isinstance(expr, NCPolynomial):
+        return poly(expr)
+    if isinstance(expr, PolyMatrix):
+        return matrix(expr)
+    out = np.zeros((sum(map(sample.dim_of, expr.row_dims)),
+                    sum(map(sample.dim_of, expr.col_dims))), dtype=complex)
+    for p, m in expr.coeffs.items():
+        out = out + matrix(m) * lam ** p
+    return out
+
+
+_FROM = {d: [b for b in FIELD_BASES if MATRIX_SHAPES[b][0] == d] for d in ("N", "M")}
+_GAUSSIAN = st.builds(lambda a, b, d: gr(Fraction(a, d), Fraction(b, d)),
+                      st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4))
+_MPOLY = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(-2, 1)), _GAUSSIAN,
+                         max_size=3).map(lambda terms: MPoly(("xi", "ka"), terms))
+
+
+@st.composite
+def _word(draw, mode, rows, cols):
+    """A word from block dimension ``rows`` to ``cols`` (any word in scalar mode)."""
+    def derivs():
+        return draw(st.integers(0, 2)), draw(st.integers(0, 1))
+    if mode == "scalar":
+        return [atom(draw(st.sampled_from(FIELD_BASES)), *derivs(), mode="scalar")
+                for _ in range(draw(st.integers(0, 4)))]
+    atoms, dim = [], rows
+    for _ in range(2 * draw(st.integers(0, 2)) + (rows != cols)):
+        base = draw(st.sampled_from(_FROM[dim]))
+        atoms.append(atom(base, *derivs(), mode="matrix"))
+        dim = MATRIX_SHAPES[base][1]
+    return atoms
+
+
+@st.composite
+def _poly(draw, mode, rows="N", cols="N", coeffs=_GAUSSIAN):
+    shape = ("1", "1") if mode == "scalar" else (rows, cols)
+    words = draw(st.lists(_word(mode, rows, cols), max_size=4))
+    return NCPolynomial(mode, shape, {make_word(w, mode): draw(coeffs) for w in words})
+
+
+def _block_dims(mode):
+    return ("1", "1") if mode == "scalar" else ("N", "M")
+
+
+@st.composite
+def _poly_matrix(draw, mode):
+    dims = _block_dims(mode)
+    return PolyMatrix(mode, dims, dims, [[draw(_poly(mode, r, c)) for c in dims]
+                                         for r in dims])
+
+
+@st.composite
+def _series(draw, mode):
+    dims = _block_dims(mode)
+    powers = draw(st.sets(st.integers(-3, 3), max_size=3))
+    return LaurentSeries(mode, dims, dims, {p: draw(_poly_matrix(mode)) for p in powers})
+
+
+def _traced(p):
+    return trace(NCPolynomial("matrix", p.shape,
+                              {w: c for w, c in p.terms.items() if w.atoms}))
+
+
+_DIM_PAIRS = st.sampled_from([("N", "N"), ("N", "M"), ("M", "N"), ("M", "M")])
+_MODES = st.sampled_from(["scalar", "matrix"])
+EXPRESSIONS = {
+    "scalar": _poly("scalar"),
+    "matrix": _DIM_PAIRS.flatmap(lambda d: _poly("matrix", *d)),
+    "trace": st.sampled_from(["N", "M"]).flatmap(lambda d: _poly("matrix", d, d)).map(_traced),
+    "poly-matrix": _MODES.flatmap(_poly_matrix),
+    "series": _MODES.flatmap(_series),
+    "mpoly-coefficients": _poly("scalar", coeffs=_MPOLY),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EXPRESSIONS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_plan_matches_the_per_term_evaluation(kind, data):
+    expr = data.draw(EXPRESSIONS[kind])
+    seed = data.draw(st.integers(0, 2 ** 31 - 1))
+    if expr.mode == "scalar":
+        samples = [FieldSample.random(seed), ExponentialSolution.random(seed)]
+    else:
+        dims = data.draw(st.sampled_from([(2, 1), (1, 2), (2, 2)]))
+        samples = [FieldSample.random(seed, "matrix", dims)]
+    coord = st.floats(-1, 1)
+    point = (data.draw(coord), data.draw(coord))
+    lam = complex(data.draw(st.floats(0.5, 2)), data.draw(coord))
+    params = {"xi": complex(data.draw(coord), data.draw(coord)),
+              "ka": complex(data.draw(st.floats(0.5, 2)), data.draw(coord))}
+    for sample in samples:
+        got = evaluate(expr, sample, point, lam, params)
+        want = _reference(expr, sample, point, lam, params)
+        assert np.shape(got) == np.shape(want)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_each_atom_is_evaluated_once_per_sample_and_point(monkeypatch):
+    calls = []
+    value = FieldSample.atom_value
+
+    def counted(self, a, t, x):
+        calls.append(str(a))
+        return value(self, a, t, x)
+    monkeypatch.setattr(FieldSample, "atom_value", counted)
+    sample, point = FieldSample.random(4), (0.1, 0.2)
+    p, q = parse_poly("u*u*uh + u_t*uh"), parse_poly("u*uh_x")
+    for _ in range(2):
+        evaluate(p, sample, point)
+        evaluate(q, sample, point)
+    assert sorted(calls) == ["u", "u_t", "uh", "uh_x"]
+    evaluate(p, sample, (0.3, 0.2))              # another point misses
+    evaluate(p, FieldSample.random(4), point)    # and so does another sample
+    assert len(calls) == 4 + 3 + 3
+
+
+@pytest.mark.parametrize("sample", [FieldSample.random(3), ExponentialSolution.random(3)],
+                         ids=["trig", "exponential"])
+def test_x_derivatives_of_other_flows_are_refused(sample):
+    """u_x4 once evaluated silently as u_x: only flow 2 has an evaluator."""
+    u_x4 = atom("u", dx=1, mode="scalar", flow=4)
+    with pytest.raises(UnhousedAtomError):
+        sample.atom_value(u_x4, 0.1, 0.2)
+    with pytest.raises(UnhousedAtomError):
+        evaluate(NCPolynomial.from_atom(u_x4, "scalar"), sample, (0.1, 0.2))
+    assert evaluate(parse_poly("u_x"), sample, (0.1, 0.2)) == sample.atom_value(
+        atom("u", dx=1, mode="scalar"), 0.1, 0.2)
+
+
+def test_battery_worst_seeds_are_pinned():
+    """The compiled route rounds as the per-term one did, so each check still
+    names the same worst sample (values recorded before plans existed)."""
+    from laxforge.checks import run_numeric
+    rep = run_numeric("all", 20, 1e-9, seed=7)
+    assert {c["name"]: c["worst_seed"] for c in rep["checks"]} == {
+        "algebra": 404285457, "conservation": 1836494974, "eom": 346094055,
+        "dispersion": 1836494974, "riccati": 507088656, "gamma": 949539216,
+        "route": 1475216845}
+    assert rep["passed"]
+
+
+def test_checks_refuse_fewer_than_one_trial():
+    """A check that samples nothing once passed with max_abs 0.0."""
+    from laxforge.checks import check_gamma
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        identity_check(parse_poly("u"), parse_poly("u"), trials=0, tol=1e-9)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        check_gamma(0, 1e-9, 7)
+
+
+@pytest.mark.parametrize("trials, per_mode", [(1, 1), (2, 1), (3, 2), (4, 2)])
+def test_riccati_reports_the_samples_it_draws(monkeypatch, trials, per_mode):
+    from laxforge import checks
+    drawn = Counter()
+    draw = FieldSample.random
+
+    def logged(seed, mode="scalar", dims=(2, 1)):
+        drawn[mode] += 1
+        return draw(seed, mode, dims)
+    monkeypatch.setattr(FieldSample, "random", staticmethod(logged))
+    rep = checks.check_riccati(trials, 1e-9, 5)
+    assert rep["trials"] == trials and rep["per_mode_trials"] == per_mode
+    assert drawn == {"scalar": per_mode, "matrix": per_mode}

@@ -9,6 +9,11 @@ and Poisson checks are polynomial identities in that ring with their
 Poisson check reads its Lax operators from the engine (``nls_v`` and
 ``dress_u(2)``); the only operators typed here are K and the two boundary
 operators.
+
+A polynomial may hold Gaussian-rational and MPoly coefficients at once (see
+``ratfunc``), so the engine's ``1 + W``, ``Omega`` and ``dress_u(2)`` enter
+as they are.  K's entries are typed once (``_k_blocks``); ``k_matrix`` and
+``_k_series`` both read them.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .atoms import atom
-from .coeff import GaussianRational, collect, gr
+from .coeff import I, ONE, ZERO, GaussianRational, collect, gr
 from .hierarchy import LaxOperator, dress_u
 from .matrices import PolyMatrix
 from .ncpoly import NCPolynomial, eliminate, sole_word
@@ -27,8 +32,6 @@ from .series import LaurentSeries, series_invert, series_log
 RVARS = ("lam", "mu", "xi", "ka")          # reflection-equation working variables
 PVARS = ("lam", "mu", "u", "uh", "pi", "pih")  # Poisson check: scalar fields commute
 BVARS = ("xi_p", "xi_m", "ka_p", "ka_m")   # boundary constants for charge work
-
-_I = gr(0, 1)
 
 
 class BoundaryParamError(ValueError):
@@ -47,13 +50,10 @@ class BoundaryParams:
         if self.ka_p == 0 or self.ka_m == 0:
             raise BoundaryParamError("kappa constants must be nonzero")
 
-    def values(self) -> dict[str, Fraction]:
-        out = {}
-        for name in BVARS:
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = Fraction(v)
-        return out
+    def values(self) -> dict[str, GaussianRational]:
+        """The constants that are given, by their names in BVARS."""
+        return {name: gr(Fraction(v)) for name in BVARS
+                if (v := getattr(self, name)) is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -67,13 +67,20 @@ def permutation_matrix(vars=RVARS) -> MPolyMatrix:
                                for c in range(4)] for r in range(4)])
 
 
+def _k_blocks(xi, ka) -> dict:
+    """K(lam) = [[lam + i xi, i ka lam], [i ka lam, -lam + i xi]] by power of lam.
+
+    The one place K's entries are typed, over whichever ring xi and ka are from.
+    """
+    return {1: [[ONE, I * ka], [I * ka, -ONE]], 0: [[I * xi, ZERO], [ZERO, I * xi]]}
+
+
 def k_matrix() -> MPolyMatrix:
-    """Two-parameter boundary matrix [[lam + i xi, i ka lam], [i ka lam, -lam + i xi]]."""
+    """The two-parameter boundary matrix K(lam) over RVARS."""
     lam, xi, ka = (MPoly.variable(RVARS, v) for v in ("lam", "xi", "ka"))
-    return MPolyMatrix(RVARS, [
-        [lam + _I * xi, _I * ka * lam],
-        [_I * ka * lam, -lam + _I * xi],
-    ])
+    k = _k_blocks(xi, ka)
+    return MPolyMatrix(RVARS, [[lam * a + b for a, b in zip(r1, r0)]
+                               for r1, r0 in zip(k[1], k[0])])
 
 
 def reflection_residual(k: MPolyMatrix) -> MPolyMatrix:
@@ -166,69 +173,53 @@ def poisson_antisymmetry_defect(which: str = "V") -> MPolyMatrix:
 # boundary Lax operators and boundary conditions
 # ---------------------------------------------------------------------------
 
-def _bconst(c) -> MPoly:
-    return c if isinstance(c, MPoly) else MPoly.constant(BVARS, c)
+def _end_constants(side: str) -> tuple[MPoly, MPoly]:
+    """(xi, ka) of the end at t = +tau (side "+") or t = -tau ("-"), over BVARS."""
+    if side not in ("+", "-"):
+        raise ValueError("side must be '+' or '-'")
+    end = "p" if side == "+" else "m"
+    return MPoly.variable(BVARS, f"xi_{end}"), MPoly.variable(BVARS, f"ka_{end}")
 
 
-def _bvar(name) -> MPoly:
-    return MPoly.variable(BVARS, name)
+def _bfield(base, coeff=ONE) -> NCPolynomial:
+    return NCPolynomial.from_atom(atom(base, mode="scalar"), "scalar", coeff)
 
 
-def _bpoly_const(c) -> NCPolynomial:
-    return NCPolynomial.unit("scalar", "1", _bconst(c))
+def _lam_series(blocks: dict) -> LaurentSeries:
+    """The 2x2 scalar-mode series sum_p lam^p m_p of ``{p: m_p}``.
 
-
-def _bfield(base, coeff=None) -> NCPolynomial:
-    p = NCPolynomial.from_atom(atom(base, mode="scalar"), "scalar")
-    return p.map_coeff(lambda c: _bconst(c) * (coeff if coeff is not None else _bconst(1)))
-
-
-def promote_poly(p: NCPolynomial) -> NCPolynomial:
-    """Lift Gaussian-rational coefficients into the boundary-constant ring."""
-    return p.map_coeff(lambda c: _bconst(c))
-
-
-def promote_matrix(m: PolyMatrix) -> PolyMatrix:
-    return m.map_entries(promote_poly)
-
-
-def promote_series(s: LaurentSeries) -> LaurentSeries:
-    return s.map_coefficients(promote_matrix)
-
-
-def _two_by_two(e11, e12, e21, e22) -> PolyMatrix:
-    return PolyMatrix("scalar", ("1", "1"), ("1", "1"), [[e11, e12], [e21, e22]])
+    An entry is a polynomial, or a ring element standing for its constant.
+    """
+    def poly(e):
+        return e if isinstance(e, NCPolynomial) else NCPolynomial.unit("scalar", "1", e)
+    terms = [LaurentSeries.of(PolyMatrix("scalar", ("1", "1"), ("1", "1"),
+                                         [[poly(e) for e in row] for row in m]), p)
+             for p, m in blocks.items()]
+    return sum(terms[1:], terms[0])
 
 
 def bulk_u2() -> LaxOperator:
     """The second-flow bulk operator in the half-normalized convention."""
-    return LaxOperator(promote_series(dress_u(2, "scalar").series), flow=2, mode="scalar")
+    return dress_u(2, "scalar")
 
 
 def boundary_u(side: str, params: BoundaryParams | None = None) -> LaxOperator:
     """Boundary operator at t = +tau or t = -tau (parametric constructor)."""
     params = params or BoundaryParams()
     params.check_kappa()
-    z = NCPolynomial.zero("scalar", ("1", "1"))
     half = gr(Fraction(1, 2))
-    if side == "+":
-        ka, xi, fld = _bvar("ka_p"), _bvar("xi_p"), "u"
-    elif side == "-":
-        ka, xi, fld = _bvar("ka_m"), _bvar("xi_m"), "uh"
-    else:
-        raise ValueError("side must be '+' or '-'")
-    i_over_ka = _bconst(_I) / ka
+    xi, ka = _end_constants(side)
+    fld = "u" if side == "+" else "uh"
+    i_over_ka = I / ka
     diag_field = _bfield(fld, i_over_ka)
-    corner = _bfield(fld) + _bpoly_const(xi / ka)
-    lam1_corner = _bpoly_const(i_over_ka)
+    corner = _bfield(fld) + NCPolynomial.unit("scalar", "1", xi / ka)
     if side == "+":
-        lam1 = _two_by_two(_bpoly_const(half), lam1_corner, z, _bpoly_const(-half))
-        lam0 = _two_by_two(-diag_field, corner, _bfield("u"), diag_field)
+        lam1 = [[half, i_over_ka], [ZERO, -half]]
+        lam0 = [[-diag_field, corner], [_bfield("u"), diag_field]]
     else:
-        lam1 = _two_by_two(_bpoly_const(half), z, lam1_corner, _bpoly_const(-half))
-        lam0 = _two_by_two(-diag_field, _bfield("uh"), corner, diag_field)
-    series = LaurentSeries.of(lam1, 1) + LaurentSeries.of(lam0, 0)
-    return LaxOperator(series, flow=2, mode="scalar")
+        lam1 = [[half, ZERO], [i_over_ka, -half]]
+        lam0 = [[-diag_field, _bfield("uh")], [corner, diag_field]]
+    return LaxOperator(_lam_series({1: lam1, 0: lam0}), flow=2, mode="scalar")
 
 
 @dataclass
@@ -273,14 +264,8 @@ def extract_boundary_conditions(bulk: LaxOperator, bdry: LaxOperator,
 # ---------------------------------------------------------------------------
 
 def _k_series(side: str) -> LaurentSeries:
-    """K matrix as a lam-linear series with boundary-constant coefficients."""
-    xi, ka = (_bvar("xi_p"), _bvar("ka_p")) if side == "+" else (_bvar("xi_m"), _bvar("ka_m"))
-    i = _bconst(_I)
-    z = NCPolynomial.zero("scalar", ("1", "1"))
-    lam1 = _two_by_two(_bpoly_const(1), _bpoly_const(i * ka),
-                       _bpoly_const(i * ka), _bpoly_const(-1))
-    lam0 = _two_by_two(_bpoly_const(i * xi), z, z, _bpoly_const(i * xi))
-    return LaurentSeries.of(lam1, 1) + LaurentSeries.of(lam0, 0)
+    """K of one end as a lam-linear series over BVARS."""
+    return _lam_series(_k_blocks(*_end_constants(side)))
 
 
 def _hat(series: LaurentSeries) -> LaurentSeries:
@@ -320,34 +305,39 @@ def open_charge_expansion(params: BoundaryParams | None = None,
     params = params or BoundaryParams()
     params.check_kappa()
     sol = solve_w_z(order, "scalar")
-    one_plus_w = promote_series(sol.one_plus_w())
+    one_plus_w = sol.one_plus_w()
     one_plus_what = _hat(one_plus_w)
-    omega = LaurentSeries.of(promote_matrix(omega_matrix("scalar"))).truncated(order)
+    omega = LaurentSeries.of(omega_matrix("scalar")).truncated(order)
+    values = params.values()
 
-    read = 2  # the power of each log that is read: the lam^-2 charge
     a_fac = _transpose_series(one_plus_what) * (omega * _k_series("+").truncated(order)) \
         * one_plus_w
-    w_plus = a_fac.block(0, 0)
-    log_plus, prefix_plus = series_log(w_plus.truncated(read))
+    w_plus, plus_term, prefix_plus = _end_term(a_fac, values)
 
     inv_w = series_invert(one_plus_w)   # lam -> -lam is a ring automorphism:
     inv_what = _hat(inv_w)               # (1 + What)^-1 is the hat of (1 + W)^-1
     b_fac = inv_w * (_k_series("-").truncated(order) * omega) * _transpose_series(inv_what)
-    w_minus = b_fac.block(0, 0)
-    log_minus, prefix_minus = series_log(w_minus.truncated(read))
+    w_minus, minus_term, prefix_minus = _end_term(b_fac, values)
 
-    half = gr(Fraction(1, 2))
-    plus_term = log_plus.coefficient(-read).entries[0][0].scale(half).strip_constant()
-    minus_term = log_minus.coefficient(-read).entries[0][0].scale(half).strip_constant()
-
-    # bulk part: (Z11 + Z11-hat)/2 at lam^-2 equals the closed-chain density
-    z11 = sol.z(2).entries[0][0]
-    bulk = promote_poly(z11)  # hat contributes the same sign at even order
-
-    pv = params.values()
-    if pv:
-        sub = {k: GaussianRational.of(v) for k, v in pv.items()}
-        plus_term = plus_term.map_coeff(lambda c: c.subs_values(sub))
-        minus_term = minus_term.map_coeff(lambda c: c.subs_values(sub))
+    # bulk part: (Z11 + Z11-hat)/2 at lam^-2 equals the closed-chain density;
+    # the hat contributes the same sign at even order
+    bulk = sol.z(2).entries[0][0]
     return OpenChargeExpansion(order, bulk, plus_term, minus_term,
                                prefix_plus, prefix_minus, w_plus, w_minus)
+
+
+def _end_term(factor: LaurentSeries, values: dict):
+    """One end's generator, boundary term and log prefix from its reflected product.
+
+    The generator is block 11 of ``factor``.  Only lam^-2 of its log is read
+    (the charge), so it is logged cut there; that coefficient is halved, its
+    field-independent constant stripped and ``values`` substituted for the
+    constants they name.
+    """
+    read = 2
+    generator = factor.block(0, 0)
+    log, prefix = series_log(generator.truncated(read))
+    term = log.coefficient(-read).entries[0][0].scale(gr(Fraction(1, 2))).strip_constant()
+    if values:
+        term = term.map_coeff(lambda c: c.subs_values(values))
+    return generator, term, prefix

@@ -4,11 +4,11 @@ An NCPolynomial is a finite Q(i)-linear combination of words in one of three
 word modes, each canonicalised by ``atoms.make_word``: matrix mode keeps
 factor order and chains block shapes; scalar mode is the commutative image
 (shape (1,1), words sorted); trace mode is the cyclic image, the formal trace
-of a square matrix polynomial (shape (1,1), words rotated).  The coefficient type is
-pluggable: anything with +, -, *, ==, and truthiness-as-nonzero works, so the
-boundary module can swap in Laurent polynomials in the boundary constants.
-Every sum of terms goes through ``coeff.collect``, which relies on exactly
-that protocol (``+``, and a value is truthy iff it is nonzero).
+of a square matrix polynomial (shape (1,1), words rotated).  A coefficient is
+a Gaussian rational or a ``ratfunc.MPoly``, and one polynomial may hold both:
+MPoly treats a Gaussian rational as its constant (``+ - * ==`` and ``hash``
+agree), so a mixed sum or product lands in MPoly.  Every sum of terms goes
+through ``coeff.collect``, which needs ``+`` and a value truthy iff nonzero.
 """
 from __future__ import annotations
 

@@ -12,7 +12,8 @@ indices into the expression's distinct atoms, and the block layout.
 value it computes, keyed by atom and point, so each distinct atom is
 evaluated once per sample and point however many expressions read it.  Only
 the flow-2 variable x has an evaluator: an atom with ``dx > 0`` in another
-flow is refused.
+flow is refused, and so is a ``FieldSample`` of the other mode than the
+expression's (a trace counts as matrix).
 """
 from __future__ import annotations
 
@@ -178,13 +179,13 @@ class Plan:
     N and M.
     """
 
-    __slots__ = ("atoms", "row_dims", "col_dims", "powers", "terms", "coeffs", "trace",
+    __slots__ = ("atoms", "row_dims", "col_dims", "powers", "terms", "coeffs", "mode",
                  "scalar_out", "_layouts")
 
-    def __init__(self, atoms, row_dims, col_dims, powers, terms, coeffs, trace, scalar_out):
+    def __init__(self, atoms, row_dims, col_dims, powers, terms, coeffs, mode, scalar_out):
         self.atoms, self.row_dims, self.col_dims = atoms, row_dims, col_dims
         self.powers, self.terms, self.coeffs = powers, terms, coeffs
-        self.trace, self.scalar_out = trace, scalar_out
+        self.mode, self.scalar_out = mode, scalar_out
         self._layouts = {}
 
     def _layout(self, sample):
@@ -217,11 +218,14 @@ class Plan:
         """The expression at ``point`` of ``sample`` (and at ``lam`` for a series)."""
         if self.powers is not None and lam is None:
             raise ValueError("a spectral-parameter value is required for series")
+        if isinstance(sample, FieldSample) and (sample.mode == "scalar") != (self.mode == "scalar"):
+            raise ValueError(f"a {self.mode}-mode expression cannot be evaluated "
+                             f"on a {sample.mode}-mode sample")
         vals = atom_values(sample, self.atoms, *point)
         mul = operator.matmul if vals and isinstance(vals[0], np.ndarray) else operator.mul
         words = [reduce(mul, map(vals.__getitem__, w)) if w else None
                  for *_, w in self.terms]
-        if self.trace:
+        if self.mode == "trace":
             out = 0j
             for c, v in zip(self.coeffs.ravel().tolist(), words):
                 out += c * np.trace(v)
@@ -279,7 +283,7 @@ def plan(expr, params: dict | None = None) -> Plan:
         coeffs[p, :len(cs), 0, 0] = cs
     scalar_out = isinstance(expr, NCPolynomial) and (expr.mode == "scalar"
                                                      or expr.shape == ("1", "1"))
-    return Plan(tuple(index), row_dims, col_dims, powers, terms, coeffs, trace, scalar_out)
+    return Plan(tuple(index), row_dims, col_dims, powers, terms, coeffs, expr.mode, scalar_out)
 
 
 def evaluate(expr, sample, point, lam: complex | None = None, params: dict | None = None):

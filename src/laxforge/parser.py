@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 from .atoms import atom
-from .coeff import GaussianRational
+from .coeff import I, ONE, GaussianRational
 from .matrices import PolyMatrix
 from .ncpoly import NCPolynomial
 from .series import LaurentSeries
@@ -103,9 +103,9 @@ class _Parser:
         if kind == "name":
             self.take()
             if val == "i":
-                return self._const(GaussianRational.of(0) + GaussianRational(Fraction(0), Fraction(1)))
+                return self._const(I)
             if val == "lam":
-                return self._const(GaussianRational.of(1)).shift(1)
+                return self._const(ONE).shift(1)
             m = _ATOM_RE.match(val)
             if not m:
                 raise ParseError(f"unknown symbol {val!r}")

@@ -12,6 +12,11 @@ It is also the ring of both boundary checks: the reflection equation over
 fields, which commute.  ``rename`` maps lam to mu (or swaps them) and
 ``partial`` differentiates by a field.
 
+A Gaussian rational, int or Fraction acts on an MPoly, in either operand
+order, as the constant it stands for (``+ - * /``, ``==`` with equal hashes),
+so coefficients from both rings mix with no conversion.  Only print tells
+them apart: ``(1+i)`` as an MPoly, ``1+i`` as a Gaussian rational.
+
 The module keeps its name because the benchmark's per-layer split
 (``perfbench/layers.py``) attributes this ring's time to the ``ratfunc`` layer.
 """

@@ -24,7 +24,7 @@ from laxforge.atoms import FieldAtom, make_word
 from laxforge.boundary import (BVARS, RVARS, boundary_u, bulk_u2,
                                extract_boundary_conditions, k_matrix,
                                open_charge_expansion, poisson_residual,
-                               promote_poly, reflection_residual)
+                               reflection_residual)
 from laxforge.checks import run_numeric
 from laxforge.coeff import gr
 from laxforge.hierarchy import (charges, dress_u, generate_u, nls_v_operator,
@@ -147,7 +147,7 @@ def _boundary_value(field_text, xi, ka, extra=None):
 
 def test_criterion_07a_open_charge_plus_and_bulk(expansion):
     from laxforge.hierarchy import charges as _charges
-    assert expansion.bulk_density == promote_poly(_charges("H", 2)[1].density)
+    assert expansion.bulk_density == _charges("H", 2)[1].density
     expected_plus = _boundary_value(("u", "pih", -1), "xi_p", "ka_p")
     assert expansion.plus_term == expected_plus
     report("7a", "PASS", "bulk part equals the closed-chain order-2 density; "
@@ -250,7 +250,7 @@ def test_criterion_07c_open_charge_minus(expansion):
     would give xi- uh/ka- - i pi/ka- + uh^2/2 instead.
     """
     plus_ref = _boundary_value(("u", "pih", -1), "xi_p", "ka_p")
-    reference_minus = _phi(_iota(plus_ref)) - promote_poly(_bulk_shift())
+    reference_minus = _phi(_iota(plus_ref)) - _bulk_shift()
     diff = expansion.minus_term - reference_minus
     detail = (f"minus-end direct expansion: {expansion.minus_term}; "
               f"end-swapped plus-end reference: {reference_minus}; diff = {diff}")
@@ -295,7 +295,7 @@ def test_end_swap_bulk_shift():
 def test_end_swap_upper_end_counterpart(expansion):
     """The inverse relation at t = +tau: plus = iota(minus)|phi + G."""
     assert expansion.plus_term == \
-        _phi(_iota(expansion.minus_term)) + promote_poly(_bulk_shift())
+        _phi(_iota(expansion.minus_term)) + _bulk_shift()
 
 
 def test_criterion_08_equations_of_motion():

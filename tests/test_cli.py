@@ -12,6 +12,13 @@ from laxforge.cli import main
 REPO = Path(__file__).resolve().parent.parent
 
 
+def _python(*args, **env):
+    """A fresh interpreter that imports laxforge from src/, installed or not."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path, **env))
+
+
 def run_cli(*argv, capsys=None):
     code = main(list(argv))
     out, err = capsys.readouterr() if capsys else ("", "")
@@ -19,15 +26,13 @@ def run_cli(*argv, capsys=None):
 
 
 def test_help_exits_zero():
-    proc = subprocess.run([sys.executable, "-m", "laxforge.cli", "--help"],
-                          capture_output=True, text=True)
+    proc = _python("-m", "laxforge.cli", "--help")
     assert proc.returncode == 0
     assert "laxforge" in proc.stdout
 
 
 def test_unknown_flag_is_usage_error():
-    proc = subprocess.run([sys.executable, "-m", "laxforge.cli",
-                           "riccati", "--bogus"], capture_output=True, text=True)
+    proc = _python("-m", "laxforge.cli", "riccati", "--bogus")
     assert proc.returncode == 2
 
 
@@ -183,7 +188,7 @@ def test_commands_other_than_verify_numeric_do_not_load_numpy():
             "from laxforge import cli\n"
             "assert cli.main(['expr', 'u*uh']) == 0\n"
             "sys.exit(3 if 'numpy' in sys.modules else 0)\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -192,11 +197,9 @@ def test_commands_other_than_verify_numeric_do_not_load_numpy():
     ["hierarchy", "u", "--route", "dress", "--n", "6", "--out", "json"]])
 def test_output_does_not_depend_on_the_hash_seed(argv):
     """Atoms and words cache their hashes; no hash order may reach an output."""
-    outs = [subprocess.run([sys.executable, "-m", "laxforge.cli", *argv],
-                           env=dict(os.environ, PYTHONHASHSEED=seed),
-                           capture_output=True, text=True, check=True).stdout
-            for seed in ("1", "2")]
-    assert outs[0] and outs[0] == outs[1]
+    procs = [_python("-m", "laxforge.cli", *argv, PYTHONHASHSEED=seed) for seed in ("1", "2")]
+    assert [p.returncode for p in procs] == [0, 0], procs[0].stderr
+    assert procs[0].stdout and procs[0].stdout == procs[1].stdout
 
 
 def test_verify_numeric_json_and_exit(tmp_path, capsys):

@@ -320,6 +320,7 @@ EXPRESSIONS = {
     "poly-matrix": _MODES.flatmap(_poly_matrix),
     "series": _MODES.flatmap(_series),
     "mpoly-coefficients": _poly("scalar", coeffs=_MPOLY),
+    "mixed-coefficients": _poly("scalar", coeffs=st.one_of(_GAUSSIAN, _MPOLY)),
 }
 
 
@@ -376,6 +377,33 @@ def test_x_derivatives_of_other_flows_are_refused(sample):
         evaluate(NCPolynomial.from_atom(u_x4, "scalar"), sample, (0.1, 0.2))
     assert evaluate(parse_poly("u_x"), sample, (0.1, 0.2)) == sample.atom_value(
         atom("u", dx=1, mode="scalar"), 0.1, 0.2)
+
+
+def _as_series(p):
+    return LaurentSeries.of(PolyMatrix(p.mode, p.shape[:1], p.shape[1:], [[p]]))
+
+
+@pytest.mark.parametrize("expr, refusing, accepting", [
+    (parse_poly("u", mode="matrix"), "scalar", "matrix"),     # once [[v, v]]
+    (parse_poly("u*uh"), "matrix", "scalar"),                 # once a number
+    (trace(parse_poly("uh*u", mode="matrix")), "scalar", "matrix"),
+], ids=["matrix-on-scalar", "scalar-on-matrix", "trace-on-scalar"])
+def test_a_sample_of_the_other_mode_is_refused(expr, refusing, accepting):
+    """A plan refuses a FieldSample of the other mode; a trace counts as matrix."""
+    point = (0.1, 0.2)
+    kinds = [expr] if expr.mode == "trace" else [expr, _as_series(expr)]
+    for e in kinds:
+        with pytest.raises(ValueError, match=f"{expr.mode}-mode expression cannot be "
+                                             f"evaluated on a {refusing}-mode sample"):
+            evaluate(e, FieldSample.random(1, refusing), point, lam=0.5)
+        evaluate(e, FieldSample.random(1, accepting), point, lam=0.5)
+
+
+def test_the_exponential_solution_takes_either_mode():
+    """Every block of the exponential family is 1x1, so it has no mode to refuse."""
+    sol, point = ExponentialSolution.random(1), (0.1, 0.2)
+    assert np.allclose(evaluate(parse_poly("uh*u", mode="matrix"), sol, point),
+                       [[evaluate(parse_poly("u*uh"), sol, point)]])
 
 
 def test_battery_worst_seeds_are_pinned():

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laxforge.boundary import BVARS
-from laxforge.coeff import GaussianRational, gr
+from laxforge.coeff import GaussianRational, collect, gr
 from laxforge.parser import parse_poly
 from laxforge.ratfunc import MPoly
 
@@ -104,3 +104,55 @@ def test_printer_over_the_least_monomial_denominator(build, text):
 def test_printer_inside_a_polynomial():
     i_over_ka = gr(0, -1) / MPoly.variable(BVARS, "ka_p")
     assert str(parse_poly("pih").map_coeff(lambda c: i_over_ka * c)) == "((-i)/(ka_p))*pih"
+
+
+# -- one polynomial may hold coefficients from either ring ----------------------
+# The boundary work multiplies the engine's Gaussian-rational objects with
+# MPoly-valued ones as they are, with no copy into the boundary ring first.
+# These properties pin the protocol that rests on.
+
+bexponents = st.tuples(*(st.integers(-1, 2) for _ in BVARS))
+bpolys = st.dictionaries(bexponents, coeffs, max_size=3).map(lambda t: MPoly(BVARS, t))
+bmonomials = st.builds(lambda e, c: MPoly(BVARS, {e: c}), bexponents, nonzero)
+
+
+@settings(max_examples=80, deadline=None)
+@given(coeffs, bpolys, bmonomials)
+def test_mixed_operands_act_as_the_constant_polynomial(a, b, m):
+    ca = MPoly.constant(BVARS, a)
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        assert op(a, b) == op(ca, b) and op(b, a) == op(b, ca)
+    assert a / m == ca / m and isinstance(a / m, MPoly)
+    if a:
+        assert b / a == b / ca
+    assert a == ca and ca == a and hash(a) == hash(ca)
+    assert (a - ca) == 0 and not (a - ca) and not (ca - a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs, bpolys)
+def test_collect_sums_mixed_pairs_and_drops_a_zero_sum(a, b):
+    ca = MPoly.constant(BVARS, a)
+    assert collect([("k", a), ("k", -ca)]) == {} == collect([("k", -ca), ("k", a)])
+    assert collect([("k", a), ("k", b)]) == ({"k": a + b} if a + b else {})
+    assert collect([("k", b), ("k", a)]) == collect([("k", a), ("k", b)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(coeffs, bpolys), min_size=3, max_size=3))
+def test_a_polynomial_with_mixed_coefficients_equals_its_mpoly_image(cs):
+    words = ("u", "u*uh", "pi*pih")
+    mixed = sum((parse_poly(w).scale(c) for w, c in zip(words, cs)), parse_poly("0"))
+    image = mixed.map_coeff(lambda c: c if isinstance(c, MPoly) else MPoly.constant(BVARS, c))
+    assert mixed == image and image == mixed and hash(mixed) == hash(image)
+    assert mixed * parse_poly("uh") == image * parse_poly("uh")
+
+
+def test_a_complex_constant_prints_with_parentheses_only_as_an_mpoly():
+    """Equal values, different text: byte-identical output depends on which ring
+    a coefficient ends up in, so outputs are compared as text, not only as values."""
+    c = gr(1, 1)
+    assert MPoly.constant(BVARS, c) == c
+    assert (str(c), str(MPoly.constant(BVARS, c))) == ("1+i", "(1+i)")
+    assert str(parse_poly("u").scale(c)) == "(1+i)*u"
+    assert str(parse_poly("u").scale(MPoly.constant(BVARS, c))) == "((1+i))*u"

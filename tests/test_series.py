@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laxforge.atoms import ShapeError, atom
-from laxforge.boundary import _bvar, promote_series
+from laxforge.boundary import BVARS
 from laxforge.coeff import gr
 from laxforge.matrices import PolyMatrix
 from laxforge.ncpoly import NCPolynomial
 from laxforge.parser import parse_expression
+from laxforge.ratfunc import MPoly
 from laxforge.riccati import solve_w_z
 from laxforge.series import (LaurentSeries, TruncationError, series_invert,
                              series_log)
@@ -174,9 +175,10 @@ def matrix_series(draw):
 def boundary_ring_series(draw):
     """A scalar series whose coefficients are Laurent polynomials in the
     boundary constants, with a monomial (invertible) lead."""
-    names = st.sampled_from(("xi_p", "xi_m", "ka_p", "ka_m"))
-    s = promote_series(draw(small_series()))
-    weight = {p: _bvar(draw(names)) + p for p in s.coeffs}  # at p = 0 a monomial
+    names = st.sampled_from(BVARS)
+    s = draw(small_series())
+    # at p = 0 a monomial
+    weight = {p: MPoly.variable(BVARS, draw(names)) + p for p in s.coeffs}
     return s.map_powers(lambda p, m: m.scale(weight[p]))
 
 
@@ -192,8 +194,7 @@ def test_invert_defining_identity_matrix_mode(s):
 @settings(max_examples=25, deadline=None)
 def test_invert_defining_identity_boundary_ring(s):
     prod = s * series_invert(s)
-    one = promote_series(LaurentSeries.identity("scalar", ("1",), truncation=prod.truncation))
-    assert prod == one
+    assert prod == LaurentSeries.identity("scalar", ("1",), truncation=prod.truncation)
 
 
 @given(small_series(), rationals.filter(bool), st.integers(-2, 2))

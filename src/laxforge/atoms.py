@@ -5,7 +5,9 @@ pi, pih ("pi-hat"), or an opaque dressing-kernel diagonal block K11/K22.
 Block shapes use the symbolic dimensions 'N', 'M' and the scalar dimension
 '1'; scalar mode forces every shape to (1, 1).
 
-Words are products of atoms, and each word mode is a rule for a word's
+Atoms are interned (hash-consed), so they compare and hash by identity.
+Words are products of atoms; a word hashes its atom tuple once, when built,
+and builds its sort key only when read.  Each word mode is a rule for a word's
 canonical form, applied by ``make_word`` alone.  In matrix mode the factor
 order is meaningful and adjacent shapes must chain; in scalar mode words are
 stored in a fixed canonical total order (sort key: base, dt, dx, flow); in
@@ -13,6 +15,7 @@ trace mode a word is a closed chain stored as its minimal rotation.
 """
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable
 
 Dim = str  # 'N' | 'M' | '1'
@@ -21,6 +24,7 @@ FIELD_BASES = ("u", "uh", "pi", "pih")
 KERNEL_BASES = ("K11", "K22")
 BASES = FIELD_BASES + KERNEL_BASES
 _BASE_INDEX = {b: k for k, b in enumerate(BASES)}
+_INTERNED: dict[tuple, "FieldAtom"] = {}   # (base, dt, dx, flow, shape) -> its atom
 
 # matrix-mode shapes: u, pih are M x N; uh, pi are N x M; K11/K22 diagonal
 MATRIX_SHAPES: dict[str, tuple[Dim, Dim]] = {
@@ -42,31 +46,31 @@ class FieldAtom:
 
     ``dx`` counts derivatives in the flow variable ``x_flow``; atoms with
     different flow indices are distinct symbols.  ``dx > 0`` atoms exist only
-    transiently before equation-of-motion substitution.  Atoms and words are
-    immutable by convention: each computes its hash and sort key once, at
-    construction.
+    transiently before equation-of-motion substitution.  The constructor
+    builds each distinct atom once and returns it for equal arguments ever
+    after (pickling and copying too), so equality and hash are identity and
+    an atom, shared by all its holders, must never be mutated.
     """
 
-    __slots__ = ("base", "dt", "dx", "flow", "shape", "sort_key", "_h")
+    __slots__ = ("base", "dt", "dx", "flow", "shape", "sort_key")
 
-    def __init__(self, base: str, dt: int = 0, dx: int = 0, flow: int = 2,
-                 shape: tuple[Dim, Dim] = ("1", "1")):
+    def __new__(cls, base: str, dt: int = 0, dx: int = 0, flow: int = 2,
+                shape: tuple[Dim, Dim] = ("1", "1")):
+        key = (base, dt, dx, flow, shape)
+        a = _INTERNED.get(key)
+        if a is not None:
+            return a
         if base not in _BASE_INDEX:
             raise ValueError(f"unknown atom base {base!r}")
         if dt < 0 or dx < 0:
             raise ValueError("derivative orders must be non-negative")
-        self.base, self.dt, self.dx, self.flow, self.shape = base, dt, dx, flow, shape
-        self.sort_key = (_BASE_INDEX[base], dt, dx, flow)
-        self._h = hash((base, dt, dx, flow, shape))
+        a = object.__new__(cls)
+        a.base, a.dt, a.dx, a.flow, a.shape = key
+        a.sort_key = (_BASE_INDEX[base], dt, dx, flow)
+        return _INTERNED.setdefault(key, a)
 
-    def __eq__(self, other):
-        if not isinstance(other, FieldAtom):
-            return NotImplemented
-        return self is other or (self._h == other._h and self.sort_key == other.sort_key
-                                 and self.shape == other.shape)
-
-    def __hash__(self):
-        return self._h
+    def __reduce__(self):
+        return FieldAtom, (self.base, self.dt, self.dx, self.flow, self.shape)
 
     def __repr__(self):
         return f"FieldAtom{(self.base, self.dt, self.dx, self.flow, self.shape)!r}"
@@ -109,12 +113,15 @@ def atom(base: str, dt: int = 0, dx: int = 0, mode: str = "matrix",
 class Word:
     """Ordered product of atoms; the empty word is the multiplicative unit."""
 
-    __slots__ = ("atoms", "sort_key", "_h")
+    __slots__ = ("atoms", "_h")
 
     def __init__(self, atoms: tuple[FieldAtom, ...] = ()):
         self.atoms = atoms = tuple(atoms)
-        self.sort_key = (len(atoms), tuple([a.sort_key for a in atoms]))
-        self._h = hash((atoms,))
+        self._h = hash(atoms)
+
+    @property
+    def sort_key(self):
+        return (len(self.atoms), tuple([a.sort_key for a in self.atoms]))
 
     def __eq__(self, other):
         if not isinstance(other, Word):
@@ -164,7 +171,7 @@ def make_word(atoms: Iterable[FieldAtom], mode: str) -> Word:
         for a in atoms:
             if a.shape != ("1", "1"):
                 raise ShapeError(f"scalar-mode word contains non-scalar atom {a}")
-        return Word(tuple(sorted(atoms, key=lambda a: a.sort_key)))
+        return Word(tuple(sorted(atoms, key=attrgetter("sort_key"))))
     shape = chain_shape(atoms)
     if mode == "trace" and atoms:
         if shape[0] != shape[1]:

@@ -204,11 +204,12 @@ def bulk_u2() -> LaxOperator:
 
 
 def boundary_u(side: str, params: BoundaryParams | None = None) -> LaxOperator:
-    """Boundary operator at t = +tau or t = -tau (parametric constructor)."""
+    """Boundary operator at t = +tau or -tau, with the constants ``params`` gives."""
     params = params or BoundaryParams()
     params.check_kappa()
     half = gr(Fraction(1, 2))
-    xi, ka = _end_constants(side)
+    values = params.values()
+    xi, ka = (c.subs_values(values) for c in _end_constants(side))
     fld = "u" if side == "+" else "uh"
     i_over_ka = I / ka
     diag_field = _bfield(fld, i_over_ka)

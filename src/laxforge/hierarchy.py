@@ -281,7 +281,7 @@ def eliminate_x(p: NCPolynomial, rules: EOMRules) -> NCPolynomial:
             img = img.differentiate_t()
         for _ in range(a.dx - 1):
             img = img.differentiate_x(flow)
-        cur = cur.substitute([(FieldAtom(a.base, a.dt, a.dx, flow, a.shape), img)])
+        cur = cur.substitute([(a, img)])
     raise EOMExtractionError("x-derivative elimination did not terminate")
 
 

@@ -225,10 +225,10 @@ class Plan:
         mul = operator.matmul if vals and isinstance(vals[0], np.ndarray) else operator.mul
         words = [reduce(mul, map(vals.__getitem__, w)) if w else None
                  for *_, w in self.terms]
-        if self.mode == "trace":
+        if self.mode == "trace":   # a word of 1x1 blocks is a number, its own trace
             out = 0j
             for c, v in zip(self.coeffs.ravel().tolist(), words):
-                out += c * np.trace(v)
+                out += c * (np.trace(v) if mul is operator.matmul else v)
             return out
         shape, ones, cells, scalar = self._layout(sample)
         buf = np.zeros(self.coeffs.shape[:2] + shape, dtype=complex)
@@ -291,7 +291,8 @@ def evaluate(expr, sample, point, lam: complex | None = None, params: dict | Non
 
     NCPolynomial -> complex (scalar) or ndarray (matrix); PolyMatrix ->
     assembled ndarray; LaurentSeries -> value at the given lam.  Trace-mode
-    polynomials evaluate through numpy traces.  ``expr`` may already be a
+    polynomials evaluate through numpy traces, or as the word itself on a
+    sample whose blocks are all 1x1.  ``expr`` may already be a
     ``Plan``, which a check builds once before its trial loop; ``params``
     is read only when ``expr`` is compiled here.
     """

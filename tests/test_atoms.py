@@ -1,7 +1,17 @@
-"""Atoms and words: equality, cached hashes and sort keys, refusals."""
+"""Atoms and words: interning, equality, hashes and sort keys, refusals."""
+import copy
+import json
+import os
+import pickle
+import sys
+import threading
+
 import pytest
 
+from laxforge import atoms, serialize
 from laxforge.atoms import BASES, EMPTY_WORD, FieldAtom, Word, atom, make_word
+from laxforge.ncpoly import NCPolynomial, scalarize
+from laxforge.parser import parse_poly
 
 
 def test_equality_and_hash_separate_every_field():
@@ -10,7 +20,7 @@ def test_equality_and_hash_separate_every_field():
               FieldAtom("u", 1, 1, 3, ("M", "N")), FieldAtom("u", 1, 2, 2, ("M", "N")),
               FieldAtom("u", 1, 2, 3, ("1", "1"))]
     twin = FieldAtom("u", 1, 2, 3, ("M", "N"))
-    assert twin is not a and twin == a and hash(twin) == hash(a)
+    assert twin is a and twin == a and hash(twin) == hash(a)
     for b in others:
         assert b != a and hash(b) != hash(a)
     assert len({a, twin, *others}) == 1 + len(others)
@@ -41,5 +51,59 @@ def test_words_built_directly_equal_canonical_words():
 
 @pytest.mark.parametrize("args", [("q",), ("u", -1), ("u", 0, -1)])
 def test_unknown_bases_and_negative_orders_are_refused(args):
+    before = dict(atoms._INTERNED)
     with pytest.raises(ValueError):
         FieldAtom(*args)
+    assert atoms._INTERNED == before
+
+
+def test_equal_arguments_give_the_same_atom_through_every_constructor():
+    u_t = FieldAtom("u", 1, 0, 2, ("M", "N"))
+    assert FieldAtom("u", 1) is FieldAtom("u", 1)
+    assert atom("u", 1) is u_t and atom("u", 1, mode="scalar") is FieldAtom("u", 1)
+    assert atom("u").with_derivative("t") is u_t
+    assert atom("u", 1, 1).with_derivative("x") is atom("u", 1, 2)
+    (word,) = scalarize(NCPolynomial.from_atom(u_t, "matrix")).terms
+    assert word.atoms[0] is FieldAtom("u", 1)
+    record = json.loads(serialize.dumps(NCPolynomial.from_atom(u_t, "matrix")))
+    (word,) = serialize.from_dict(record).terms
+    assert word.atoms[0] is u_t
+    (word,) = parse_poly("u_t*uh", mode="matrix").terms
+    assert word.atoms[0] is u_t and word.atoms[1] is atom("uh")
+
+
+def test_pickle_and_copy_return_the_interned_atom():
+    a = FieldAtom("pih", 2, 1, 3, ("M", "N"))
+    assert pickle.loads(pickle.dumps(a)) is a
+    assert copy.copy(a) is a and copy.deepcopy(a) is a
+    w = Word((a, atom("u")))
+    assert pickle.loads(pickle.dumps(w)).atoms[0] is a and copy.deepcopy(w) == w
+
+
+def test_racing_constructors_share_one_atom():
+    """Threads that build the same new atoms at once all get the same objects."""
+    keys = [("uh", 1000 + k, 0, 2, ("N", "M")) for k in range(5000)]  # built nowhere else
+    workers = min((os.cpu_count() or 2) + 2, 64)
+    start, built = threading.Barrier(workers, timeout=30), []
+
+    def build():
+        start.wait()
+        built.append([FieldAtom(*key) for key in keys])
+
+    threads = [threading.Thread(target=build) for _ in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(built) == workers
+    assert all(a is b for run in built for a, b in zip(run, built[0], strict=True))
+
+
+def test_atoms_define_no_python_equality_hash_or_init():
+    assert {"__eq__", "__hash__", "__init__"}.isdisjoint(vars(FieldAtom))
+    assert "__hash__" in vars(Word) and "sort_key" not in Word.__slots__

@@ -155,6 +155,23 @@ def test_extract_boundary_conditions_minus():
     assert len(bc.flags) == 1 and "ka_m" in bc.flags[0]
 
 
+def test_boundary_operator_substitutes_the_given_constants():
+    params = BoundaryParams(xi_p=Fraction(1, 2), xi_m=1, ka_p=3, ka_m=4)
+    values = params.values()
+
+    def subs(c):
+        return c.subs_values(values) if isinstance(c, MPoly) else c
+
+    for side, fld, value in (("+", "uh", "1/6"), ("-", "u", "1/4")):
+        bare, given = boundary_u(side).series, boundary_u(side, params).series
+        assert given != bare
+        assert given == bare.map_coefficients(
+            lambda m: m.map_entries(lambda e: e.map_coeff(subs)))
+        eqs = extract_boundary_conditions(bulk_u2(), boundary_u(side, params), side).as_dict()
+        assert eqs[fld] == value                        # xi/ka of that end
+        assert boundary_u(side, BoundaryParams()).series == bare
+
+
 def test_extract_boundary_conditions_idempotent():
     """Applying the equations to delta U leaves only the flagged lam-terms."""
     bc = extract_boundary_conditions(bulk_u2(), boundary_u("+"), "+")

@@ -192,13 +192,42 @@ def test_commands_other_than_verify_numeric_do_not_load_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("argv", [
+HASH_ORDER_ARGV = [
     ["riccati", "--order", "6", "--mode", "matrix", "--out", "json"],
-    ["hierarchy", "u", "--route", "dress", "--n", "6", "--out", "json"]])
+    ["hierarchy", "u", "--route", "dress", "--n", "6", "--out", "json"]]
+
+
+@pytest.mark.parametrize("argv", HASH_ORDER_ARGV)
 def test_output_does_not_depend_on_the_hash_seed(argv):
-    """Atoms and words cache their hashes; no hash order may reach an output."""
+    """String hashes follow the hash seed; no order they give may reach an output.
+
+    Atoms hash by identity, which the seed does not move; the next test
+    perturbs atom addresses instead."""
     procs = [_python("-m", "laxforge.cli", *argv, PYTHONHASHSEED=seed) for seed in ("1", "2")]
     assert [p.returncode for p in procs] == [0, 0], procs[0].stderr
+    assert procs[0].stdout and procs[0].stdout == procs[1].stdout
+
+
+# interns every atom the commands below may meet, in a shuffled order, so that
+# atom addresses (their hashes) and the order of atom sets differ from a plain run
+_SHUFFLED_ATOMS_FIRST = """\
+import random, sys
+from laxforge import cli
+from laxforge.atoms import BASES, FieldAtom
+batch = [(b, dt, dx, flow, shape) for b in BASES for dt in range(6) for dx in range(3)
+         for flow in (2, 3) for shape in (("1", "1"), ("M", "N"), ("N", "M"), ("N", "N"),
+                                          ("M", "M"))]
+random.Random(5).shuffle(batch)
+interned = [FieldAtom(*key) for key in batch]
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", HASH_ORDER_ARGV + [["boundary", "charges", "--out", "json"]])
+def test_output_does_not_depend_on_atom_identity(argv):
+    """Atoms are interned and hash by address; no address order may reach an output."""
+    procs = [_python("-m", "laxforge.cli", *argv), _python("-c", _SHUFFLED_ATOMS_FIRST, *argv)]
+    assert [p.returncode for p in procs] == [0, 0], procs[1].stderr
     assert procs[0].stdout and procs[0].stdout == procs[1].stdout
 
 

@@ -406,6 +406,16 @@ def test_the_exponential_solution_takes_either_mode():
                        [[evaluate(parse_poly("u*uh"), sol, point)]])
 
 
+@pytest.mark.parametrize("text", ["uh*u", "uh*u*uh*u", "pi*pih"])
+def test_the_trace_of_a_word_of_exponentials_is_its_value(text):
+    """A 1x1 block is its own trace, so a trace-mode plan reads the word's value
+    (up to rounding: the trace word is a rotation, multiplied in another order)."""
+    sol, point = ExponentialSolution.random(1), (0.1, 0.2)
+    p = parse_poly(text, mode="matrix")
+    (entry,) = np.asarray(evaluate(p, sol, point)).ravel()
+    assert evaluate(trace(p), sol, point) == pytest.approx(entry, rel=1e-14)
+
+
 def test_battery_worst_seeds_are_pinned():
     """The compiled route rounds as the per-term one did, so each check still
     names the same worst sample (values recorded before plans existed)."""

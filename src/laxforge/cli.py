@@ -332,8 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser: argparse.ArgumentParser | None = None   # built by the first ``main`` call
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    ap = _parser
     args = ap.parse_args(argv)
     if args.golden and args.fn not in (_cmd_riccati, _cmd_hierarchy_u, _cmd_hierarchy_charges,
                                        _cmd_boundary_charges):

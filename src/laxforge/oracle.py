@@ -7,18 +7,19 @@ ill-posed).  Matrix products and commutators on the numeric side go through
 numpy, keeping the route independent of the symbolic multiplication.
 
 ``plan`` compiles an expression once: complex coefficients, each word as
-indices into the expression's distinct atoms, and the block layout.
-``evaluate`` is a plan evaluated at one point.  A sample keeps every atom
-value it computes, keyed by atom and point, so each distinct atom is
-evaluated once per sample and point however many expressions read it.  Only
-the flow-2 variable x has an evaluator: an atom with ``dx > 0`` in another
-flow is refused, and so is a ``FieldSample`` of the other mode than the
-expression's (a trace counts as matrix).
+indices into the expression's distinct atoms, and the block layout.  A plan
+evaluates a whole chunk of trials (sample, point, lam) at once; ``evaluate``
+is a chunk of one.  Each trial rounds as it would alone, save one case (see
+``Plan``), and the reports match a trial-by-trial loop.  A sample keeps each atom
+value it computes, keyed by atom and point, so each distinct atom is evaluated
+once per sample and point however many expressions read it.  Only the flow-2
+variable x has an evaluator: an atom with ``dx > 0`` in another flow is
+refused, and so is a ``FieldSample`` of the other mode than the expression's
+(a trace counts as matrix).
 """
 from __future__ import annotations
 
 import cmath
-import operator
 import random
 from dataclasses import dataclass, field
 from functools import reduce
@@ -140,15 +141,29 @@ class ExponentialSolution:
         raise UnhousedAtomError(f"no evaluator for atom {a}")
 
 
-def atom_values(sample, atoms, t: float, x: float) -> list:
-    """Values of ``atoms`` at (t, x); ``sample.atom_value`` runs only on a miss."""
-    memo, out = sample.memo, []
-    for a in atoms:
-        key = (a, t, x)
-        v = memo.get(key)
-        if v is None:
-            v = memo[key] = sample.atom_value(a, t, x)
-        out.append(v)
+def atom_values(trials, atoms) -> list:
+    """Each atom's values at the ``(sample, point, lam)`` trials, shape ``(T,)``
+    or ``(T, r, c)``; ``sample.atom_value`` runs only on a memo miss."""
+    rows = []
+    for sample, (t, x), _ in trials:
+        memo, row = sample.memo, []
+        for a in atoms:
+            key = (a, t, x)
+            v = memo.get(key)
+            if v is None:
+                v = memo[key] = sample.atom_value(a, t, x)
+            row.append(v)
+        rows.append(row)
+    return [np.array(col) for col in zip(*rows)]
+
+
+def pymul(a, b):
+    """``a * b`` entry by entry, rounded as Python's ``complex * complex`` (one
+    rounding per product and sum; numpy's own product may fuse them)."""
+    ar, ai, br, bi = np.real(a), np.imag(a), np.real(b), np.imag(b)
+    out = np.empty(np.broadcast(ar, br).shape, dtype=complex)
+    out.real = ar * br - ai * bi
+    out.imag = ar * bi + ai * br
     return out
 
 
@@ -171,12 +186,16 @@ class Plan:
     a series) and ``k`` the terms of one power; ``coeffs[p, k]`` is its
     coefficient as a complex number, zero in an unused slot.
 
-    A value writes each word into its block entry of an otherwise zero slot
-    array, scales the slots by the coefficients and sums each power's slots
-    in term order.  Scaling and sums stay in numpy, whose complex products
-    may round differently from Python's, so a value rounds as a term-by-term
-    numpy evaluation does.  Block offsets are worked out once per sizes of
-    N and M.
+    ``value`` evaluates a chunk of trials at once, on one leading axis.  It
+    stacks each atom's values, forms each word once for the chunk, writes
+    the words into their block entries of an otherwise zero slot array,
+    scales the slots by the coefficients and sums each power's slots in term
+    order.  Products of numbers round as Python's (``pymul``).  Matrix
+    products, scaling and sums stay in numpy and round each entry as for one
+    trial, save that numpy may leave a complex product unfused when it is
+    the whole operation (a one-trial chunk of a one-term 1x1 plan), which
+    changes nothing for the battery's real or imaginary coefficients: its
+    reports do not move.  Block offsets are worked out once per N and M.
     """
 
     __slots__ = ("atoms", "row_dims", "col_dims", "powers", "terms", "coeffs", "mode",
@@ -189,12 +208,11 @@ class Plan:
         self._layouts = {}
 
     def _layout(self, sample):
-        """``(shape, ones, cells, scalar)`` for the sample's sizes of N and M.
+        """``(shape, ones, cells)`` for the sample's sizes of N and M.
 
         ``ones`` holds the identity block of each empty word (None for the
-        other words), ``cells`` the positions in the flattened slot array of
-        each term's block elements, term by term and row by row, and
-        ``scalar`` whether every term's block is 1x1.
+        other words), and ``cells`` the positions in the flattened slot
+        array of each term's block elements, term by term and row by row.
         """
         key = (sample.dim_of("N"), sample.dim_of("M"))
         layout = self._layouts.get(key)
@@ -209,41 +227,47 @@ class Plan:
             cells = np.array([n for p, k, i, j, _ in self.terms
                               for n in slots[p, k, r0[i]:r0[i + 1], c0[j]:c0[j + 1]].flat],
                              dtype=np.intp)
-            ones = [None if w else np.eye(nr[i], nc[j], dtype=complex)
+            ones = [None if w else np.eye(nr[i], nc[j], dtype=complex).reshape(1, -1)
                     for _, _, i, j, w in self.terms]
-            layout = self._layouts[key] = (shape, ones, cells, len(cells) == len(self.terms))
+            layout = self._layouts[key] = (shape, ones, cells)
         return layout
 
-    def value(self, sample, point, lam: complex | None = None):
-        """The expression at ``point`` of ``sample`` (and at ``lam`` for a series)."""
-        if self.powers is not None and lam is None:
-            raise ValueError("a spectral-parameter value is required for series")
-        if isinstance(sample, FieldSample) and (sample.mode == "scalar") != (self.mode == "scalar"):
-            raise ValueError(f"a {self.mode}-mode expression cannot be evaluated "
-                             f"on a {sample.mode}-mode sample")
-        vals = atom_values(sample, self.atoms, *point)
-        mul = operator.matmul if vals and isinstance(vals[0], np.ndarray) else operator.mul
+    def value(self, trials):
+        """The expression at each ``(sample, point, lam)`` of ``trials``, stacked:
+        ``(T,)`` numbers or ``(T, rows, cols)`` blocks.  ``lam`` is read only for
+        a series; the samples must share their sizes of N and M."""
+        n, scalar = len(trials), self.mode == "scalar"
+        for sample, _, lam in trials:
+            if self.powers is not None and lam is None:
+                raise ValueError("a spectral-parameter value is required for series")
+            if isinstance(sample, FieldSample) and (sample.mode == "scalar") != scalar:
+                raise ValueError(f"a {self.mode}-mode expression cannot be evaluated "
+                                 f"on a {sample.mode}-mode sample")
+        vals = atom_values(trials, self.atoms)
+        blocks = bool(vals) and vals[0].ndim == 3
+        mul = np.matmul if blocks else pymul
         words = [reduce(mul, map(vals.__getitem__, w)) if w else None
                  for *_, w in self.terms]
         if self.mode == "trace":   # a word of 1x1 blocks is a number, its own trace
-            out = 0j
-            for c, v in zip(self.coeffs.ravel().tolist(), words):
-                out += c * (np.trace(v) if mul is operator.matmul else v)
-            return out
-        shape, ones, cells, scalar = self._layout(sample)
-        buf = np.zeros(self.coeffs.shape[:2] + shape, dtype=complex)
-        if scalar and mul is operator.mul:   # every word is a number
-            buf.reshape(-1)[cells] = [1 if v is None else v for v in words]
+            return sum((pymul(c, np.trace(v, axis1=1, axis2=2) if blocks else v)
+                        for c, v in zip(self.coeffs.ravel().tolist(), words)),
+                       np.zeros(n, dtype=complex))
+        shape, ones, cells = self._layout(trials[0][0])
+        buf = np.zeros((n,) + self.coeffs.shape[:2] + shape, dtype=complex)
+        if cells.size:
+            buf.reshape(n, -1)[:, cells] = np.concatenate(
+                [np.broadcast_to(one, (n, one.size)) if v is None else v.reshape(n, -1)
+                 for one, v in zip(ones, words)], axis=1)
+        np.multiply(self.coeffs, buf, out=buf)
+        mats = np.add.accumulate(buf, axis=2, out=buf)[:, :, -1]
+        if self.powers is None:
+            out = mats[:, 0, 0, 0] if self.scalar_out and shape == (1, 1) else mats[:, 0]
+        elif not self.powers:
+            out = np.zeros((n,) + shape, dtype=complex)
         else:
-            buf.reshape(-1)[cells] = np.concatenate(
-                [one if v is None else v for one, v in zip(ones, words)], axis=None)
-        mats = np.add.accumulate(self.coeffs * buf, axis=1)[:, -1]
-        if self.powers is not None:
-            if not self.powers:
-                return np.zeros(shape, dtype=complex)
-            lams = np.array([lam ** p for p in self.powers])
-            return np.add.accumulate(mats * lams[:, None, None])[-1]
-        return mats[0, 0, 0] if self.scalar_out and shape == (1, 1) else mats[0]
+            lams = np.array([[lam ** p for p in self.powers] for *_, lam in trials])
+            out = np.add.accumulate(mats * lams[:, :, None, None], axis=1)[:, -1]
+        return out.copy()   # a view would keep the whole slot array alive
 
 
 def plan(expr, params: dict | None = None) -> Plan:
@@ -292,12 +316,11 @@ def evaluate(expr, sample, point, lam: complex | None = None, params: dict | Non
     NCPolynomial -> complex (scalar) or ndarray (matrix); PolyMatrix ->
     assembled ndarray; LaurentSeries -> value at the given lam.  Trace-mode
     polynomials evaluate through numpy traces, or as the word itself on a
-    sample whose blocks are all 1x1.  ``expr`` may already be a
-    ``Plan``, which a check builds once before its trial loop; ``params``
-    is read only when ``expr`` is compiled here.
+    sample whose blocks are all 1x1.  ``expr`` may already be a ``Plan``;
+    ``params`` is read only when ``expr`` is compiled here.
     """
     compiled = expr if isinstance(expr, Plan) else plan(expr, params)
-    return compiled.value(sample, point, lam)
+    return compiled.value([(sample, point, lam)])[0]
 
 
 def finite_difference_crosscheck(expr, sample, point, h: float, var: str = "t",

@@ -25,6 +25,36 @@ def run_cli(*argv, capsys=None):
     return code, out, err
 
 
+def test_one_parser_serves_every_call_of_a_process(monkeypatch, capsys):
+    """A usage error or a --golden refusal leaves nothing in the reused parser
+    that changes a later call: exit code, stdout and stderr stay byte-identical."""
+    import laxforge.cli as cli
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+    calls = [["expr", "u_t*uh + u*uh_t", "--out", "json"],
+             ["riccati", "--order", "3", "--out", "json"],
+             ["verify", "numeric", "--target", "algebra", "--trials", "2"],
+             ["expr", "u*"],
+             ["riccati", "--order", "0"]]
+    before = [run(argv) for argv in calls]
+    assert run(["riccati", "--mode", "both"])[0] == 2
+    after_usage_error = [run(argv) for argv in calls]
+    code, out, err = run(["--golden", str(REPO / "goldens"), "expr", "u*uh"])
+    assert code == 2 and "no golden table" in err
+    assert [run(argv) for argv in calls] == after_usage_error == before
+    assert [code for code, *_ in before] == [0, 0, 0, 1, 2]
+    assert built == [1]
+
+
 def test_help_exits_zero():
     proc = _python("-m", "laxforge.cli", "--help")
     assert proc.returncode == 0

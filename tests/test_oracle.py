@@ -1,4 +1,5 @@
 """Numeric oracle: exact evaluation, identity checks, finite differences."""
+import hashlib
 from collections import Counter
 from fractions import Fraction
 
@@ -12,11 +13,12 @@ from laxforge.checks import identity_check
 from laxforge.coeff import GaussianRational, gr
 from laxforge.matrices import PolyMatrix
 from laxforge.ncpoly import NCPolynomial, trace
-from laxforge.oracle import (ExponentialSolution, FieldSample,
+from laxforge.oracle import (ExponentialSolution, FieldSample, Plan,
                              UnhousedAtomError, evaluate,
-                             finite_difference_crosscheck)
+                             finite_difference_crosscheck, plan, pymul)
 from laxforge.parser import parse_poly
 from laxforge.ratfunc import MPoly
+from laxforge.serialize import dumps
 from laxforge.series import LaurentSeries
 
 
@@ -155,10 +157,11 @@ def test_mode_budget():
             assert all(abs(a) <= 1 for a, _ in f.modes)
 
 
-def test_route_check_reaches_flow_8():
-    """Generating and dressing routes agree numerically through flow 8."""
+def test_route_check_reaches_flow_12():
+    """Generating and dressing routes agree numerically through flow 12, as far
+    as the symbolic route comparison goes."""
     from laxforge.checks import check_route
-    rep = check_route(3, 1e-9, 7, max_n=8)
+    rep = check_route(3, 1e-9, 7, max_n=12)
     assert rep["passed"] and rep["max_abs"] < 1e-12
 
 
@@ -183,19 +186,19 @@ def test_nan_residual_fails_the_check(monkeypatch):
     from laxforge import checks
     calls = []
 
-    def poisoned(obj, sample, point, lam=None, params=None):
-        calls.append(obj)  # 8 calls per sample: gen and dre for n = 1..4
-        return np.full((2, 2), np.nan if len(calls) == 1 else 1e3)
-    monkeypatch.setattr(checks, "evaluate", poisoned)
+    def poisoned(plan, trials):
+        calls.append(plan)  # 8 calls per chunk: gen and dre for n = 1..4
+        return np.full((len(trials), 2, 2), np.nan if len(calls) == 1 else 1e3)
+    monkeypatch.setattr(Plan, "value", poisoned)
     rep = checks.check_route(3, 1e-9, 7)
     assert not rep["passed"] and np.isnan(rep["max_abs"])
-    first = checks._worst(1, 7, lambda s, rng: 1.0)[1]
+    first = checks._worst(1, 7, lambda batch: np.ones(len(batch)), int)[1]
     assert rep["worst_seed"] == first
-    assert checks._worst(3, 1, lambda s, rng: float("nan"))[0] != 0.0
+    assert checks._worst(3, 1, lambda batch: np.full(len(batch), np.nan), int)[0] != 0.0
     # nor may a NaN at a later equation hide behind a zero at an earlier one
     calls.clear()
-    monkeypatch.setattr(checks, "evaluate", lambda *a, **k: (
-        calls.append(a[0]) or (np.nan if len(calls) == 2 else 0.0)))
+    monkeypatch.setattr(Plan, "value", lambda plan, trials: (
+        calls.append(plan) or np.full(len(trials), np.nan if len(calls) == 2 else 0.0)))
     rep = checks.check_dispersion(3, 1e-9, 7)
     assert not rep["passed"] and rep["worst_seed"] == first
 
@@ -205,7 +208,7 @@ def test_riccati_keeps_a_nan_mode(monkeypatch):
     from laxforge import checks
     for nan_mode in ("scalar", "matrix"):
         monkeypatch.setattr(checks, "_riccati_residual", lambda mode, order: (
-            lambda s, rng: float("nan") if mode == nan_mode else 1.0))
+            lambda batch: np.full(len(batch), np.nan if mode == nan_mode else 1.0)))
         rep = checks.check_riccati(4, 1e-9, 3)
         assert not rep["passed"] and np.isnan(rep["max_abs"]), nan_mode
 
@@ -347,6 +350,45 @@ def test_plan_matches_the_per_term_evaluation(kind, data):
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", sorted(EXPRESSIONS))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_a_chunk_evaluates_each_trial_as_alone(kind, data):
+    """Each trial of a chunk gets its own value, on the chunk's leading axis
+    (equal up to the one fused product a lone trial may leave unfused)."""
+    expr = data.draw(EXPRESSIONS[kind])
+    seeds = data.draw(st.lists(st.integers(0, 2 ** 31 - 1), min_size=1, max_size=4))
+    if expr.mode == "scalar":   # both sample types answer a scalar expression
+        samples = [(FieldSample.random, ExponentialSolution.random)[i % 2](s)
+                   for i, s in enumerate(seeds)]
+    else:
+        samples = [FieldSample.random(s, "matrix") for s in seeds]
+    coord = st.floats(-1, 1)
+    trials = [(sample, (data.draw(coord), data.draw(coord)),
+               complex(data.draw(st.floats(0.5, 2)), data.draw(coord))) for sample in samples]
+    compiled = plan(expr, {"xi": 0.3 - 0.2j, "ka": 1.1 + 0.4j})
+    chunk = compiled.value(trials)
+    assert len(chunk) == len(trials)
+    for got, trial in zip(chunk, trials):
+        alone = evaluate(compiled, *trial)
+        assert np.shape(got) == np.shape(alone)
+        assert np.allclose(got, alone, rtol=1e-13, atol=1e-13)
+
+
+_FINITE = st.floats(-1e150, 1e150)
+
+
+@given(st.lists(st.tuples(_FINITE, _FINITE, _FINITE, _FINITE), min_size=1, max_size=40))
+def test_pymul_rounds_as_python(parts):
+    """numpy's complex product may fuse a multiply and an add; ``pymul`` rounds
+    every product and sum as Python's ``complex * complex`` does."""
+    a = [complex(ar, ai) for ar, ai, _, _ in parts]
+    b = [complex(br, bi) for _, _, br, bi in parts]
+    bits = [(z.real, z.imag) for z in pymul(np.array(a), np.array(b)).tolist()]
+    assert bits == [((x * y).real, (x * y).imag) for x, y in zip(a, b)]
+    assert pymul(a[0], np.array(b)).tolist() == [a[0] * y for y in b]
+
+
 def test_each_atom_is_evaluated_once_per_sample_and_point(monkeypatch):
     calls = []
     value = FieldSample.atom_value
@@ -426,6 +468,32 @@ def test_battery_worst_seeds_are_pinned():
         "dispersion": 1836494974, "riccati": 507088656, "gamma": 949539216,
         "route": 1475216845}
     assert rep["passed"]
+
+
+# sha256 of the canonical report of run_numeric("all", 300, 1e-9, seed), recorded
+# when every trial was evaluated on its own
+BATTERY_DIGESTS = {
+    1: "0142efe1736900e9818c5ba1fd74e40374d50890f14dbd08d9faedf4204cf8e1",
+    42: "189182667e8ecdda047ce20f03e73358d88d022295aebc25df8b9daca5734893",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BATTERY_DIGESTS))
+def test_battery_reports_are_pinned(seed):
+    """Evaluating a chunk of trials at once rounds every residual as the
+    trial-by-trial loop did, so the report bytes do not move."""
+    from laxforge.checks import run_numeric
+    text = dumps(run_numeric("all", 300, 1e-9, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == BATTERY_DIGESTS[seed]
+
+
+def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
+    """33 trials fill chunks of 1 and of 7 unevenly; the report stays the same."""
+    from laxforge import checks
+    want = dumps(checks.run_numeric("all", 33, 1e-9, 5))
+    for size in (1, 7):
+        monkeypatch.setattr(checks, "_CHUNK", size)
+        assert dumps(checks.run_numeric("all", 33, 1e-9, 5)) == want, size
 
 
 def test_checks_refuse_fewer_than_one_trial():

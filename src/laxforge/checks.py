@@ -20,7 +20,7 @@ import random
 import numpy as np
 
 from .atoms import FIELD_BASES, atom
-from .hierarchy import (dress_u, extract_eom, generate_u, nls_v_operator,
+from .hierarchy import (_flow2_rules, dress_u, generate_u, nls_v_operator,
                         verify_conservation, zero_curvature_residual)
 from .oracle import ExponentialSolution, FieldSample, atom_values, plan, pymul
 from .riccati import (p_a_matrix, sigma_matrix, solve_gamma, solve_w_z, x_matrix,
@@ -196,7 +196,7 @@ def check_eom(trials: int, tol: float, seed: int) -> dict:
 
 def check_dispersion(trials: int, tol: float, seed: int) -> dict:
     """EOM residual of the exponential family itself (dispersion relation)."""
-    rules = extract_eom(generate_u(2, "scalar"), nls_v_operator("scalar"))
+    rules = _flow2_rules()
     evolution = [plan(e) for e in rules.evolution.values()]
 
     def residuals(batch):

@@ -86,15 +86,16 @@ def _cmd_riccati(args, cfg) -> int:
     from .riccati import solve_gamma, solve_w_z
     order = args.order if args.order is not None else cfg.orders.get("riccati", 4)
     if args.which == "wz":
-        sol = solve_w_z(order, args.mode)
+        mode = args.mode or "scalar"
+        sol = solve_w_z(order, mode)
         payload = {
-            "command": "riccati", "order": order, "mode": args.mode,
+            "command": "riccati", "order": order, "mode": mode,
             "w": [serialize.to_dict(sol.w(k)) for k in range(1, order + 1)],
             "z": [serialize.to_dict(sol.z(k)) for k in range(1, order)],
         }
         objs = [sol.w(k) for k in range(1, order + 1)] + \
                [sol.z(k) for k in range(1, order)]
-        return _emit(args, payload, objs, f"riccati-{args.mode}-{order}.json")
+        return _emit(args, payload, objs, f"riccati-{mode}-{order}.json")
     which = "gamma" if args.which == "gamma" else "gamma_hat"
     sol = solve_gamma(order, which)
     payload = {"command": "riccati", "which": which, "order": order,
@@ -268,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("riccati", help="solve the time Riccati system")
     p.add_argument("--order", type=_positive)
-    p.add_argument("--mode", choices=("scalar", "matrix"), default="scalar")
+    p.add_argument("--mode", choices=("scalar", "matrix"),
+                   help="mode of W and Z (default scalar); gamma and gamma-hat "
+                        "are matrix-mode blocks and refuse scalar")
     p.add_argument("--which", choices=("wz", "gamma", "gamma-hat"), default="wz")
     add_common(p)
     p.set_defaults(fn=_cmd_riccati)
@@ -344,6 +347,8 @@ def main(argv=None) -> int:
     if args.golden and args.fn not in (_cmd_riccati, _cmd_hierarchy_u, _cmd_hierarchy_charges,
                                        _cmd_boundary_charges):
         ap.error("--golden: this command has no golden table")
+    if args.fn is _cmd_riccati and args.which != "wz" and args.mode == "scalar":
+        ap.error(f"--mode scalar: --which {args.which} is a block of the matrix-mode W")
     try:
         cfg = RunConfig.from_file(args.config)
     except (OSError, ValueError) as e:

@@ -63,12 +63,13 @@ def generate_u(n: int, mode: str = "scalar") -> LaxOperator:
     Expands (1+W(lam)) D (1+W(lam))^-1 over (lam - mu) as a double series,
     extracts the lam^-n coefficient and relabels mu -> lam: the result is
     sum_{k<n} lam^(n-1-k) M^(k) with M the conjugated projector series.
+    Only M^(0..n-1) are read, so M is built to truncation n - 1, from
+    W^(1..n-1).
     """
     if n < 1:
         raise ValueError("flow index must be >= 1")
-    sol = solve_w_z(n, mode)
-    one_plus = sol.one_plus_w()
-    m_series = one_plus * LaurentSeries.of(projector_d(mode)).truncated(n) \
+    one_plus = solve_w_z(max(n - 1, 1), mode).one_plus_w().truncated(n - 1)
+    m_series = one_plus * LaurentSeries.of(projector_d(mode)).truncated(n - 1) \
         * series_invert(one_plus)
     acc = LaurentSeries.zero(mode, m_series.row_dims, m_series.col_dims)
     for k in range(n):
@@ -294,11 +295,17 @@ class ConservationProof:
     elapsed: float
 
 
+@lru_cache(maxsize=None)
+def _flow2_rules() -> EOMRules:
+    """The scalar flow-2 relations, derived once per process; callers must not mutate them."""
+    return extract_eom(generate_u(2, "scalar"), nls_v_operator("scalar"))
+
+
 def verify_conservation(k: int) -> ConservationProof:
     """Certify d_x(H-density) is a total d_t derivative; return the flux witness."""
     t0 = time.perf_counter()
     rho = charges("H", k)[k - 1].density
-    rules = extract_eom(generate_u(2, "scalar"), nls_v_operator("scalar"))
+    rules = _flow2_rules()
     dx_rho = eliminate_x(rho.differentiate_x(rules.flow), rules)
     ok, flux = is_total_t_derivative(dx_rho)
     if not ok:

@@ -172,10 +172,15 @@ class NCPolynomial:
 
     # -- calculus ------------------------------------------------------------
     def differentiate(self, var: str, flow: int | None = None) -> "NCPolynomial":
-        """Leibniz derivative; factor order is preserved in matrix mode."""
+        """Leibniz derivative; factor order is preserved in matrix mode.
+
+        A derivative keeps each atom's shape, so a matrix-mode word still
+        chains and is built as it stands, as in ``nc_mul``.
+        """
         mode = self.mode
+        word = Word if mode == "matrix" else lambda atoms: make_word(atoms, mode)
         return _poly(mode, self.shape, collect(
-            (make_word(w.atoms[:k] + (a.with_derivative(var, flow),) + w.atoms[k + 1:], mode), c)
+            (word(w.atoms[:k] + (a.with_derivative(var, flow),) + w.atoms[k + 1:]), c)
             for w, c in self.terms.items() for k, a in enumerate(w.atoms)))
 
     def differentiate_t(self) -> "NCPolynomial":

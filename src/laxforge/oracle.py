@@ -52,12 +52,26 @@ class TrigPoly:
         return out
 
 
+def _below(getrandbits, n: int) -> int:
+    """CPython's ``randrange(n)``: draws of ``n.bit_length()`` bits until one is below n."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _random_trig(rng: random.Random) -> TrigPoly:
-    n = rng.randint(1, MAX_MODES)
+    """The draws of ``randint`` and ``uniform`` without their Python layers.
+
+    ``randint(a, b)`` is ``a + randrange(b - a + 1)`` and ``uniform(-1, 1)`` is
+    ``-1 + 2 * random()``, so the stream and the samples are those of the calls.
+    """
+    bits, unit = rng.getrandbits, rng.random
     modes = []
-    for _ in range(n):
-        amp = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / 2
-        modes.append((amp, (rng.randint(-2, 2), rng.randint(-2, 2))))
+    for _ in range(1 + _below(bits, MAX_MODES)):
+        amp = ((-1 + 2 * unit()) + 1j * (-1 + 2 * unit())) / 2
+        modes.append((amp, (_below(bits, 5) - 2, _below(bits, 5) - 2)))
     return TrigPoly(tuple(modes))
 
 

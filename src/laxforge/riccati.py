@@ -138,8 +138,10 @@ class RiccatiSolution:
 
 
 # one growing tower {k: W^(k)} per mode from W^(0) = 0: W^(k) depends only on
-# lower orders, so a solve extends the tower and never re-solves a lower order
+# lower orders, so a solve extends the tower and never re-solves a lower order;
+# the densities [Z^(1), Z^(2), ...] grow beside it the same way
 _TOWER: dict[str, dict[int, PolyMatrix]] = {}
+_Z: dict[str, list[PolyMatrix]] = {}
 
 
 @lru_cache(maxsize=None)
@@ -147,8 +149,8 @@ def solve_w_z(order: int, mode: str = "scalar") -> RiccatiSolution:
     """Solve the anti-diagonal/diagonal system to the requested order.
 
     Integration constants at each order are fixed to zero: every W^(k) is a
-    differential polynomial in the fields with no free constants.  W is read
-    from (and grown in) the mode's tower.
+    differential polynomial in the fields with no free constants.  W and Z
+    are read from (and grown in) the mode's tower.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -187,26 +189,33 @@ def solve_w_z(order: int, mode: str = "scalar") -> RiccatiSolution:
                               [[_blk_zero(mode, n, n), w12],
                                [w21, _blk_zero(mode, m, m)]])
 
-    z_coeffs = []
-    for k in range(1, order):
+    Z = _Z.setdefault(mode, [])
+    for k in range(len(Z) + 1, order):
         density = X * W[k + 1] + PA * W[k]
         if not density.is_diagonal():
             raise RuntimeError(f"Z^({k}) density is not diagonal")
-        z_coeffs.append(density)
+        Z.append(density)
     half = gr(Fraction(1, 2))
     return RiccatiSolution(mode, order, [W[k] for k in range(1, order + 1)],
-                           z_coeffs, sigma_matrix(mode).scale(half))
+                           Z[:order - 1], sigma_matrix(mode).scale(half))
 
 
 def _riccati_form(w: LaurentSeries, vd_l, vd_r, va_q, va) -> LaurentSeries:
     """dW/dt + W VD_r - VD_l W + W VA_q W - VA, the operators truncated like W.
 
     The full system passes (VD, VD, VA, VA); its anti-diagonal block (i, j)
-    passes (VD_ii, VD_jj, VA_ji, VA_ij).
+    passes (VD_ii, VD_jj, VA_ji, VA_ij).  A sum is reliable down to the
+    highest of its terms' limits, and nothing below that is built.  For W
+    truncated at t, the lam^2 Sigma/2 of V_D puts the V_D terms' limit at
+    -(t - 2), so the t-derivative and the W VA_q W convolution stop there
+    instead of at -t.
     """
     t = w.truncation
     vd_l, vd_r, va_q, va = (s.truncated(t) for s in (vd_l, vd_r, va_q, va))
-    return w.differentiate_t() + w * vd_r - vd_l * w + w * va_q * w - va
+    w_vd, vd_w = w * vd_r, vd_l * w
+    floor = max(w_vd.lowest_reliable, vd_w.lowest_reliable)
+    return (w.truncated(-floor).differentiate_t() + w_vd - vd_w
+            + w._times(va_q, floor)._times(w, floor) - va)
 
 
 def riccati_residual(sol: RiccatiSolution) -> LaurentSeries:

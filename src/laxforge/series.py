@@ -9,7 +9,10 @@ polynomial known at every order).
 Truncation propagates through products by the sharp rule
 ``lowest_reliable(a*b) = max(low(a) + maxpow(b), low(b) + maxpow(a))``;
 for series with non-positive support this reduces to the pessimistic
-min-of-truncations rule.
+min-of-truncations rule.  A sum is reliable down to the highest of its
+terms' limits, so a caller that knows that limit builds nothing below it:
+``_times`` takes it as a floor, and a product is computed only at powers
+at or above the higher of the floor and its own limit.
 """
 from __future__ import annotations
 
@@ -100,24 +103,28 @@ class LaurentSeries:
 
     def __mul__(self, other):
         if isinstance(other, LaurentSeries):
-            if self.col_dims != other.row_dims:
-                raise ShapeError("layouts do not chain")
-            la, lb = self.lowest_reliable, other.lowest_reliable
-            if la is None and lb is None:
-                low = None
-            else:
-                cands = []
-                if la is not None:
-                    cands.append(la + other.max_power)
-                if lb is not None:
-                    cands.append(lb + self.max_power)
-                low = max(cands)
-            out = collect((p1 + p2, m1 * m2)
-                          for p1, m1 in self.coeffs.items() for p2, m2 in other.coeffs.items()
-                          if low is None or p1 + p2 >= low)
-            return LaurentSeries(self.mode, self.row_dims, other.col_dims, out,
-                                 None if low is None else -low)
+            return self._times(other)
         return self.map_coefficients(lambda m: m.scale(other))
+
+    def _times(self, other: "LaurentSeries", floor: int | None = None) -> "LaurentSeries":
+        """self * other, built only at powers >= floor (None: no floor).
+
+        The result is reliable down to the higher of floor and the sharp
+        product limit; below that nothing is computed.
+        """
+        if self.col_dims != other.row_dims:
+            raise ShapeError("layouts do not chain")
+        lows = [floor] if floor is not None else []
+        if self.lowest_reliable is not None:
+            lows.append(self.lowest_reliable + other.max_power)
+        if other.lowest_reliable is not None:
+            lows.append(other.lowest_reliable + self.max_power)
+        low = max(lows) if lows else None
+        out = collect((p1 + p2, m1 * m2)
+                      for p1, m1 in self.coeffs.items() for p2, m2 in other.coeffs.items()
+                      if low is None or p1 + p2 >= low)
+        return LaurentSeries(self.mode, self.row_dims, other.col_dims, out,
+                             None if low is None else -low)
 
     def __rmul__(self, other):
         return self.map_coefficients(lambda m: m.scale(other))

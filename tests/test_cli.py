@@ -106,12 +106,23 @@ def test_orders_below_one_are_refused_at_parse_time(argv, value, capsys):
     ["boundary", "extract-bc", "--out", "latex"],
     ["boundary", "extract-bc", "--out-path", "x.txt"],
     ["hierarchy", "verify", "--k", "2", "--out", "latex"],
-    ["hierarchy", "verify", "--k", "2", "--out-path", "x.txt"]])
+    ["hierarchy", "verify", "--k", "2", "--out-path", "x.txt"],
+    ["riccati", "--which", "gamma", "--mode", "scalar"],
+    ["riccati", "--which", "gamma-hat", "--mode", "scalar", "--order", "2"]])
 def test_options_a_command_ignores_are_refused(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     out, _ = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
+
+
+@pytest.mark.parametrize("mode", [[], ["--mode", "matrix"]])
+def test_gamma_is_the_matrix_mode_block(mode, capsys):
+    """Gamma prints the same golden bytes with no --mode and with --mode matrix."""
+    code, out, err = run_cli("--golden", str(REPO / "goldens"), "riccati", "--which",
+                             "gamma", "--order", "4", *mode, "--out", "json", capsys=capsys)
+    assert code == 0 and "golden match" in err
+    assert out == (REPO / "goldens" / "riccati-gamma-4.json").read_text()
 
 
 @pytest.mark.parametrize("argv", [

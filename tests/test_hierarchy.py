@@ -59,6 +59,31 @@ def test_dress_goldens(n):
     assert dress_u(n).series.coeffs == T.u_dress_matrix(n).coeffs
 
 
+def _generate_full(n, mode):
+    """The generating route with M built to truncation n from W^(1..n)."""
+    from laxforge.riccati import projector_d, solve_w_z
+    from laxforge.series import LaurentSeries, series_invert
+    one_plus = solve_w_z(n, mode).one_plus_w()
+    m = one_plus * LaurentSeries.of(projector_d(mode)).truncated(n) * series_invert(one_plus)
+    acc = LaurentSeries.zero(mode, m.row_dims, m.col_dims)
+    for k in range(n):
+        acc = acc + LaurentSeries.of(m.coefficient(-k), n - 1 - k)
+    return acc
+
+
+@pytest.mark.parametrize("mode", ["scalar", "matrix"])
+def test_generate_stops_at_the_last_order_it_reads(mode):
+    """generate_u(n) builds M only to lam^-(n-1); the operator, and the term
+    order of each of its coefficients, are those of the expansion to lam^-n."""
+    for n in range(1, 11):
+        got, want = generate_u(n, mode).series, _generate_full(n, mode)
+        assert got == want, n
+        assert [(p, [list(e.terms) for row in m.entries for e in row])
+                for p, m in got.coeffs.items()] == \
+            [(p, [list(e.terms) for row in m.entries for e in row])
+             for p, m in want.coeffs.items()], n
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_route_agreement(n):
     """The two routes differ by exactly the bare shift lam^(n-1)/2 * 1."""
@@ -213,6 +238,21 @@ def test_verify_conservation(k):
     assert proof.flux.differentiate_t() == proof.x_derivative
     expected = {1: "u*uh", 2: "-uh*pih", 3: "-u_t*uh + u*u*uh*uh"}
     assert proof.flux == parse_poly(expected[k])
+
+
+def test_flow2_rules_are_derived_once_per_process(monkeypatch):
+    """verify_conservation at every k and the dispersion check share one
+    derivation of the flow-2 relations."""
+    from laxforge.checks import check_dispersion
+    calls = []
+    derive = H.extract_eom
+    monkeypatch.setattr(H, "extract_eom", lambda u, v: calls.append(u.flow) or derive(u, v))
+    H._flow2_rules.cache_clear()
+    for k in range(1, 8):
+        verify_conservation(k)
+    assert check_dispersion(2, 1e-9, 1)["passed"]
+    assert calls == [2]
+    assert H._flow2_rules() == extract_eom(generate_u(2, "scalar"), nls_v_operator("scalar"))
 
 
 def test_eliminate_x_removes_all_x_atoms():

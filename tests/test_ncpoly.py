@@ -124,6 +124,20 @@ def test_matrix_product_words_are_canonical(p, q):
         assert make_word(w.atoms, "matrix") == w
 
 
+@given(matrix_polys())
+@settings(max_examples=60, deadline=None)
+def test_matrix_derivative_equals_the_make_word_route(p):
+    """Matrix-mode differentiate builds its words as they stand; the result is
+    the Leibniz sum with every word put through make_word."""
+    for var in ("t", "x"):
+        want = NCPolynomial.zero("matrix", p.shape)
+        for w, c in p.terms.items():
+            for k, a in enumerate(w.atoms):
+                atoms = w.atoms[:k] + (a.with_derivative(var),) + w.atoms[k + 1:]
+                want = want + NCPolynomial("matrix", p.shape, {make_word(atoms, "matrix"): c})
+        assert p.differentiate(var) == want
+
+
 # -- substitution ----------------------------------------------------------------
 
 def test_substitute_momentum():

@@ -157,6 +157,28 @@ def test_mode_budget():
             assert all(abs(a) <= 1 for a, _ in f.modes)
 
 
+def _trig_by_methods(rng):
+    """The draw as written with the random.Random methods."""
+    from laxforge.oracle import MAX_MODES, TrigPoly
+    modes = []
+    for _ in range(rng.randint(1, MAX_MODES)):
+        amp = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / 2
+        modes.append((amp, (rng.randint(-2, 2), rng.randint(-2, 2))))
+    return TrigPoly(tuple(modes))
+
+
+def test_trig_draws_equal_the_random_methods():
+    """Drawing straight from getrandbits and random gives the same samples and
+    leaves the generator in the same state as randint and uniform."""
+    import random
+    from laxforge.oracle import _random_trig
+    for seed in range(1200):
+        direct, methods = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert _random_trig(direct) == _trig_by_methods(methods), seed
+        assert direct.getstate() == methods.getstate(), seed
+
+
 def test_route_check_reaches_flow_12():
     """Generating and dressing routes agree numerically through flow 12, as far
     as the symbolic route comparison goes."""

@@ -1,11 +1,14 @@
 """Riccati solver: golden tables, residuals, structure invariants."""
 import pytest
 
+import laxforge.riccati as R
 import laxforge.tables as T
 from laxforge.atoms import atom, make_word
+from laxforge.matrices import PolyMatrix
 from laxforge.ncpoly import NCPolynomial, scalarize
 from laxforge.riccati import (GammaSolution, gamma_residual, riccati_residual,
-                              solve_gamma, solve_w_z)
+                              solve_gamma, solve_w_z, v_antidiagonal, v_diagonal)
+from laxforge.series import LaurentSeries
 
 
 @pytest.fixture(scope="module")
@@ -128,3 +131,72 @@ def test_gamma_hat_is_end_swap_of_gamma():
 def test_gamma_refuses_unknown_which():
     with pytest.raises(ValueError):
         solve_gamma(3, "gamma_tilde")
+
+
+# -- the residuals build only the orders that their sum keeps -----------------------
+
+def _full_form(w, vd_l, vd_r, va_q, va):
+    """The residual as first written: every product built whole, then summed."""
+    t = w.truncation
+    vd_l, vd_r, va_q, va = (s.truncated(t) for s in (vd_l, vd_r, va_q, va))
+    return w.differentiate_t() + w * vd_r - vd_l * w + w * va_q * w - va
+
+
+def _same(got, want):
+    """Equal coefficients, truncation and term order of every kept coefficient."""
+    assert got == want and got.truncation == want.truncation
+    assert [(p, [list(e.terms) for row in m.entries for e in row])
+            for p, m in got.coeffs.items()] == \
+        [(p, [list(e.terms) for row in m.entries for e in row])
+         for p, m in want.coeffs.items()]
+
+
+@pytest.mark.parametrize("mode,top", [("scalar", 10), ("matrix", 8)])
+def test_riccati_residual_equals_the_full_product_formula(mode, top):
+    """Also off the solution: with W^(1) doubled the residual is nonzero."""
+    VD, VA = v_diagonal(mode), v_antidiagonal(mode)
+    for order in range(1, top + 1):
+        sol = solve_w_z(order, mode)
+        w = sol.w_series()
+        _same(riccati_residual(sol), _full_form(w, VD, VD, VA, VA))
+        off = w + LaurentSeries.of(sol.w(1), -1)
+        got = R._riccati_form(off, VD, VD, VA, VA)
+        _same(got, _full_form(off, VD, VD, VA, VA))
+        assert not got.is_zero
+
+
+def _gamma_series(sol):
+    i, j = R._GAMMA_BLOCK[sol.which]
+    r, c = R.BLOCK_DIMS["matrix"][i], R.BLOCK_DIMS["matrix"][j]
+    return LaurentSeries("matrix", (r,), (c,),
+                         {-k: PolyMatrix("matrix", (r,), (c,), [[g]])
+                          for k, g in enumerate(sol.coeffs, 1)}, sol.order), i, j
+
+
+@pytest.mark.parametrize("which", ["gamma", "gamma_hat"])
+def test_gamma_residual_equals_the_full_product_formula(which):
+    VD, VA = v_diagonal("matrix"), v_antidiagonal("matrix")
+    for order in range(1, 9):
+        sol = solve_gamma(order, which)
+        off = GammaSolution(which, order, [sol.coeffs[0] + sol.coeffs[0]] + sol.coeffs[1:])
+        for s in (sol, off):
+            g, i, j = _gamma_series(s)
+            _same(gamma_residual(s), _full_form(g, VD.block(i, i), VD.block(j, j),
+                                                VA.block(j, i), VA.block(i, j)))
+        assert not gamma_residual(off).is_zero
+
+
+@pytest.mark.parametrize("mode,top", [("scalar", 12), ("matrix", 9)])
+def test_z_from_a_grown_tower_equals_a_cold_solve(mode, top, monkeypatch):
+    """Z^(k) read from the tower after a solve at a higher order is the Z^(k) of
+    a solve in an empty tower."""
+    solve_w_z.cache_clear()
+    solve_w_z(top, mode)
+    warm = {k: solve_w_z(k, mode).z_coeffs for k in range(1, top)}
+    for k in range(1, top):
+        monkeypatch.setattr(R, "_TOWER", {})
+        monkeypatch.setattr(R, "_Z", {})
+        solve_w_z.cache_clear()
+        cold = solve_w_z(k, mode).z_coeffs
+        assert cold == warm[k] and [str(z) for z in cold] == [str(z) for z in warm[k]]
+    solve_w_z.cache_clear()

@@ -22,11 +22,11 @@ import numpy as np
 from .atoms import FIELD_BASES, atom
 from .hierarchy import (_flow2_rules, dress_u, generate_u, nls_v_operator,
                         verify_conservation, zero_curvature_residual)
-from .oracle import ExponentialSolution, FieldSample, atom_values, plan, pymul
+from .oracle import Chunk, ExponentialSolution, FieldSample, plan, pymul
 from .riccati import (p_a_matrix, sigma_matrix, solve_gamma, solve_w_z, x_matrix,
                       y_matrix)
 
-_CHUNK = 16   # trials evaluated together: larger chunks run faster but hold more samples
+_CHUNK = 64   # trials evaluated together: larger chunks run faster but hold more samples
 
 
 def _worst(trials: int, seed: int, residuals, sample, r: float | None = 2,
@@ -36,7 +36,7 @@ def _worst(trials: int, seed: int, residuals, sample, r: float | None = 2,
     All trials are drawn from ``rng`` (by default seeded with ``seed``) first,
     each as a trial-by-trial loop drew it: its sample seed, its point in
     ``[-r, r]^2`` unless ``r`` is None, its spectral parameter if ``lam``.
-    ``residuals`` maps each chunk of at most ``_CHUNK`` trials, given as
+    ``residuals`` maps each ``Chunk`` of at most ``_CHUNK`` trials, given as
     ``(sample(s_seed), point, lam)``, to one residual per trial.
     ``worst_seed`` names the sample of the first strict maximum above 0
     (``seed`` if none); the first NaN is kept as the worst, so the report
@@ -50,7 +50,7 @@ def _worst(trials: int, seed: int, residuals, sample, r: float | None = 2,
     max_abs, worst_seed = 0.0, seed
     for start in range(0, trials, _CHUNK):
         chunk = drawn[start:start + _CHUNK]
-        ds = residuals([(sample(s), point, z) for s, point, z in chunk])
+        ds = residuals(Chunk((sample(s), point, z) for s, point, z in chunk))
         for (s_seed, _, _), d in zip(chunk, ds.tolist()):
             if not d <= max_abs and max_abs == max_abs:
                 max_abs, worst_seed = d, s_seed
@@ -83,7 +83,7 @@ def identity_check(lhs, rhs, trials: int, tol: float, seed: int = 0,
     lhs, rhs = plan(lhs, params), plan(rhs, params)
 
     def residuals(batch):
-        batch = [(sample, point, lam) for sample, point, _ in batch]
+        batch = Chunk((sample, point, lam) for sample, point, _ in batch)
         return _amax(lhs.value(batch) - rhs.value(batch))
     return _report(name, trials, tol, *_worst(trials, seed, residuals,
                                               lambda s: FieldSample.random(s, mode)))
@@ -157,7 +157,7 @@ def check_gamma(trials: int, tol: float, seed: int, order: int = 5) -> dict:
     def residuals(batch):
         Gv = {k: G[k].value(batch) for k in G}
         dGv = {k: dG[k].value(batch) for k in G}
-        uv, uhv, piv, pihv = atom_values(batch, fields)
+        uv, uhv, piv, pihv = batch.atom_values(fields)
         uuhv, uhuv = uv @ uhv, uhv @ uv
         ds = []
         for k in range(-1, order - 1):

@@ -12,6 +12,7 @@ through ``coeff.collect``, which needs ``+`` and a value truthy iff nonzero.
 """
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Iterable
 
 from .atoms import EMPTY_WORD, FieldAtom, ShapeError, Word, chain_shape, make_word
@@ -325,6 +326,9 @@ def nc_mul(p: NCPolynomial, q: NCPolynomial) -> NCPolynomial:
     Trace mode raises ValueError: tr(a)tr(b) is not the trace of a word.  In
     matrix mode each factor's words already chain and the shapes were
     checked to meet, so a product word is the concatenation as it stands.
+    In scalar mode both factors' atoms are already scalar, so a product word
+    is the concatenation sorted as ``make_word`` sorts it, without its shape
+    check.
     """
     if p.mode != q.mode:
         raise ValueError("mode mismatch")
@@ -337,7 +341,8 @@ def nc_mul(p: NCPolynomial, q: NCPolynomial) -> NCPolynomial:
         products = ((Word(w1.atoms + w2.atoms), c1 * c2)
                     for w1, c1 in left for w2, c2 in right)
     else:
-        products = ((make_word(w1.atoms + w2.atoms, mode), c1 * c2)
+        key = attrgetter("sort_key")
+        products = ((Word(tuple(sorted(w1.atoms + w2.atoms, key=key))), c1 * c2)
                     for w1, c1 in left for w2, c2 in right)
     return _poly(mode, (p.shape[0], q.shape[1]), collect(products))
 

@@ -10,12 +10,13 @@ numpy, keeping the route independent of the symbolic multiplication.
 indices into the expression's distinct atoms, and the block layout.  A plan
 evaluates a whole chunk of trials (sample, point, lam) at once; ``evaluate``
 is a chunk of one.  Each trial rounds as it would alone, save one case (see
-``Plan``), and the reports match a trial-by-trial loop.  A sample keeps each atom
-value it computes, keyed by atom and point, so each distinct atom is evaluated
-once per sample and point however many expressions read it.  Only the flow-2
-variable x has an evaluator: an atom with ``dx > 0`` in another flow is
-refused, and so is a ``FieldSample`` of the other mode than the expression's
-(a trace counts as matrix).
+``Plan``), and the reports match a trial-by-trial loop.  A ``Chunk`` keeps each
+atom value it computes, so each distinct atom is evaluated once per chunk
+however many expressions read it.  On trig samples a chunk evaluates the atoms
+of a field for all its trials in one numpy pass, bit for bit ``TrigPoly.value``
+(see ``_trig_values``).  Only the flow-2 variable x has an evaluator: an atom
+with ``dx > 0`` in another flow is refused, and so is a ``FieldSample`` of the
+other mode than the expression's (a trace counts as matrix).
 """
 from __future__ import annotations
 
@@ -82,8 +83,12 @@ class FieldSample:
     mode: str = "scalar"
     dims: tuple[int, int] = (2, 1)  # concrete sizes for the symbolic N and M
     fields: dict = field(default_factory=dict)
-    # atom values by (atom, t, x), filled by ``atom_values``
-    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.mode not in ("scalar", "matrix"):
+            raise ValueError(f"a sample's mode must be 'scalar' or 'matrix', got {self.mode!r}")
+        if len(self.dims) != 2 or not all(isinstance(d, int) and d >= 1 for d in self.dims):
+            raise ValueError(f"a sample's dims must be two sizes >= 1, got {self.dims!r}")
 
     @staticmethod
     def random(seed: int, mode: str = "scalar", dims: tuple[int, int] = (2, 1)) -> "FieldSample":
@@ -101,15 +106,9 @@ class FieldSample:
         return {"N": self.dims[0], "M": self.dims[1], "1": 1}[d]
 
     def atom_value(self, a: FieldAtom, t: float, x: float):
-        if a.dx and a.flow != 2:
-            raise UnhousedAtomError(f"no evaluator for {a}: x-derivatives of flow {a.flow}")
-        if a.base not in self.fields:
-            raise UnhousedAtomError(f"no evaluator for atom {a}")
-        f = self.fields[a.base]
-        if self.mode == "scalar":
-            return f.value(t, x, a.dt, a.dx)
-        return np.array([[g.value(t, x, a.dt, a.dx) for g in row] for row in f],
-                        dtype=complex)
+        """The atom at one point: the chunk evaluator on a chunk of one trial."""
+        (v,) = Chunk([(self, (t, x), None)]).atom_values([a])[0]
+        return complex(v) if self.mode == "scalar" else v.copy()
 
 
 @dataclass(frozen=True)
@@ -122,8 +121,6 @@ class ExponentialSolution:
     alpha: complex
     beta: complex
     k: complex
-    # atom values by (atom, t, x), filled by ``atom_values``
-    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def omega(self) -> complex:
@@ -155,20 +152,131 @@ class ExponentialSolution:
         raise UnhousedAtomError(f"no evaluator for atom {a}")
 
 
-def atom_values(trials, atoms) -> list:
-    """Each atom's values at the ``(sample, point, lam)`` trials, shape ``(T,)``
-    or ``(T, r, c)``; ``sample.atom_value`` runs only on a memo miss."""
-    rows = []
-    for sample, (t, x), _ in trials:
-        memo, row = sample.memo, []
+def _stack_field(samples, points, base):
+    """One field's modes over a chunk of trig samples, padded to the most modes.
+
+    Returns ``(amp, e, freqs, where, counts, shape)``.  The ``R`` rows run over
+    the trials and, within a trial, over the block entries row by row; the
+    columns over the modes.  ``amp`` is ``(R, n)`` and so is the table
+    ``e = cos φ + i sin φ``, ``φ = ωt + kx``; ``where`` is ``(2, R, n)``,
+    the index of each ``ω`` and ``k`` in ``freqs``, the distinct values as
+    drawn; ``counts`` are the modes of each row and ``shape`` the block
+    shape (``()`` in scalar mode).
+    """
+    if samples[0].mode == "scalar":
+        polys, shape = [s.fields[base] for s in samples], ()
+    else:
+        block = samples[0].fields[base]
+        polys = [g for s in samples for row in s.fields[base] for g in row]
+        shape = (len(block), len(block[0]))
+    counts = np.array([len(g.modes) for g in polys])
+    modes = [(a, w, k) for g in polys for a, (w, k) in g.modes]
+    amps, ws, ks = zip(*modes) if modes else ((), (), ())
+    freqs = sorted({0}.union(ws, ks))
+    index = {v: i for i, v in enumerate(freqs)}.__getitem__
+    rows = np.repeat(np.arange(len(polys)), counts)
+    cols = np.arange(len(amps)) - np.repeat(np.cumsum(counts) - counts, counts)
+    amp = np.zeros((len(polys), max(int(counts.max()), 1)), dtype=complex)
+    amp[rows, cols] = amps
+    where = np.zeros((2,) + amp.shape, dtype=np.intp)
+    where[:, rows, cols] = [list(map(index, ws)), list(map(index, ks))]
+    t, x = (np.repeat(c, len(polys) // len(points))[:, None] for c in np.array(points).T)
+    w, k = np.array(freqs, dtype=float)[where]   # as Python's int * float converts
+    phase = w * t + k * x
+    e = np.empty(phase.shape, dtype=complex)
+    e.real, e.imag = np.cos(phase), np.sin(phase)
+    return amp, e, freqs, where, counts, shape
+
+
+def _trig_values(samples, points, atoms, stacks: dict) -> list:
+    """Each atom's values at the trig samples and points, bit for bit ``TrigPoly.value``.
+
+    Per base, the modes are stacked once (``stacks`` keeps them for later
+    atoms of the chunk; see ``_stack_field``).  ``exp(i φ)`` is
+    ``cmath.exp(1j * φ)``: the real part of ``1j * φ`` is a zero and
+    ``exp(±0) = 1``.  Every atom of the base is then evaluated at once as
+    ``((a·(iω)^dt)·(ik)^dx)·e``: the powers come from a table of Python's own
+    ``(1j * w) ** d``, the products from ``pymul``, and each row's modes are
+    summed in order from ``0j`` up to its own count, past which the padded
+    slots lie.
+    """
+    out = {}
+    by_base: dict = {}
+    for a in atoms:
+        by_base.setdefault(a.base, []).append(a)
+    for base, group in by_base.items():
+        if base not in stacks:
+            stacks[base] = _stack_field(samples, points, base)
+        amp, e, freqs, where, counts, shape = stacks[base]
+        orders = np.array([(a.dt, a.dx) for a in group])
+        powers = np.array([[(1j * w) ** d for w in freqs]
+                           for d in range(int(orders.max()) + 1)], dtype=complex)
+        dt, dx = (orders[:, i, None, None] for i in (0, 1))
+        terms = pymul(pymul(pymul(amp, powers[dt, where[0]]), powers[dx, where[1]]), e)
+        terms[:, :, 0] += 0   # the sum starts from 0j, as TrigPoly.value's does
+        sums = np.add.accumulate(terms, axis=2, out=terms)
+        # each row stops at its last mode; a row without modes reads the last
+        # slot, where its padded zeros, summed from 0j, make 0j
+        acc = sums[:, np.arange(len(counts)), counts - 1]
+        out.update(zip(group, acc.reshape((len(group), len(points)) + shape)))
+    return [out[a] for a in atoms]
+
+
+class Chunk:
+    """Trials ``(sample, point, lam)`` evaluated together, as a sequence.
+
+    A chunk keeps the value of each atom at all its trials (``(T,)`` or
+    ``(T, r, c)``, read-only), so each distinct atom is evaluated once per
+    chunk however many plans read it.  A chunk of trig samples only, which
+    must share their mode (and in matrix mode their sizes), goes through
+    ``_trig_values``; any other chunk asks each sample for each atom.
+    """
+
+    __slots__ = ("trials", "_values", "_stacks")
+
+    def __init__(self, trials):
+        self.trials = tuple(trials)
+        if not self.trials:
+            raise ValueError("a chunk needs at least one (sample, point, lam) trial, got none")
+        self._values: dict = {}
+        self._stacks: dict = {}
+
+    def __len__(self):
+        return len(self.trials)
+
+    def __iter__(self):
+        return iter(self.trials)
+
+    def __getitem__(self, i):
+        return self.trials[i]
+
+    def atom_values(self, atoms) -> list:
+        """Each atom's values at the chunk's trials, evaluated on a first read."""
+        values = self._values
+        missing = [a for a in dict.fromkeys(atoms) if a not in values]
+        if missing:
+            for a, v in zip(missing, self._evaluate(missing)):
+                v.flags.writeable = False
+                values[a] = v
+        return [values[a] for a in atoms]
+
+    def _evaluate(self, atoms) -> list:
+        samples = [s for s, _, _ in self.trials]
+        if not all(isinstance(s, FieldSample) for s in samples):
+            rows = [[sample.atom_value(a, t, x) for a in atoms]
+                    for sample, (t, x), _ in self.trials]
+            return [np.array(col) for col in zip(*rows)]
+        first = samples[0]
+        for s in samples:
+            if s.mode != first.mode or (s.mode != "scalar" and s.dims != first.dims):
+                raise ValueError(f"the samples of a chunk must share their mode and sizes: "
+                                 f"{s.mode} {s.dims} after {first.mode} {first.dims}")
         for a in atoms:
-            key = (a, t, x)
-            v = memo.get(key)
-            if v is None:
-                v = memo[key] = sample.atom_value(a, t, x)
-            row.append(v)
-        rows.append(row)
-    return [np.array(col) for col in zip(*rows)]
+            if a.dx and a.flow != 2:
+                raise UnhousedAtomError(f"no evaluator for {a}: x-derivatives of flow {a.flow}")
+            if any(a.base not in s.fields for s in samples):
+                raise UnhousedAtomError(f"no evaluator for atom {a}")
+        return _trig_values(samples, [p for _, p, _ in self.trials], atoms, self._stacks)
 
 
 def pymul(a, b):
@@ -249,7 +357,9 @@ class Plan:
     def value(self, trials):
         """The expression at each ``(sample, point, lam)`` of ``trials``, stacked:
         ``(T,)`` numbers or ``(T, rows, cols)`` blocks.  ``lam`` is read only for
-        a series; the samples must share their sizes of N and M."""
+        a series; the samples must share their sizes of N and M.  ``trials`` may
+        be a ``Chunk``, whose atom values serve every plan that reads it."""
+        trials = trials if isinstance(trials, Chunk) else Chunk(trials)
         n, scalar = len(trials), self.mode == "scalar"
         for sample, _, lam in trials:
             if self.powers is not None and lam is None:
@@ -257,7 +367,7 @@ class Plan:
             if isinstance(sample, FieldSample) and (sample.mode == "scalar") != scalar:
                 raise ValueError(f"a {self.mode}-mode expression cannot be evaluated "
                                  f"on a {sample.mode}-mode sample")
-        vals = atom_values(trials, self.atoms)
+        vals = trials.atom_values(self.atoms)
         blocks = bool(vals) and vals[0].ndim == 3
         mul = np.matmul if blocks else pymul
         words = [reduce(mul, map(vals.__getitem__, w)) if w else None
@@ -342,6 +452,10 @@ def finite_difference_crosscheck(expr, sample, point, h: float, var: str = "t",
     """Central-difference check of the analytic derivative; O(h^2) accurate."""
     if not 1e-6 <= h <= 1e-3:
         raise ValueError("h must lie in [1e-6, 1e-3]")
+    if var not in ("t", "x"):
+        raise ValueError(f"var must be 't' or 'x', got {var!r}")
+    if type(order) is not int or order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order!r}")
     t, x = point
     d = expr
     for _ in range(order):
@@ -355,10 +469,8 @@ def finite_difference_crosscheck(expr, sample, point, h: float, var: str = "t",
 
     if order == 1:
         fd = (f(1) - f(-1)) / (2 * h)
-    elif order == 2:
-        fd = (f(1) - 2 * f(0) + f(-1)) / h ** 2
     else:
-        raise ValueError("order must be 1 or 2")
+        fd = (f(1) - 2 * f(0) + f(-1)) / h ** 2
     err = float(np.max(np.abs(np.asarray(fd) - np.asarray(exact))))
     scale = max(1.0, float(np.max(np.abs(np.asarray(exact)))))
     return {"h": h, "var": var, "order": order, "abs_error": err,

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laxforge.atoms import MATRIX_SHAPES, ShapeError, atom, make_word
-from laxforge.coeff import gr
+from laxforge.coeff import collect, gr
 from laxforge.hierarchy import verify_conservation
 from laxforge.ncpoly import (NCPolynomial, SubstitutionError, eliminate,
                              euler_derivative, is_total_t_derivative, nc_mul,
@@ -136,6 +136,28 @@ def test_matrix_derivative_equals_the_make_word_route(p):
                 atoms = w.atoms[:k] + (a.with_derivative(var),) + w.atoms[k + 1:]
                 want = want + NCPolynomial("matrix", p.shape, {make_word(atoms, "matrix"): c})
         assert p.differentiate(var) == want
+
+
+@st.composite
+def scalar_polys(draw):
+    p = NCPolynomial.zero("scalar")
+    for _ in range(draw(st.integers(0, 4))):
+        atoms = [atom(draw(st.sampled_from(_BASES)), draw(st.integers(0, 2)),
+                      draw(st.integers(0, 1)), mode="scalar")
+                 for _ in range(draw(st.integers(0, 4)))]
+        c = gr(draw(st.integers(-3, 3)), draw(st.integers(-2, 2)))
+        p = p + NCPolynomial("scalar", ("1", "1"), {make_word(atoms, "scalar"): c})
+    return p
+
+
+@given(scalar_polys(), scalar_polys())
+@settings(max_examples=80, deadline=None)
+def test_scalar_product_equals_the_make_word_route(p, q):
+    """Scalar-mode nc_mul sorts each concatenated word itself; the result is
+    the product with every word put through make_word, term order included."""
+    want = collect((make_word(w1.atoms + w2.atoms, "scalar"), c1 * c2)
+                   for w1, c1 in p.terms.items() for w2, c2 in q.terms.items())
+    assert list(nc_mul(p, q).terms.items()) == list(want.items())
 
 
 # -- substitution ----------------------------------------------------------------

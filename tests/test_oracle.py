@@ -13,7 +13,7 @@ from laxforge.checks import identity_check
 from laxforge.coeff import GaussianRational, gr
 from laxforge.matrices import PolyMatrix
 from laxforge.ncpoly import NCPolynomial, trace
-from laxforge.oracle import (ExponentialSolution, FieldSample, Plan,
+from laxforge.oracle import (Chunk, ExponentialSolution, FieldSample, Plan, TrigPoly,
                              UnhousedAtomError, evaluate,
                              finite_difference_crosscheck, plan, pymul)
 from laxforge.parser import parse_poly
@@ -138,6 +138,56 @@ def test_fd_step_validation():
     with pytest.raises(ValueError):
         finite_difference_crosscheck(parse_poly("u"), FieldSample.random(1),
                                      (0, 0), h=1e-2)
+
+
+class _Underivable:
+    """An expression that fails the test if the check differentiates it."""
+
+    def differentiate_t(self):
+        raise AssertionError("differentiated before the arguments were checked")
+
+    differentiate_x = differentiate_t
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"var": "y"}, "var must be 't' or 'x', got 'y'"),     # once the x check, labelled y
+    ({"order": 3}, "order must be 1 or 2, got 3"),
+    ({"order": 0}, "order must be 1 or 2, got 0"),
+    ({"order": True}, "order must be 1 or 2, got True"),
+])
+def test_fd_refuses_a_bad_variable_or_order_before_differentiating(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        finite_difference_crosscheck(_Underivable(), FieldSample.random(1), (0.1, 0.2),
+                                     h=1e-4, **kwargs)
+
+
+def test_an_empty_chunk_is_refused():
+    """An empty chunk once failed with an unnamed IndexError."""
+    with pytest.raises(ValueError, match="at least one .* trial, got none"):
+        plan(parse_poly("u*uh")).value([])
+    with pytest.raises(ValueError, match="at least one .* trial, got none"):
+        Chunk([])
+
+
+@pytest.mark.parametrize("mode, dims, message", [
+    ("bogus", (2, 1), "mode must be 'scalar' or 'matrix', got 'bogus'"),
+    ("trace", (2, 1), "mode must be 'scalar' or 'matrix', got 'trace'"),
+    ("matrix", (0, 1), r"dims must be two sizes >= 1, got \(0, 1\)"),
+    ("scalar", (2, -1), r"dims must be two sizes >= 1, got \(2, -1\)"),
+    ("matrix", (2,), r"dims must be two sizes >= 1, got \(2,\)"),
+    ("matrix", (1.5, 1), r"dims must be two sizes >= 1, got \(1.5, 1\)"),
+])
+def test_a_sample_of_an_unknown_mode_or_empty_size_is_refused(mode, dims, message):
+    """Both were once accepted: an unknown mode was drawn as a matrix sample."""
+    with pytest.raises(ValueError, match=message):
+        FieldSample.random(1, mode, dims)
+
+
+def test_a_chunk_of_samples_with_other_sizes_is_refused():
+    trials = [(FieldSample.random(1, "matrix", (2, 1)), (0.1, 0.2), None),
+              (FieldSample.random(2, "matrix", (1, 2)), (0.1, 0.2), None)]
+    with pytest.raises(ValueError, match="must share their mode and sizes"):
+        Chunk(trials).atom_values([atom("u", mode="matrix")])
 
 
 def test_sample_determinism():
@@ -411,23 +461,72 @@ def test_pymul_rounds_as_python(parts):
     assert pymul(a[0], np.array(b)).tolist() == [a[0] * y for y in b]
 
 
-def test_each_atom_is_evaluated_once_per_sample_and_point(monkeypatch):
+def test_each_atom_is_evaluated_once_per_chunk(monkeypatch):
+    """The chunk keeps its atom values: plans reading one chunk share them, and
+    another chunk, at another point or with another sample, evaluates afresh."""
+    from laxforge import oracle
     calls = []
-    value = FieldSample.atom_value
+    trig_values = oracle._trig_values
 
-    def counted(self, a, t, x):
-        calls.append(str(a))
-        return value(self, a, t, x)
-    monkeypatch.setattr(FieldSample, "atom_value", counted)
+    def counted(samples, points, atoms, stacks):
+        calls.extend(str(a) for a in atoms)
+        return trig_values(samples, points, atoms, stacks)
+    monkeypatch.setattr(oracle, "_trig_values", counted)
     sample, point = FieldSample.random(4), (0.1, 0.2)
-    p, q = parse_poly("u*u*uh + u_t*uh"), parse_poly("u*uh_x")
+    p, q = plan(parse_poly("u*u*uh + u_t*uh")), plan(parse_poly("u*uh_x"))
+    chunk = Chunk([(sample, point, None), (FieldSample.random(5), (0.3, -0.4), None)])
+    first = p.value(chunk)
     for _ in range(2):
-        evaluate(p, sample, point)
-        evaluate(q, sample, point)
+        assert (p.value(chunk) == first).all()
+        q.value(chunk)
     assert sorted(calls) == ["u", "u_t", "uh", "uh_x"]
-    evaluate(p, sample, (0.3, 0.2))              # another point misses
-    evaluate(p, FieldSample.random(4), point)    # and so does another sample
-    assert len(calls) == 4 + 3 + 3
+    assert p.value([(sample, point, None)]) == first[0]       # a new chunk misses
+    p.value([(sample, (0.3, 0.2), None)])                     # so does another point
+    p.value([(FieldSample.random(4), point, None)])           # and another sample
+    assert len(calls) == 4 + 3 * 3
+
+
+def _bits(values) -> list:
+    return [(z.real.hex(), z.imag.hex()) for z in np.ravel(values).tolist()]
+
+
+@pytest.mark.parametrize("mode", ["scalar", "matrix"])
+def test_the_chunk_evaluator_is_trig_poly_value_bit_for_bit(mode):
+    """Every atom up to u_tttt_xx at 200 seeds, eight trials a chunk: the
+    stacked numpy route gives each value exactly as TrigPoly.value does,
+    signed zeros included, whatever the mix of mode counts padded together."""
+    import random
+    atoms = [atom(b, dt, dx, mode=mode) for b in FIELD_BASES for dt in range(5)
+             for dx in range(3)]
+    rng, counts = random.Random(17), set()
+    for start in range(0, 200, 8):
+        dims = [(2, 1), (1, 2), (2, 2)][start // 8 % 3]
+        samples = [FieldSample.random(s, mode, dims) for s in range(start, start + 8)]
+        points = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in samples]
+        chunk_counts = {len(g.modes) for s in samples for f in s.fields.values()
+                        for g in ([f] if mode == "scalar" else sum(f, []))}
+        assert len(chunk_counts) > 1
+        counts |= chunk_counts
+        values = Chunk([(s, pt, None) for s, pt in zip(samples, points)]).atom_values(atoms)
+        for a, got in zip(atoms, values):
+            for s, (t, x), v in zip(samples, points, got):
+                f = s.fields[a.base]
+                polys = [f] if mode == "scalar" else sum(f, [])
+                assert _bits(v) == _bits([g.value(t, x, a.dt, a.dx) for g in polys]), (a, s.seed)
+    assert counts == set(range(1, 9))
+
+
+def test_a_field_without_modes_is_zero():
+    """A trig polynomial with no modes is the zero field, alone or padded
+    beside an entry that keeps its exact value."""
+    sample = FieldSample.random(6, "matrix")
+    sample.fields["u"] = [[TrigPoly(()), sample.fields["u"][0][1]]]
+    u_t = atom("u", 1, mode="matrix")
+    got = sample.atom_value(u_t, 0.3, -0.2)
+    assert _bits(got) == _bits([0j, sample.fields["u"][0][1].value(0.3, -0.2, 1)])
+    sample = FieldSample.random(6)
+    sample.fields["uh"] = TrigPoly(())
+    assert _bits(sample.atom_value(atom("uh", 2, 1, mode="scalar"), 0.3, -0.2)) == _bits(0j)
 
 
 @pytest.mark.parametrize("sample", [FieldSample.random(3), ExponentialSolution.random(3)],
@@ -510,12 +609,16 @@ def test_battery_reports_are_pinned(seed):
 
 
 def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
-    """33 trials fill chunks of 1 and of 7 unevenly; the report stays the same."""
+    """70 trials fill chunks of 7 and of the default size unevenly; the report
+    is the one of chunks of one trial."""
     from laxforge import checks
-    want = dumps(checks.run_numeric("all", 33, 1e-9, 5))
-    for size in (1, 7):
+    sizes = (1, 7, checks._CHUNK)
+    assert 70 % sizes[-1] and sizes[-1] < 70 and sizes[-1] > 7
+    reports = []
+    for size in sizes:
         monkeypatch.setattr(checks, "_CHUNK", size)
-        assert dumps(checks.run_numeric("all", 33, 1e-9, 5)) == want, size
+        reports.append(dumps(checks.run_numeric("all", 70, 1e-9, 5)))
+    assert reports == [reports[0]] * len(sizes)
 
 
 def test_checks_refuse_fewer_than_one_trial():

@@ -13,7 +13,8 @@ import sys
 import time
 
 from laxforge.boundary import (boundary_u, bulk_u2, extract_boundary_conditions,
-                               k_matrix, open_charge_expansion, poisson_residual,
+                               k_matrix, open_charge_expansion,
+                               poisson_antisymmetry_defect, poisson_residual,
                                reflection_residual)
 from laxforge.checks import run_numeric
 from laxforge.hierarchy import (charges, dress_u, extract_eom, generate_u,
@@ -76,6 +77,8 @@ def main():
     claim("reflection residual zero", reflection_residual(k_matrix()).is_zero)
     for which in ("V", "U"):
         claim(f"Poisson residual ({which}) zero", poisson_residual(which).is_zero)
+        claim(f"Poisson antisymmetry defect ({which}) zero",
+              poisson_antisymmetry_defect(which).is_zero)
     exp = open_charge_expansion()
     print(f"  open bulk density: {exp.bulk_density}")
     print(f"  boundary term (+): {exp.plus_term}")

@@ -4,16 +4,18 @@ Everything here is exact: the spectral parameters and boundary constants live
 in one ring of Laurent polynomials over Q(i) (the constants xi enter
 polynomially, ka only through powers of 1/ka), and boundary charge terms are
 extracted from the reflected double-row generating function.  The reflection
-and Poisson checks are polynomial identities in that ring with their
-(lam -+ mu) denominators cleared; each returns its residual matrix.  The
-Poisson check reads its Lax operators from the engine (``nls_v`` and
-``dress_u(2)``); the only operators typed here are K and the two boundary
-operators.
+and Poisson checks are polynomial identities with their (lam -+ mu)
+denominators cleared; each returns its residual as a scalar-mode PolyMatrix
+whose coefficients lie in that ring and whose words hold the fields, so d_f L
+is ``NCPolynomial.partial`` on a field atom.  The Poisson check reads its Lax
+operators from the engine (``nls_v`` and ``dress_u(2)``); the only operators
+typed here are K and the two boundary operators.
 
 A polynomial may hold Gaussian-rational and MPoly coefficients at once (see
 ``ratfunc``), so the engine's ``1 + W``, ``Omega`` and ``dress_u(2)`` enter
-as they are.  K's entries are typed once (``_k_blocks``); ``k_matrix`` and
-``_k_series`` both read them.
+as they are.  K's entries are typed once (``_k_blocks``) and read by one
+route, ``_lam_series``: ``k_matrix`` sets lam in that series (``_at_lam``, as
+the Poisson check does for its Lax operators) and ``_k_series`` keeps it.
 """
 from __future__ import annotations
 
@@ -21,16 +23,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .atoms import atom
-from .coeff import I, ONE, ZERO, GaussianRational, collect, gr
+from .coeff import I, ONE, ZERO, GaussianRational, gr
 from .hierarchy import LaxOperator, dress_u
 from .matrices import PolyMatrix
 from .ncpoly import NCPolynomial, eliminate, sole_word
-from .ratfunc import MPoly, MPolyMatrix
+from .ratfunc import MPoly
 from .riccati import nls_v, omega_matrix, solve_w_z
 from .series import LaurentSeries, series_invert, series_log
 
-RVARS = ("lam", "mu", "xi", "ka")          # reflection-equation working variables
-PVARS = ("lam", "mu", "u", "uh", "pi", "pih")  # Poisson check: scalar fields commute
+RVARS = ("lam", "mu", "xi", "ka")          # spectral variables and K's constants
 BVARS = ("xi_p", "xi_m", "ka_p", "ka_m")   # boundary constants for charge work
 
 
@@ -60,11 +61,12 @@ class BoundaryParams:
 # reflection equation
 # ---------------------------------------------------------------------------
 
-def permutation_matrix(vars=RVARS) -> MPolyMatrix:
+def permutation_matrix() -> PolyMatrix:
     """The flip P of C^2 (x) C^2: row 2i + j has its 1 in column 2j + i."""
-    one, zero = MPoly.constant(vars, 1), MPoly(vars)
-    return MPolyMatrix(vars, [[one if c == (r % 2) * 2 + r // 2 else zero
-                               for c in range(4)] for r in range(4)])
+    one, zero = NCPolynomial.unit("scalar"), NCPolynomial.zero("scalar")
+    return PolyMatrix("scalar", ("1",) * 4, ("1",) * 4,
+                      [[one if c == (r % 2) * 2 + r // 2 else zero for c in range(4)]
+                       for r in range(4)])
 
 
 def _k_blocks(xi, ka) -> dict:
@@ -75,35 +77,45 @@ def _k_blocks(xi, ka) -> dict:
     return {1: [[ONE, I * ka], [I * ka, -ONE]], 0: [[I * xi, ZERO], [ZERO, I * xi]]}
 
 
-def k_matrix() -> MPolyMatrix:
+def _at_lam(series: LaurentSeries) -> PolyMatrix:
+    """The matrix sum_p m_p lam^p of an exact scalar-mode series, lam an MPoly over RVARS."""
+    terms = [m.scale(MPoly(RVARS, {tuple(p if v == "lam" else 0 for v in RVARS): ONE}))
+             for p, m in series.coeffs.items()]
+    return sum(terms[1:], terms[0])
+
+
+def _rename(m: PolyMatrix, mapping: dict[str, str]) -> PolyMatrix:
+    """``MPoly.rename`` on every coefficient of m; a Gaussian rational stays."""
+    return m.map_entries(lambda e: e.map_coeff(
+        lambda c: c.rename(mapping) if isinstance(c, MPoly) else c))
+
+
+def k_matrix() -> PolyMatrix:
     """The two-parameter boundary matrix K(lam) over RVARS."""
-    lam, xi, ka = (MPoly.variable(RVARS, v) for v in ("lam", "xi", "ka"))
-    k = _k_blocks(xi, ka)
-    return MPolyMatrix(RVARS, [[lam * a + b for a, b in zip(r1, r0)]
-                               for r1, r0 in zip(k[1], k[0])])
+    xi, ka = (MPoly.variable(RVARS, v) for v in ("xi", "ka"))
+    return _at_lam(_lam_series(_k_blocks(xi, ka)))
 
 
-def reflection_residual(k: MPolyMatrix) -> MPolyMatrix:
+def reflection_residual(k: PolyMatrix) -> PolyMatrix:
     """(lam^2 - mu^2) times the reflection-equation residual for r(z) = P/z.
 
     The residual [r(l-m), K1(l) K2(m)] + K1(l) r(l+m) K2(m) - K2(m) r(l+m) K1(l)
     times (lam - mu)(lam + mu) is the polynomial
     (lam + mu) [P, K1 K2] + (lam - mu) (K1 P K2 - K2 P K1),
     so the check is an exact identity with no division.  The argument is
-    K(lam); K(mu) is obtained by renaming the spectral variable.  A c-number
-    solution of the reflection equation makes this vanish identically.
+    K(lam), a 2x2 scalar-mode matrix with coefficients over RVARS; K(mu) is
+    obtained by renaming the spectral variable.  A c-number solution of the
+    reflection equation makes this vanish identically.
     """
-    if k.shape != (2, 2):
-        raise ValueError("K must be 2x2")
-    vars = k.vars
-    lam = MPoly.variable(vars, "lam")
-    mu = MPoly.variable(vars, "mu")
-    eye = MPolyMatrix.identity(vars, 2)
-    p = permutation_matrix(vars)
+    if k.mode != "scalar" or k.row_dims != ("1", "1") or k.col_dims != ("1", "1"):
+        raise ValueError("K must be a 2x2 scalar-mode matrix")
+    lam, mu = (MPoly.variable(RVARS, v) for v in ("lam", "mu"))
+    eye = PolyMatrix.identity("scalar", ("1", "1"))
+    p = permutation_matrix()
     k1 = k.kron(eye)
-    k2 = eye.kron(k.rename({"lam": "mu"}))
+    k2 = eye.kron(_rename(k, {"lam": "mu"}))
     k12 = k1 * k2
-    return ((p * k12 - k12 * p).scale(lam + mu)
+    return (p.commutator(k12).scale(lam + mu)
             + (k1 * p * k2 - k2 * p * k1).scale(lam - mu))
 
 
@@ -111,27 +123,22 @@ def reflection_residual(k: MPolyMatrix) -> MPolyMatrix:
 # linear Poisson structure checks
 # ---------------------------------------------------------------------------
 
+_FIELDS = ("u", "uh", "pi", "pih")
 _BRACKETS = {
     "V": {("u", "pi"): 1, ("pi", "u"): -1, ("uh", "pih"): 1, ("pih", "uh"): -1},
     "U": {("u", "uh"): 1, ("uh", "u"): -1},
 }
 
 
-def _lax_matrix(series: LaurentSeries) -> MPolyMatrix:
-    """A 2x2 lam-polynomial Lax operator in underived scalar fields, over PVARS."""
+def _lax_matrix(series: LaurentSeries) -> PolyMatrix:
+    """A 2x2 lam-polynomial Lax operator in underived scalar fields, over RVARS."""
     if series.mode != "scalar" or series.row_dims != ("1", "1") or series.truncation:
         raise ValueError("expected an exact 2x2 scalar-mode Lax operator")
-
-    def exponent(power, word):
-        e = [power] + [0] * (len(PVARS) - 1)
-        for a in word:
-            if a.dt or a.dx or a.base not in PVARS[2:]:
-                raise ValueError(f"{a} is not an underived field of {PVARS[2:]}")
-            e[PVARS.index(a.base)] += 1
-        return tuple(e)
-    return MPolyMatrix(PVARS, [[MPoly(PVARS, collect(
-        (exponent(p, w), c) for p, m in series.coeffs.items()
-        for w, c in m.entries[i][j].terms.items())) for j in range(2)] for i in range(2)])
+    stray = [a for m in series.coeffs.values() for row in m.entries for e in row
+             for a in e.atoms_set() if a.dt or a.dx or a.base not in _FIELDS]
+    if stray:
+        raise ValueError(f"{stray[0]} is not an underived field of {_FIELDS}")
+    return _at_lam(series)
 
 
 def _poisson_sides(which: str):
@@ -139,13 +146,17 @@ def _poisson_sides(which: str):
     if which not in _BRACKETS:
         raise ValueError("which must be 'V' or 'U'")
     lax = _lax_matrix(nls_v("scalar") if which == "V" else dress_u(2, "scalar").series)
-    lax_mu = lax.rename({"lam": "mu"})
-    terms = [lax.map(lambda a: a.partial(f)).kron(lax_mu.map(lambda a: a.partial(g)))
-             .scale(sign) for (f, g), sign in _BRACKETS[which].items()]
+    lax_mu = _rename(lax, {"lam": "mu"})
+
+    def grad(m, base):
+        field = atom(base, mode="scalar")
+        return m.map_entries(lambda e: e.partial(field))
+    terms = [grad(lax, f).kron(grad(lax_mu, g)).scale(sign)
+             for (f, g), sign in _BRACKETS[which].items()]
     return lax, lax_mu, sum(terms[1:], terms[0])
 
 
-def poisson_residual(which: str = "V") -> MPolyMatrix:
+def poisson_residual(which: str = "V") -> PolyMatrix:
     """(lam - mu) B - [P, L(lam) (x) 1 + 1 (x) L(mu)] for r(z) = P/z.
 
     B holds the delta-coefficients of the ultralocal brackets {L (x), L(mu)}
@@ -155,18 +166,17 @@ def poisson_residual(which: str = "V") -> MPolyMatrix:
     polynomial identity does, with no division.
     """
     lax, lax_mu, bracket = _poisson_sides(which)
-    vars_, eye = lax.vars, MPolyMatrix.identity(lax.vars, 2)
-    p = permutation_matrix(vars_)
+    eye = PolyMatrix.identity("scalar", ("1", "1"))
     s = lax.kron(eye) + eye.kron(lax_mu)
-    lam_minus_mu = MPoly.variable(vars_, "lam") - MPoly.variable(vars_, "mu")
-    return bracket.scale(lam_minus_mu) - (p * s - s * p)
+    lam_minus_mu = MPoly.variable(RVARS, "lam") - MPoly.variable(RVARS, "mu")
+    return bracket.scale(lam_minus_mu) - permutation_matrix().commutator(s)
 
 
-def poisson_antisymmetry_defect(which: str = "V") -> MPolyMatrix:
+def poisson_antisymmetry_defect(which: str = "V") -> PolyMatrix:
     """B(lam, mu) + P B(mu, lam) P; zero by antisymmetry of the bracket."""
     bracket = _poisson_sides(which)[2]
-    p = permutation_matrix(bracket.vars)
-    return bracket + p * bracket.rename({"lam": "mu", "mu": "lam"}) * p
+    p = permutation_matrix()
+    return bracket + p * _rename(bracket, {"lam": "mu", "mu": "lam"}) * p
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +247,8 @@ class BoundaryConditions:
 def extract_boundary_conditions(bulk: LaxOperator, bdry: LaxOperator,
                                 side: str = "+") -> BoundaryConditions:
     """Solve delta U = 0 entrywise; lam-dependent leftovers become flags."""
+    if side not in ("+", "-"):
+        raise ValueError("side must be '+' or '-'")
     delta = bdry.series - bulk.series
 
     def lone_field(e: NCPolynomial):

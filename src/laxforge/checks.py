@@ -207,6 +207,8 @@ def check_dispersion(trials: int, tol: float, seed: int) -> dict:
 
 def check_conservation(trials: int, tol: float, seed: int, max_k: int = 3) -> dict:
     """Flux identity d_x rho = d_t j on exponential solutions for k <= max_k."""
+    if max_k < 1:
+        raise ValueError(f"max_k must be >= 1, got {max_k}")
     pairs = []
     for k in range(1, max_k + 1):
         proof = verify_conservation(k)
@@ -277,6 +279,8 @@ def check_algebra(trials: int, tol: float, seed: int) -> dict:
 
 def check_route(trials: int, tol: float, seed: int, max_n: int = 4) -> dict:
     """Generating vs dressing route, numerically, including the bare shift."""
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
     ops = [(plan(generate_u(n, "scalar").series), plan(dress_u(n, "scalar").series), n)
            for n in range(1, max_n + 1)]
 

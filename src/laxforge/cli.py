@@ -147,8 +147,10 @@ def _residual_exit(res, holds: str, fails: str) -> int:
         sys.stdout.write(holds + "\n")
         return 0
     sys.stderr.write(fails + "\n")
-    for i, j, e in res.nonzero_entries():
-        sys.stderr.write(f"  entry ({i},{j}): {e}\n")
+    for i, row in enumerate(res.entries):
+        for j, e in enumerate(row):
+            if e:
+                sys.stderr.write(f"  entry ({i},{j}): {e}\n")
     return 1
 
 

@@ -24,7 +24,7 @@ from .coeff import gr
 from .matrices import PolyMatrix
 from .ncpoly import (NCPolynomial, eliminate, is_total_t_derivative, nc_mul,
                      sole_word, trace)
-from .riccati import (BLOCK_DIMS, _f, nls_v, projector_d, sigma_matrix,
+from .riccati import (_f, block_dims, nls_v, projector_d, sigma_matrix,
                       solve_gamma, solve_w_z, x_matrix, y_matrix)
 from .series import LaurentSeries, series_invert
 
@@ -104,7 +104,7 @@ def _kernel_rules(mode: str, depth: int) -> tuple:
 
 
 def _kernel_matrix(mode: str = "matrix") -> PolyMatrix:
-    n, m = BLOCK_DIMS[mode]
+    n, m = block_dims(mode)
     return PolyMatrix(mode, (n, m), (n, m),
                       [[_f("K11", mode), -_f("uh", mode)],
                        [_f("u", mode), _f("K22", mode)]])
@@ -143,7 +143,7 @@ def dress_u(n: int, mode: str = "matrix") -> LaxOperator:
 
 def route_difference(n: int, mode: str = "scalar") -> LaurentSeries:
     """generate_u - dress_u - bare identity shift (must vanish)."""
-    shift = PolyMatrix.identity(mode, BLOCK_DIMS[mode]).scale(gr(Fraction(1, 2)))
+    shift = PolyMatrix.identity(mode, block_dims(mode)).scale(gr(Fraction(1, 2)))
     return (generate_u(n, mode).series - dress_u(n, mode).series
             - LaurentSeries.of(shift, n - 1))
 

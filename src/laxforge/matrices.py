@@ -91,13 +91,30 @@ class PolyMatrix:
     def commutator(self, other: "PolyMatrix") -> "PolyMatrix":
         return self * other - other * self
 
+    def _require_scalar_blocks(self, what: str):
+        if any(d != "1" for d in self.row_dims + self.col_dims):
+            raise ShapeError(f"{what} is only supported for all-scalar block layouts")
+
     def transpose(self) -> "PolyMatrix":
         """Entry transpose; only valid when every block is scalar (1x1)."""
-        if any(d != "1" for d in self.row_dims + self.col_dims):
-            raise ShapeError("transpose is only supported for all-scalar block layouts")
+        self._require_scalar_blocks("transpose")
         ent = [[self.entries[j][i] for j in range(len(self.row_dims))]
                for i in range(len(self.col_dims))]
         return PolyMatrix(self.mode, self.col_dims, self.row_dims, ent)
+
+    def kron(self, other: "PolyMatrix") -> "PolyMatrix":
+        """Kronecker product; only valid when every block of both is scalar (1x1).
+
+        Entry (i p + k, j q + l) is ``self[i][j] * other[k][l]`` for ``other``
+        of p x q entries.
+        """
+        self._require_scalar_blocks("kron")
+        other._require_scalar_blocks("kron")
+        p, q = len(other.row_dims), len(other.col_dims)
+        rows, cols = len(self.row_dims) * p, len(self.col_dims) * q
+        ent = [[nc_mul(self.entries[i // p][j // q], other.entries[i % p][j % q])
+                for j in range(cols)] for i in range(rows)]
+        return PolyMatrix(self.mode, ("1",) * rows, ("1",) * cols, ent)
 
     # -- maps ------------------------------------------------------------------
     def map_entries(self, fn: Callable[[NCPolynomial], NCPolynomial]) -> "PolyMatrix":

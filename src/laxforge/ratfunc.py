@@ -7,10 +7,9 @@ a monomial: exponents may be negative, division by a monomial is exact, and
 division by anything else raises.  Values are canonical (equal values have
 equal term dicts), so equality is a dict comparison and values hash.
 
-It is also the ring of both boundary checks: the reflection equation over
-(lam, mu, xi, ka) and the Poisson structures over (lam, mu) and the scalar
-fields, which commute.  ``rename`` maps lam to mu (or swaps them) and
-``partial`` differentiates by a field.
+It is also the ring of the spectral variables (lam, mu) of both boundary
+checks, which work over (lam, mu, xi, ka) with the fields left in the words
+of a scalar-mode polynomial.  ``rename`` maps lam to mu (or swaps them).
 
 A Gaussian rational, int or Fraction acts on an MPoly, in either operand
 order, as the constant it stands for (``+ - * /``, ``==`` with equal hashes),
@@ -147,12 +146,6 @@ class MPoly:
             return tuple(out)
         return _mpoly(self.vars, collect((moved(e), c) for e, c in self.terms.items()))
 
-    def partial(self, var: str) -> "MPoly":
-        """Derivative with respect to one variable."""
-        i = self.vars.index(var)
-        return _mpoly(self.vars, collect(
-            ((*e[:i], e[i] - 1, *e[i + 1:]), c * e[i]) for e, c in self.terms.items()))
-
     def subs_values(self, values: dict[str, GaussianRational]) -> "MPoly":
         """Exact substitution of some variables by Gaussian-rational values.
 
@@ -208,65 +201,3 @@ def _mpoly(vars, terms: dict) -> MPoly:
     p = MPoly(vars)
     p.terms = terms
     return p
-
-
-class MPolyMatrix:
-    """Dense matrix of Laurent polynomials over one variable tuple."""
-
-    __slots__ = ("vars", "entries")
-
-    def __init__(self, vars, entries):
-        self.vars = tuple(vars)
-        self.entries = [list(row) for row in entries]
-
-    @staticmethod
-    def identity(vars, n) -> "MPolyMatrix":
-        one, zero = MPoly.constant(vars, GR_ONE), MPoly(vars)
-        return MPolyMatrix(vars, [[one if i == j else zero for j in range(n)]
-                                  for i in range(n)])
-
-    @property
-    def shape(self):
-        return (len(self.entries), len(self.entries[0]))
-
-    def __add__(self, other):
-        return MPolyMatrix(self.vars, [[a + b for a, b in zip(r1, r2)]
-                                       for r1, r2 in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        return MPolyMatrix(self.vars, [[a - b for a, b in zip(r1, r2)]
-                                       for r1, r2 in zip(self.entries, other.entries)])
-
-    def __mul__(self, other: "MPolyMatrix") -> "MPolyMatrix":
-        n, k = self.shape
-        k2, m = other.shape
-        if k != k2:
-            raise ValueError("shape mismatch")
-        return MPolyMatrix(self.vars, [
-            [sum((self.entries[i][s] * other.entries[s][j] for s in range(k)),
-                 MPoly(self.vars)) for j in range(m)] for i in range(n)])
-
-    def scale(self, c) -> "MPolyMatrix":
-        return MPolyMatrix(self.vars, [[a * c for a in r] for r in self.entries])
-
-    def kron(self, other: "MPolyMatrix") -> "MPolyMatrix":
-        n, m = self.shape
-        p, q = other.shape
-        return MPolyMatrix(self.vars, [
-            [self.entries[i // p][j // q] * other.entries[i % p][j % q]
-             for j in range(m * q)] for i in range(n * p)])
-
-    def rename(self, mapping: dict[str, str]) -> "MPolyMatrix":
-        return self.map(lambda a: a.rename(mapping))
-
-    def map(self, fn) -> "MPolyMatrix":
-        """Apply fn to every entry, e.g. ``m.map(lambda a: a.partial("u"))``."""
-        return MPolyMatrix(self.vars, [[fn(a) for a in r] for r in self.entries])
-
-    @property
-    def is_zero(self) -> bool:
-        return all(a.is_zero for r in self.entries for a in r)
-
-    def nonzero_entries(self):
-        return [(i, j, a) for i, r in enumerate(self.entries)
-                for j, a in enumerate(r) if not a.is_zero]

@@ -23,6 +23,13 @@ from .series import LaurentSeries
 BLOCK_DIMS = {"scalar": ("1", "1"), "matrix": ("N", "M")}
 
 
+def block_dims(mode: str) -> tuple[str, str]:
+    """The (N, M) block sizes of a mode's 2x2 layout; any other mode is refused."""
+    if mode not in BLOCK_DIMS:
+        raise ValueError(f"unknown mode {mode!r}")
+    return BLOCK_DIMS[mode]
+
+
 def _f(base, mode, dt=0, dx=0, flow=2) -> NCPolynomial:
     return NCPolynomial.from_atom(atom(base, dt, dx, mode, flow), mode)
 
@@ -33,7 +40,7 @@ def _blk_zero(mode, r, c):
 
 def sigma_matrix(mode: str) -> PolyMatrix:
     """diag(I, -I) on the (N, M) block split."""
-    n, m = BLOCK_DIMS[mode]
+    n, m = block_dims(mode)
     return PolyMatrix.diag(mode, (n, m),
                            [NCPolynomial.unit(mode, n),
                             NCPolynomial.unit(mode, m, gr(-1))])
@@ -41,14 +48,14 @@ def sigma_matrix(mode: str) -> PolyMatrix:
 
 def projector_d(mode: str) -> PolyMatrix:
     """diag(I, 0) on the (N, M) block split."""
-    n, m = BLOCK_DIMS[mode]
+    n, m = block_dims(mode)
     return PolyMatrix.diag(mode, (n, m),
                            [NCPolynomial.unit(mode, n), _blk_zero(mode, m, m)])
 
 
 def omega_matrix(mode: str = "scalar") -> PolyMatrix:
     """antidiag(i, -i); the involution used by the reflected monodromy."""
-    n, m = BLOCK_DIMS[mode]
+    n, m = block_dims(mode)
     if mode != "scalar":
         raise ShapeError("the reflected-monodromy involution is scalar-mode only")
     i = gr(0, 1)
@@ -59,7 +66,7 @@ def omega_matrix(mode: str = "scalar") -> PolyMatrix:
 
 def x_matrix(mode: str) -> PolyMatrix:
     """Anti-diagonal field matrix [[0, uh], [u, 0]]."""
-    n, m = BLOCK_DIMS[mode]
+    n, m = block_dims(mode)
     return PolyMatrix(mode, (n, m), (n, m),
                       [[_blk_zero(mode, n, n), _f("uh", mode)],
                        [_f("u", mode), _blk_zero(mode, m, m)]])
@@ -67,7 +74,7 @@ def x_matrix(mode: str) -> PolyMatrix:
 
 def y_matrix(mode: str) -> PolyMatrix:
     """[[-uh*u, pi], [-pih, u*uh]]: the lam^0 part of the time Lax operator."""
-    n, m = BLOCK_DIMS[mode]
+    n, m = block_dims(mode)
     uhu = nc_mul(_f("uh", mode), _f("u", mode))
     uuh = nc_mul(_f("u", mode), _f("uh", mode))
     return PolyMatrix(mode, (n, m), (n, m),
@@ -77,7 +84,7 @@ def y_matrix(mode: str) -> PolyMatrix:
 
 def p_a_matrix(mode: str) -> PolyMatrix:
     """Anti-diagonal momentum matrix [[0, pi], [-pih, 0]]."""
-    n, m = BLOCK_DIMS[mode]
+    n, m = block_dims(mode)
     return PolyMatrix(mode, (n, m), (n, m),
                       [[_blk_zero(mode, n, n), _f("pi", mode)],
                        [-_f("pih", mode), _blk_zero(mode, m, m)]])
@@ -93,7 +100,7 @@ def nls_v(mode: str = "scalar") -> LaurentSeries:
 
 def v_diagonal(mode: str) -> LaurentSeries:
     half = gr(Fraction(1, 2))
-    n, m = BLOCK_DIMS[mode]
+    n, m = block_dims(mode)
     yd = PolyMatrix.diag(mode, (n, m),
                          [-nc_mul(_f("uh", mode), _f("u", mode)),
                           nc_mul(_f("u", mode), _f("uh", mode))])
@@ -129,11 +136,11 @@ class RiccatiSolution:
 
     def w_series(self) -> LaurentSeries:
         coeffs = {-k: self.w_coeffs[k - 1] for k in range(1, self.order + 1)}
-        n, m = BLOCK_DIMS[self.mode]
+        n, m = block_dims(self.mode)
         return LaurentSeries(self.mode, (n, m), (n, m), coeffs, self.order)
 
     def one_plus_w(self) -> LaurentSeries:
-        n, m = BLOCK_DIMS[self.mode]
+        n, m = block_dims(self.mode)
         return LaurentSeries.identity(self.mode, (n, m), truncation=self.order) + self.w_series()
 
 
@@ -154,9 +161,7 @@ def solve_w_z(order: int, mode: str = "scalar") -> RiccatiSolution:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if mode not in BLOCK_DIMS:
-        raise ValueError(f"unknown mode {mode!r}")
-    n, m = BLOCK_DIMS[mode]
+    n, m = block_dims(mode)
     X = x_matrix(mode)
     PA = p_a_matrix(mode)
     uhu = nc_mul(_f("uh", mode), _f("u", mode))

@@ -21,7 +21,7 @@ import pytest
 
 import laxforge.tables as T
 from laxforge.atoms import FieldAtom, make_word
-from laxforge.boundary import (BVARS, RVARS, boundary_u, bulk_u2,
+from laxforge.boundary import (BVARS, boundary_u, bulk_u2,
                                extract_boundary_conditions, k_matrix,
                                open_charge_expansion, poisson_residual,
                                reflection_residual)
@@ -35,7 +35,7 @@ from laxforge.ncpoly import NCPolynomial, is_total_t_derivative
 from laxforge.oracle import (ExponentialSolution, FieldSample, evaluate,
                              finite_difference_crosscheck)
 from laxforge.parser import parse_poly
-from laxforge.ratfunc import MPoly, MPolyMatrix
+from laxforge.ratfunc import MPoly
 from laxforge.riccati import nls_v, solve_gamma, solve_w_z
 
 TOL_NUMERIC = 1e-9       # symbolic zeros under random trig samples
@@ -208,13 +208,12 @@ def _end_swap_signs():
     overall -1 is immaterial: it enters the transfer matrix once per end.
     """
     k = k_matrix()
-    zero, one = MPoly.constant(RVARS, 0), MPoly.constant(RVARS, 1)
-    sx = MPolyMatrix(RVARS, [[zero, one], [one, zero]])
+    zero, one = NCPolynomial.zero("scalar"), NCPolynomial.unit("scalar")
+    sx = PolyMatrix("scalar", ("1", "1"), ("1", "1"), [[zero, one], [one, zero]])
     swapped = sx * k * sx
     fits = [(s_xi, s_ka) for s_xi in (1, -1) for s_ka in (1, -1)
-            if (swapped + MPolyMatrix(RVARS, [
-                [_signed_rename(e, {"xi": ("xi", s_xi), "ka": ("ka", s_ka)})
-                 for e in row] for row in k.entries])).is_zero]
+            if (swapped + k.map_entries(lambda e: e.map_coeff(lambda c: _signed_rename(
+                c, {"xi": ("xi", s_xi), "ka": ("ka", s_ka)})))).is_zero]
     assert len(fits) == 1, fits
     return fits[0]
 

@@ -1,5 +1,6 @@
 """Reflection equation, Poisson structures, boundary operators and charges."""
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -9,12 +10,45 @@ from laxforge.boundary import (BVARS, BoundaryParamError, BoundaryParams,
                                k_matrix, open_charge_expansion,
                                poisson_antisymmetry_defect, poisson_residual,
                                reflection_residual, RVARS)
+from laxforge.atoms import ShapeError
 from laxforge.coeff import gr
-from laxforge.ncpoly import NCPolynomial
+from laxforge.matrices import PolyMatrix
+from laxforge.ncpoly import NCPolynomial, nc_mul
 from laxforge.parser import parse_poly
-from laxforge.ratfunc import MPoly, MPolyMatrix
+from laxforge.ratfunc import MPoly
 from laxforge.riccati import solve_w_z
 from laxforge.series import LaurentSeries, series_invert
+
+
+def _constants(rows) -> PolyMatrix:
+    """A scalar-mode matrix whose entries are constants: Gaussian rationals or MPolys."""
+    return PolyMatrix("scalar", ("1",) * len(rows), ("1",) * len(rows[0]),
+                      [[NCPolynomial.unit("scalar", "1", c) for c in row] for row in rows])
+
+
+def _nonzero(m: PolyMatrix):
+    return [(i, j) for i, row in enumerate(m.entries) for j, e in enumerate(row) if e]
+
+
+def test_kron_is_the_entry_formula():
+    lam, xi = MPoly.variable(RVARS, "lam"), MPoly.variable(RVARS, "xi")
+    u = parse_poly("u", "scalar")
+    a = PolyMatrix("scalar", ("1", "1"), ("1", "1"),
+                   [[u.scale(lam), NCPolynomial.unit("scalar", "1", gr(0, 1))],
+                    [NCPolynomial.zero("scalar"), parse_poly("uh + 2", "scalar")]])
+    b = _constants([[xi, gr(Fraction(1, 2))], [lam * xi - 1, gr(3, -1)]])
+    got = a.kron(b)
+    assert (got.row_dims, got.col_dims) == (("1",) * 4, ("1",) * 4)
+    for i, j, k, l in product(range(2), repeat=4):
+        assert got.entries[2 * i + k][2 * j + l] == nc_mul(a.entries[i][j], b.entries[k][l])
+
+
+def test_kron_refuses_a_block_layout():
+    blocks = PolyMatrix.identity("matrix", ("N", "M"))
+    scalar = PolyMatrix.identity("matrix", ("1", "1"))
+    for left, right in ((blocks, scalar), (scalar, blocks)):
+        with pytest.raises(ShapeError, match="kron is only supported for all-scalar"):
+            left.kron(right)
 
 
 def test_reflection_residual_symbolic_zero():
@@ -22,23 +56,36 @@ def test_reflection_residual_symbolic_zero():
 
 
 def test_reflection_residual_identity_k():
-    assert reflection_residual(MPolyMatrix.identity(RVARS, 2)).is_zero
+    assert reflection_residual(PolyMatrix.identity("scalar", ("1", "1"))).is_zero
 
 
 def test_reflection_residual_diagonal_limit():
     k = k_matrix()
-    zero = MPoly.constant(RVARS, 0)
-    kd = MPolyMatrix(RVARS, [[k.entries[0][0], zero], [zero, k.entries[1][1]]])
+    kd = PolyMatrix.diag("scalar", ("1", "1"), [k.entries[0][0], k.entries[1][1]])
     assert reflection_residual(kd).is_zero
 
 
 def test_reflection_detects_non_solution():
     lam = MPoly.variable(RVARS, "lam")
     xi = MPoly.variable(RVARS, "xi")
-    one = MPoly.constant(RVARS, 1)
-    zero = MPoly.constant(RVARS, 0)
-    bad = MPolyMatrix(RVARS, [[lam + xi, lam * lam], [one, -lam + xi]])
+    bad = _constants([[lam + xi, lam * lam], [1, -lam + xi]])
     assert not reflection_residual(bad).is_zero
+
+
+def test_reflection_flags_the_entries_of_a_non_solution():
+    lam = MPoly.variable(RVARS, "lam")
+    bad = _constants([[lam, lam * lam], [1, -lam]])
+    assert _nonzero(reflection_residual(bad)) == [
+        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 3),
+        (2, 0), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("k", [PolyMatrix.identity("scalar", ("1", "1", "1")),
+                               PolyMatrix.identity("matrix", ("1", "1")),
+                               PolyMatrix.identity("matrix", ("N", "M"))])
+def test_reflection_residual_refuses_a_k_that_is_not_2x2(k):
+    with pytest.raises(ValueError, match="K must be a 2x2 scalar-mode matrix"):
+        reflection_residual(k)
 
 
 @pytest.mark.parametrize("which", ["V", "U"])
@@ -51,13 +98,24 @@ def test_poisson_antisymmetry(which):
     assert poisson_antisymmetry_defect(which).is_zero
 
 
+# the entries each flipped bracket sign leaves nonzero
+_FLIPPED = {
+    ("V", ("u", "pi")): [(0, 1), (2, 1), (2, 3)],
+    ("V", ("pi", "u")): [(0, 2), (1, 2), (1, 3)],
+    ("V", ("uh", "pih")): [(1, 0), (1, 2), (3, 2)],
+    ("V", ("pih", "uh")): [(2, 0), (2, 1), (3, 1)],
+    ("U", ("u", "uh")): [(2, 1)],
+    ("U", ("uh", "u")): [(1, 2)],
+}
+
+
 @pytest.mark.parametrize("which,pair", [(w, pair) for w in ("V", "U")
                                         for pair in boundary._BRACKETS[w]])
 def test_poisson_detects_a_flipped_bracket_sign(which, pair, monkeypatch):
     table = dict(boundary._BRACKETS[which])
     table[pair] = -table[pair]
     monkeypatch.setitem(boundary._BRACKETS, which, table)
-    assert not poisson_residual(which).is_zero
+    assert _nonzero(poisson_residual(which)) == _FLIPPED[which, pair]
 
 
 def test_poisson_detects_a_changed_lax_operator(monkeypatch):
@@ -145,6 +203,13 @@ def test_extract_boundary_conditions_plus():
     assert eqs["u"] == "0"
     assert eqs["uh"] == "(xi_p)/(ka_p)"
     assert len(bc.flags) == 1 and "lam^1" in bc.flags[0] and "ka_p" in bc.flags[0]
+
+
+@pytest.mark.parametrize("side", ["x", "", "+-", "plus"])
+def test_extract_boundary_conditions_refuses_a_bad_side(side):
+    # "x" once returned the "+" conditions labelled "x"
+    with pytest.raises(ValueError, match="side must be '[+]' or '-'"):
+        extract_boundary_conditions(bulk_u2(), boundary_u("+"), side=side)
 
 
 def test_extract_boundary_conditions_minus():

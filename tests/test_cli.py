@@ -161,13 +161,30 @@ def test_boundary_poisson_check(capsys):
 
 def test_boundary_reflect_check_fails_on_a_non_solution(capsys, monkeypatch):
     from laxforge import boundary
-    from laxforge.ratfunc import MPoly, MPolyMatrix
-    lam, one = MPoly.variable(boundary.RVARS, "lam"), MPoly.constant(boundary.RVARS, 1)
-    monkeypatch.setattr(boundary, "k_matrix", lambda: MPolyMatrix(
-        boundary.RVARS, [[lam, lam * lam], [one, -lam]]))
+    from laxforge.matrices import PolyMatrix
+    from laxforge.ncpoly import NCPolynomial
+    from laxforge.ratfunc import MPoly
+    lam = MPoly.variable(boundary.RVARS, "lam")
+    monkeypatch.setattr(boundary, "k_matrix", lambda: PolyMatrix(
+        "scalar", ("1", "1"), ("1", "1"),
+        [[NCPolynomial.unit("scalar", "1", c) for c in row]
+         for row in ((lam, lam * lam), (1, -lam))]))
     code, out, err = run_cli("boundary", "reflect-check", capsys=capsys)
     assert code == 1 and out == "" and "NOT zero" in err
-    assert "  entry (0,1): " in err
+    assert _flagged(err) == ["(0,0)", "(0,1)", "(0,2)", "(1,0)", "(1,1)", "(1,3)",
+                             "(2,0)", "(2,2)", "(2,3)", "(3,1)", "(3,2)", "(3,3)"]
+    assert "  entry (0,1): (2)*lam^2*mu^2 + (-2)*lam^3*mu\n" in err
+
+
+def _flagged(err):
+    """The positions of the ``  entry (i,j): ...`` lines of a failed check."""
+    return [line.split()[1].rstrip(":") for line in err.splitlines()
+            if line.startswith("  entry (")]
+
+
+_ALL_FLIPPED = {"V": ["(0,1)", "(0,2)", "(1,0)", "(1,2)", "(1,3)",
+                      "(2,0)", "(2,1)", "(2,3)", "(3,1)", "(3,2)"],
+                "U": ["(1,2)", "(2,1)"]}
 
 
 @pytest.mark.parametrize("which", ["V", "U"])
@@ -179,8 +196,7 @@ def test_boundary_poisson_check_fails_on_a_wrong_bracket(which, capsys, monkeypa
                              capsys=capsys)
     assert code == 1 and out == ""
     assert f"Poisson residual for {which} is NOT zero" in err
-    entries = [line for line in err.splitlines() if line.startswith("  entry (")]
-    assert len(entries) == len(boundary.poisson_residual(which).nonzero_entries()) > 0
+    assert _flagged(err) == _ALL_FLIPPED[which]
 
 
 def test_boundary_extract_bc(capsys):

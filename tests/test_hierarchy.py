@@ -10,6 +10,7 @@ from laxforge.hierarchy import (DressRewriteError, bare_u, charges, dress_u,
                                 verify_conservation, zero_curvature_residual)
 from laxforge.ncpoly import NCPolynomial, nc_mul, set_fields_zero
 from laxforge.parser import parse_poly
+from laxforge.riccati import nls_v, solve_w_z
 
 
 def typed_kernel_rules(mode):
@@ -27,6 +28,21 @@ def typed_kernel_rules(mode):
         ((atom("K11", dt=1, mode=mode),), nc_mul(pi, u) - nc_mul(uh, pih)),
         ((atom("K22", dt=1, mode=mode),), nc_mul(pih, uh) - nc_mul(u, pi)),
     ]
+
+
+@pytest.mark.parametrize("mode", ["trace", "bogus"])
+@pytest.mark.parametrize("entry", [
+    nls_v,
+    lambda mode: solve_w_z(3, mode),
+    lambda mode: bare_u(2, mode),
+    lambda mode: generate_u(2, mode),
+    lambda mode: dress_u(2, mode),
+    lambda mode: route_difference(2, mode),
+], ids=["nls_v", "solve_w_z", "bare_u", "generate_u", "dress_u", "route_difference"])
+def test_an_unknown_mode_is_refused_by_name(entry, mode):
+    # a bare KeyError once escaped from the block-size table
+    with pytest.raises(ValueError, match=f"unknown mode '{mode}'"):
+        entry(mode)
 
 
 @pytest.mark.parametrize("mode", ["matrix", "scalar"])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laxforge.atoms import FIELD_BASES, MATRIX_SHAPES, atom, make_word
-from laxforge.checks import identity_check
+from laxforge.checks import check_conservation, check_route, identity_check
 from laxforge.coeff import GaussianRational, gr
 from laxforge.matrices import PolyMatrix
 from laxforge.ncpoly import NCPolynomial, trace
@@ -159,6 +159,17 @@ def test_fd_refuses_a_bad_variable_or_order_before_differentiating(kwargs, messa
     with pytest.raises(ValueError, match=message):
         finite_difference_crosscheck(_Underivable(), FieldSample.random(1), (0.1, 0.2),
                                      h=1e-4, **kwargs)
+
+
+@pytest.mark.parametrize("check, size, message", [
+    (check_route, {"max_n": 0}, "max_n must be >= 1, got 0"),
+    (check_route, {"max_n": -2}, "max_n must be >= 1, got -2"),
+    (check_conservation, {"max_k": 0}, "max_k must be >= 1, got 0"),
+])
+def test_a_battery_with_nothing_to_check_is_refused(check, size, message):
+    """Each once failed deep in numpy, reducing an empty array of residuals."""
+    with pytest.raises(ValueError, match=message):
+        check(3, 1e-9, 7, **size)
 
 
 def test_an_empty_chunk_is_refused():

@@ -230,7 +230,7 @@ def boundary_u(side: str, params: BoundaryParams | None = None) -> LaxOperator:
     else:
         lam1 = [[half, ZERO], [i_over_ka, -half]]
         lam0 = [[-diag_field, _bfield("uh")], [corner, diag_field]]
-    return LaxOperator(_lam_series({1: lam1, 0: lam0}), flow=2, mode="scalar")
+    return LaxOperator(_lam_series({1: lam1, 0: lam0}), flow=2, mode="scalar", side=side)
 
 
 @dataclass
@@ -246,9 +246,15 @@ class BoundaryConditions:
 
 def extract_boundary_conditions(bulk: LaxOperator, bdry: LaxOperator,
                                 side: str = "+") -> BoundaryConditions:
-    """Solve delta U = 0 entrywise; lam-dependent leftovers become flags."""
+    """Solve delta U = 0 entrywise; lam-dependent leftovers become flags.
+
+    ``side`` labels the result; it must agree with the end ``bdry`` records,
+    if it records one.
+    """
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
+    if bdry.side is not None and bdry.side != side:
+        raise ValueError(f"side {side!r} contradicts the operator's end {bdry.side!r}")
     delta = bdry.series - bulk.series
 
     def lone_field(e: NCPolynomial):

@@ -39,6 +39,7 @@ class LaxOperator:
     series: LaurentSeries
     flow: int
     mode: str
+    side: str | None = None   # the end ("+" or "-") of a boundary operator; None in the bulk
 
     def coefficient(self, power: int) -> PolyMatrix:
         return self.series.coefficient(power)

@@ -4,15 +4,24 @@ Grammar: atoms ``u, uh, pi, pih`` with repeatable derivative suffixes ``_t``,
 ``_x`` (e.g. ``u_ttx``), integer and rational coefficients, the imaginary
 unit ``i``, ``lam`` for the spectral parameter, ``*``, ``+``, ``-`` and
 parentheses.  The result is a Laurent polynomial in ``lam`` whose
-coefficients are scalar-shape polynomials (1x1 blocks).
+coefficients are scalar-shape polynomials (1x1 blocks), built once at the end.
+
+While parsing, a value is flat: a block shape and one dict ``{(power of lam,
+Word): coefficient}`` summed through ``coeff.collect``.  An atom is one word; a
+number, ``i`` or ``lam`` is the empty word at power 0 or 1, of shape (1, 1).
+A product concatenates the words of each pair of terms (sorted in scalar
+mode, as ``nc_mul`` sorts) and adds their powers.  A pure number (shape (1, 1),
+every word empty) is that multiple of the identity: it scales a product
+operand of any shape and, in a sum, takes the shape of a square other operand.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import attrgetter
 
-from .atoms import atom
-from .coeff import I, ONE, GaussianRational
+from .atoms import EMPTY_WORD, ShapeError, Word, atom
+from .coeff import I, ONE, GaussianRational, collect
 from .matrices import PolyMatrix
 from .ncpoly import NCPolynomial
 from .series import LaurentSeries
@@ -21,6 +30,9 @@ _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9]*(
                     r"|(?P<op>[()+\-*]))")
 
 _ATOM_RE = re.compile(r"^(u|uh|pi|pih)((?:_[tx]+)*)$")
+
+_UNIT = ("1", "1")
+_CONSTANTS = {"i": (I, 0), "lam": (ONE, 1)}
 
 
 class ParseError(ValueError):
@@ -37,14 +49,41 @@ def _tokenize(text: str):
                 raise ParseError(f"unexpected input at: {text[pos:]!r}")
             break
         pos = m.end()
-        if m.group("num"):
-            out.append(("num", Fraction(m.group("num"))))
-        elif m.group("name"):
-            out.append(("name", m.group("name")))
-        else:
-            out.append(("op", m.group("op")))
+        kind, val = m.lastgroup, m.group(m.lastgroup)
+        if kind == "num":
+            try:
+                val = Fraction(val)
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {val!r}") from None
+        out.append((kind, val))
     out.append(("end", None))
     return out
+
+
+def _number(c: GaussianRational, power: int = 0):
+    """A number times lam^power; a zero leaves no term."""
+    return _UNIT, ({(power, EMPTY_WORD): c} if c else {})
+
+
+def _pure(value) -> bool:
+    shape, terms = value
+    return shape == _UNIT and not any(w.atoms for _, w in terms)
+
+
+def _neg(value):
+    shape, terms = value
+    return shape, {k: -c for k, c in terms.items()}
+
+
+def _add(a, b):
+    """Sum; a pure number takes the shape of a square other operand."""
+    (sa, ta), (sb, tb) = a, b
+    if sa != sb:
+        if _pure(a) and sb[0] == sb[1]:
+            sa = sb
+        elif not (_pure(b) and sa[0] == sa[1]):
+            raise ShapeError("layout mismatch")
+    return sa, collect(tb.items(), dict(ta))
 
 
 class _Parser:
@@ -61,129 +100,86 @@ class _Parser:
         self.k += 1
         return t
 
-    def expect_op(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}")
-
-    def parse(self) -> LaurentSeries:
+    def parse(self):
         e = self.expr()
         if self.peek()[0] != "end":
             raise ParseError(f"trailing input near token {self.peek()!r}")
         return e
 
-    def expr(self) -> LaurentSeries:
+    def expr(self):
         node = self.term()
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
             _, op = self.take()
             rhs = self.term()
-            node = _add(node, rhs if op == "+" else -rhs)
+            node = _add(node, rhs if op == "+" else _neg(rhs))
         return node
 
-    def term(self) -> LaurentSeries:
+    def term(self):
         node = self.factor()
         while self.peek() == ("op", "*"):
             self.take()
-            node = _mul(node, self.factor())
+            node = self.mul(node, self.factor())
         return node
 
-    def factor(self) -> LaurentSeries:
+    def factor(self):
         kind, val = self.peek()
         if (kind, val) == ("op", "-"):
             self.take()
-            return -self.factor()
+            return _neg(self.factor())
         if (kind, val) == ("op", "("):
             self.take()
             e = self.expr()
-            self.expect_op(")")
+            if self.take() != ("op", ")"):
+                raise ParseError("expected ')'")
             return e
         if kind == "num":
             self.take()
-            return self._const(GaussianRational.of(val))
+            return _number(GaussianRational.of(val))
         if kind == "name":
             self.take()
-            if val == "i":
-                return self._const(I)
-            if val == "lam":
-                return self._const(ONE).shift(1)
+            if val in _CONSTANTS:
+                return _number(*_CONSTANTS[val])
             m = _ATOM_RE.match(val)
             if not m:
                 raise ParseError(f"unknown symbol {val!r}")
             base, suffix = m.group(1), m.group(2)
-            dt = suffix.count("t")
-            dx = suffix.count("x")
-            a = atom(base, dt, dx, mode=self.mode)
-            poly = NCPolynomial.from_atom(a, self.mode)
-            return LaurentSeries.of(PolyMatrix(self.mode, (a.rows,), (a.cols,), [[poly]]))
+            a = atom(base, suffix.count("t"), suffix.count("x"), mode=self.mode)
+            return a.shape, {(0, Word((a,))): ONE}
         raise ParseError(f"unexpected token {val!r}")
 
-    def _const(self, c: GaussianRational) -> LaurentSeries:
-        m = PolyMatrix(self.mode, ("1",), ("1",),
-                       [[NCPolynomial.unit(self.mode, "1", c)]])
-        return LaurentSeries.of(m)
-
-
-def _scalar_const_coeffs(s: LaurentSeries):
-    """If every coefficient of s is a plain number, return {power: value}."""
-    if s.row_dims != ("1",) or s.col_dims != ("1",):
-        return None
-    out = {}
-    for p, m in s.coeffs.items():
-        e = m.entries[0][0]
-        if e.strip_constant():
-            return None
-        out[p] = e.constant_term() or GaussianRational.of(0)
-    return out
-
-
-def _lift_const(const: LaurentSeries, like: LaurentSeries) -> LaurentSeries:
-    """Lift a pure-number series to c * identity on a square target shape."""
-    vals = _scalar_const_coeffs(const)
-    dims = like.row_dims
-    out = LaurentSeries.zero(like.mode, like.row_dims, like.col_dims, like.truncation)
-    for p, c in vals.items():
-        out = out + LaurentSeries.of(PolyMatrix(
-            like.mode, dims, dims,
-            [[NCPolynomial.unit(like.mode, r, c) if i == j
-              else NCPolynomial.zero(like.mode, (r, cd))
-              for j, cd in enumerate(dims)] for i, r in enumerate(dims)]), p)
-    return out
-
-
-def _add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    """Sum that lifts pure numbers to identity blocks on square shapes."""
-    if (a.row_dims, a.col_dims) == (b.row_dims, b.col_dims):
-        return a + b
-    if _scalar_const_coeffs(a) is not None and b.row_dims == b.col_dims:
-        return _lift_const(a, b) + b
-    if _scalar_const_coeffs(b) is not None and a.row_dims == a.col_dims:
-        return a + _lift_const(b, a)
-    return a + b  # let the shape error surface
-
-
-def _mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    """Product that folds pure numeric factors as scalars (any block shape)."""
-    ca = _scalar_const_coeffs(a)
-    if ca is not None:
-        acc = LaurentSeries.zero(b.mode, b.row_dims, b.col_dims, b.truncation)
-        for p, c in ca.items():
-            acc = acc + b.shift(p).map_coefficients(lambda m, c=c: m.scale(c))
-        return acc
-    if _scalar_const_coeffs(b) is not None:
-        return _mul(b, a)  # scaling by a pure-number series commutes in every mode
-    return a * b
+    def mul(self, a, b):
+        """Product; a pure number scales an operand of any shape."""
+        if _pure(b) and not _pure(a):
+            a, b = b, a   # a number commutes with every word
+        (sa, ta), (sb, tb) = a, b
+        if _pure(a):
+            shape = sb
+        elif sa[1] != sb[0]:
+            raise ShapeError("layouts do not chain")
+        else:
+            shape = (sa[0], sb[1])
+        key = attrgetter("sort_key")
+        word = (lambda x: Word(tuple(sorted(x, key=key)))) if self.mode == "scalar" else Word
+        return shape, collect(((p1 + p2, word(w1.atoms + w2.atoms)), c1 * c2)
+                              for (p1, w1), c1 in ta.items() for (p2, w2), c2 in tb.items())
 
 
 def parse_expression(text: str, mode: str = "scalar") -> LaurentSeries:
     """Parse ``text`` into a LaurentSeries of 1x1-block polynomials."""
-    return _Parser(_tokenize(text), mode).parse()
+    (r, c), terms = _Parser(_tokenize(text), mode).parse()
+    by_power: dict[int, dict] = {}
+    for (p, w), v in terms.items():
+        by_power.setdefault(p, {})[w] = v
+    return LaurentSeries(mode, (r,), (c,), {
+        p: PolyMatrix(mode, (r,), (c,), [[NCPolynomial(mode, (r, c), t)]])
+        for p, t in by_power.items()})
 
 
 def parse_poly(text: str, mode: str = "scalar") -> NCPolynomial:
     """Parse an expression with no ``lam`` into a bare polynomial."""
-    s = parse_expression(text, mode)
-    if any(p != 0 for p in s.coeffs):
+    shape, terms = _Parser(_tokenize(text), mode).parse()
+    if any(p != 0 for p, _ in terms):
         raise ParseError("expression contains the spectral parameter")
-    if s.is_zero:
-        return NCPolynomial.zero(mode, ("1", "1"))
-    return s.coefficient(0).entries[0][0]
+    if not terms:
+        return NCPolynomial.zero(mode, _UNIT)
+    return NCPolynomial(mode, shape, {w: c for (_, w), c in terms.items()})

@@ -212,6 +212,14 @@ def test_extract_boundary_conditions_refuses_a_bad_side(side):
         extract_boundary_conditions(bulk_u2(), boundary_u("+"), side=side)
 
 
+def test_extract_boundary_conditions_refuses_the_other_end():
+    # the "-" label once came back on the "+" end's conditions
+    for end, side in (("+", "-"), ("-", "+")):
+        with pytest.raises(ValueError, match=f"side '[{side}]' contradicts the "
+                                             f"operator's end '[{end}]'"):
+            extract_boundary_conditions(bulk_u2(), boundary_u(end), side)
+
+
 def test_extract_boundary_conditions_minus():
     bc = extract_boundary_conditions(bulk_u2(), boundary_u("-"), "-")
     eqs = bc.as_dict()

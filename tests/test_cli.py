@@ -1,4 +1,6 @@
 """CLI surface: subcommands, exit codes, config, golden mode, determinism."""
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laxforge.cli import main
 
@@ -321,6 +325,37 @@ def test_expr_roundtrip(capsys):
 def test_malformed_expression_fails(capsys):
     code, _, err = run_cli("expr", "u +* uh", capsys=capsys)
     assert code == 1
+
+
+def test_expr_refuses_a_zero_denominator(capsys):
+    # "1/0" once escaped as a ZeroDivisionError traceback
+    code, out, err = run_cli("expr", "--", "1/0*u", capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: zero denominator in '1/0'\n"
+
+
+# whole number literals besides the single characters, so that a zero
+# denominator turns up in a few dozen examples rather than a few thousand
+_EXPR_TOKENS = st.one_of(st.from_regex(r"[0-9]{1,2}(/[0-9]{1,2})?", fullmatch=True),
+                         st.sampled_from([*"0123456789/*+-() ", "u", "uh_tx", "lam", "i", "w"]))
+
+
+@given(mode=st.sampled_from(["scalar", "matrix"]),
+       text=st.lists(_EXPR_TOKENS, max_size=24).map("".join))
+@settings(max_examples=200, deadline=None)
+def test_expr_answers_any_token_text_with_a_result_or_one_error_line(mode, text):
+    """Text over the grammar's tokens either parses (exit 0) or is refused with
+    exit 1 and exactly one ``error:`` line; no other exception escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["expr", "--mode", mode, "--", text])
+    assert code in (0, 1)
+    if code == 1:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("\n")
+    else:
+        assert err.getvalue() == ""
 
 
 def test_golden_match(tmp_path, capsys):

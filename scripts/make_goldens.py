@@ -12,21 +12,6 @@ from pathlib import Path
 from laxforge import serialize
 from laxforge import tables as T
 from laxforge.matrices import PolyMatrix
-from laxforge.ncpoly import NCPolynomial
-
-
-def anti_diag(mode, e12, e21):
-    dims = ("1", "1") if mode == "scalar" else ("N", "M")
-    z = lambda r, c: NCPolynomial.zero(mode, (r, c))
-    return PolyMatrix(mode, dims, dims,
-                      [[z(dims[0], dims[0]), e12], [e21, z(dims[1], dims[1])]])
-
-
-def diag(mode, e11, e22):
-    dims = ("1", "1") if mode == "scalar" else ("N", "M")
-    z = lambda r, c: NCPolynomial.zero(mode, (r, c))
-    return PolyMatrix(mode, dims, dims,
-                      [[e11, z(dims[0], dims[1])], [z(dims[1], dims[0]), e22]])
 
 
 def main(out_dir: str) -> None:
@@ -34,8 +19,10 @@ def main(out_dir: str) -> None:
     out.mkdir(parents=True, exist_ok=True)
 
     order = 4
-    w = [anti_diag("scalar", *T.w_scalar(k)) for k in range(1, order + 1)]
-    z = [diag("scalar", *T.z_scalar(k)) for k in range(1, order)]
+    w = [PolyMatrix.from_rows("scalar", [[0, e12], [e21, 0]])
+         for e12, e21 in map(T.w_scalar, range(1, order + 1))]
+    z = [PolyMatrix.from_rows("scalar", [[e11, 0], [0, e22]])
+         for e11, e22 in map(T.z_scalar, range(1, order))]
     payload = {"command": "riccati", "order": order, "mode": "scalar",
                "w": [serialize.to_dict(m) for m in w],
                "z": [serialize.to_dict(m) for m in z]}

@@ -14,8 +14,9 @@ typed here are K and the two boundary operators.
 A polynomial may hold Gaussian-rational and MPoly coefficients at once (see
 ``ratfunc``), so the engine's ``1 + W``, ``Omega`` and ``dress_u(2)`` enter
 as they are.  K's entries are typed once (``_k_blocks``) and read by one
-route, ``_lam_series``: ``k_matrix`` sets lam in that series (``_at_lam``, as
-the Poisson check does for its Lax operators) and ``_k_series`` keeps it.
+route, ``LaurentSeries.from_rows``: ``k_matrix`` sets lam in that series
+(``_at_lam``, as the Poisson check does for its Lax operators) and
+``_k_series`` keeps it.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .atoms import atom
-from .coeff import I, ONE, ZERO, GaussianRational, gr
+from .coeff import I, ONE, GaussianRational, gr
 from .hierarchy import LaxOperator, dress_u
 from .matrices import PolyMatrix
 from .ncpoly import NCPolynomial, eliminate, sole_word
@@ -63,10 +64,8 @@ class BoundaryParams:
 
 def permutation_matrix() -> PolyMatrix:
     """The flip P of C^2 (x) C^2: row 2i + j has its 1 in column 2j + i."""
-    one, zero = NCPolynomial.unit("scalar"), NCPolynomial.zero("scalar")
-    return PolyMatrix("scalar", ("1",) * 4, ("1",) * 4,
-                      [[one if c == (r % 2) * 2 + r // 2 else zero for c in range(4)]
-                       for r in range(4)])
+    return PolyMatrix.from_rows("scalar", [[int(c == (r % 2) * 2 + r // 2) for c in range(4)]
+                                           for r in range(4)])
 
 
 def _k_blocks(xi, ka) -> dict:
@@ -74,7 +73,7 @@ def _k_blocks(xi, ka) -> dict:
 
     The one place K's entries are typed, over whichever ring xi and ka are from.
     """
-    return {1: [[ONE, I * ka], [I * ka, -ONE]], 0: [[I * xi, ZERO], [ZERO, I * xi]]}
+    return {1: [[ONE, I * ka], [I * ka, -ONE]], 0: [[I * xi, 0], [0, I * xi]]}
 
 
 def _at_lam(series: LaurentSeries) -> PolyMatrix:
@@ -93,7 +92,7 @@ def _rename(m: PolyMatrix, mapping: dict[str, str]) -> PolyMatrix:
 def k_matrix() -> PolyMatrix:
     """The two-parameter boundary matrix K(lam) over RVARS."""
     xi, ka = (MPoly.variable(RVARS, v) for v in ("xi", "ka"))
-    return _at_lam(_lam_series(_k_blocks(xi, ka)))
+    return _at_lam(LaurentSeries.from_rows("scalar", _k_blocks(xi, ka)))
 
 
 def reflection_residual(k: PolyMatrix) -> PolyMatrix:
@@ -195,19 +194,6 @@ def _bfield(base, coeff=ONE) -> NCPolynomial:
     return NCPolynomial.from_atom(atom(base, mode="scalar"), "scalar", coeff)
 
 
-def _lam_series(blocks: dict) -> LaurentSeries:
-    """The 2x2 scalar-mode series sum_p lam^p m_p of ``{p: m_p}``.
-
-    An entry is a polynomial, or a ring element standing for its constant.
-    """
-    def poly(e):
-        return e if isinstance(e, NCPolynomial) else NCPolynomial.unit("scalar", "1", e)
-    terms = [LaurentSeries.of(PolyMatrix("scalar", ("1", "1"), ("1", "1"),
-                                         [[poly(e) for e in row] for row in m]), p)
-             for p, m in blocks.items()]
-    return sum(terms[1:], terms[0])
-
-
 def bulk_u2() -> LaxOperator:
     """The second-flow bulk operator in the half-normalized convention."""
     return dress_u(2, "scalar")
@@ -225,12 +211,13 @@ def boundary_u(side: str, params: BoundaryParams | None = None) -> LaxOperator:
     diag_field = _bfield(fld, i_over_ka)
     corner = _bfield(fld) + NCPolynomial.unit("scalar", "1", xi / ka)
     if side == "+":
-        lam1 = [[half, i_over_ka], [ZERO, -half]]
+        lam1 = [[half, i_over_ka], [0, -half]]
         lam0 = [[-diag_field, corner], [_bfield("u"), diag_field]]
     else:
-        lam1 = [[half, ZERO], [i_over_ka, -half]]
+        lam1 = [[half, 0], [i_over_ka, -half]]
         lam0 = [[-diag_field, _bfield("uh")], [corner, diag_field]]
-    return LaxOperator(_lam_series({1: lam1, 0: lam0}), flow=2, mode="scalar", side=side)
+    return LaxOperator(LaurentSeries.from_rows("scalar", {1: lam1, 0: lam0}),
+                       flow=2, mode="scalar", side=side)
 
 
 @dataclass
@@ -284,7 +271,7 @@ def extract_boundary_conditions(bulk: LaxOperator, bdry: LaxOperator,
 
 def _k_series(side: str) -> LaurentSeries:
     """K of one end as a lam-linear series over BVARS."""
-    return _lam_series(_k_blocks(*_end_constants(side)))
+    return LaurentSeries.from_rows("scalar", _k_blocks(*_end_constants(side)))
 
 
 def _hat(series: LaurentSeries) -> LaurentSeries:

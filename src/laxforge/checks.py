@@ -23,8 +23,7 @@ from .atoms import FIELD_BASES, atom
 from .hierarchy import (_flow2_rules, dress_u, generate_u, nls_v_operator,
                         verify_conservation, zero_curvature_residual)
 from .oracle import Chunk, ExponentialSolution, FieldSample, plan, pymul
-from .riccati import (p_a_matrix, sigma_matrix, solve_gamma, solve_w_z, x_matrix,
-                      y_matrix)
+from .riccati import nls_v, sigma_matrix, solve_gamma, solve_w_z
 
 _CHUNK = 64   # trials evaluated together: larger chunks run faster but hold more samples
 
@@ -94,16 +93,13 @@ def _riccati_residual(mode: str, order: int):
     sol = solve_w_z(order, mode)
     W = {k: plan(sol.w(k)) for k in range(1, order + 1)}
     dW = {k: plan(sol.w(k).differentiate_t()) for k in W}
-    X, PA = plan(x_matrix(mode)), plan(p_a_matrix(mode))
+    v = nls_v(mode)
+    y_d = v.coefficient(0).diagonal_part()
+    X, PA, YD = (plan(m) for m in (v.coefficient(1), v.coefficient(0) - y_d, y_d))
     Sig = plan(sigma_matrix(mode))
-    YD_blocks = plan(y_matrix(mode))  # diagonal part only is needed
 
     def residuals(batch):
-        Xv, PAv, Sv, Yv = (P.value(batch) for P in (X, PA, Sig, YD_blocks))
-        Yd = np.zeros_like(Yv)
-        n = Xv.shape[1] // 2 if mode == "scalar" else batch[0][0].dims[0]
-        Yd[:, :n, :n] = Yv[:, :n, :n]
-        Yd[:, n:, n:] = Yv[:, n:, n:]
+        Xv, PAv, Sv, Yd = (P.value(batch) for P in (X, PA, Sig, YD))
         Wv = {k: W[k].value(batch) for k in W}
         dWv = {k: dW[k].value(batch) for k in W}
         ds = []

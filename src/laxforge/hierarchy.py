@@ -21,11 +21,10 @@ from functools import lru_cache
 
 from .atoms import KERNEL_BASES, FieldAtom, atom
 from .coeff import gr
-from .matrices import PolyMatrix
+from .matrices import PolyMatrix, block_dims
 from .ncpoly import (NCPolynomial, eliminate, is_total_t_derivative, nc_mul,
                      sole_word, trace)
-from .riccati import (_f, block_dims, nls_v, projector_d, sigma_matrix,
-                      solve_gamma, solve_w_z, x_matrix, y_matrix)
+from .riccati import _f, nls_v, solve_gamma, solve_w_z
 from .series import LaurentSeries, series_invert
 
 
@@ -53,9 +52,7 @@ def bare_u(n: int, mode: str = "matrix") -> LaxOperator:
     """The vacuum operator lam^(n-1)/2 * Sigma of the x_n flow."""
     if n < 1:
         raise ValueError("flow index must be >= 1")
-    half = gr(Fraction(1, 2))
-    s = LaurentSeries.of(sigma_matrix(mode).scale(half), n - 1)
-    return LaxOperator(s, flow=n, mode=mode)
+    return LaxOperator(LaurentSeries.of(nls_v(mode).coefficient(2), n - 1), flow=n, mode=mode)
 
 
 def generate_u(n: int, mode: str = "scalar") -> LaxOperator:
@@ -70,7 +67,8 @@ def generate_u(n: int, mode: str = "scalar") -> LaxOperator:
     if n < 1:
         raise ValueError("flow index must be >= 1")
     one_plus = solve_w_z(max(n - 1, 1), mode).one_plus_w().truncated(n - 1)
-    m_series = one_plus * LaurentSeries.of(projector_d(mode)).truncated(n - 1) \
+    projector = PolyMatrix.from_rows(mode, [[1, 0], [0, 0]])
+    m_series = one_plus * LaurentSeries.of(projector).truncated(n - 1) \
         * series_invert(one_plus)
     acc = LaurentSeries.zero(mode, m_series.row_dims, m_series.col_dims)
     for k in range(n):
@@ -89,7 +87,8 @@ def _kernel_rules(mode: str, depth: int) -> tuple:
     def kernel_word(p: NCPolynomial):
         return sole_word(p, lambda a: a.base in KERNEL_BASES)
 
-    K, X, Y = _kernel_matrix(mode), x_matrix(mode), y_matrix(mode)
+    v = nls_v(mode)
+    K, X, Y = _kernel_matrix(mode), v.coefficient(1), v.coefficient(0)
     entries = [e for m in (Y + X * K, K.differentiate_t() - Y * K)
                for row in m.entries for e in row]
     rules, left = eliminate(entries, kernel_word)
@@ -105,10 +104,8 @@ def _kernel_rules(mode: str, depth: int) -> tuple:
 
 
 def _kernel_matrix(mode: str = "matrix") -> PolyMatrix:
-    n, m = block_dims(mode)
-    return PolyMatrix(mode, (n, m), (n, m),
-                      [[_f("K11", mode), -_f("uh", mode)],
-                       [_f("u", mode), _f("K22", mode)]])
+    return PolyMatrix.from_rows(mode, [[_f("K11", mode), -_f("uh", mode)],
+                                       [_f("u", mode), _f("K22", mode)]])
 
 
 def _assert_kernel_free(mat: PolyMatrix, n: int):
@@ -127,16 +124,16 @@ def dress_u(n: int, mode: str = "matrix") -> LaxOperator:
     if mode == "scalar":
         op = dress_u(n, "matrix")
         return LaxOperator(op.series.scalarized(), n, "scalar")
+    series = bare_u(n, mode).series   # refuses an unknown mode before K is built
     K = _kernel_matrix(mode)
     w: dict[int, PolyMatrix] = {}
     if n >= 2:
-        w[n - 2] = x_matrix(mode)  # (1/2)[K, Sigma]
+        w[n - 2] = nls_v(mode).coefficient(1)  # X = (1/2)[K, Sigma]
         for k in range(n - 2, 0, -1):
             # the t-order of the atom next to K rises by at most one every two
             # steps, so flow n needs the rules closed (n - 3) // 2 times
             w[k - 1] = (-(w[k] * K)).substitute(_kernel_rules(mode, (n - 3) // 2))
             _assert_kernel_free(w[k - 1], n)
-    series = bare_u(n, mode).series
     for k, mat in w.items():
         series = series + LaurentSeries.of(mat, k)
     return LaxOperator(series, flow=n, mode=mode)

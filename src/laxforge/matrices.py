@@ -2,7 +2,11 @@
 
 A PolyMatrix declares symbolic row/column block sizes (drawn from N, M, 1)
 and stores one NCPolynomial per block; entry (i, j) must have shape
-(row_dims[i], col_dims[j]).
+(row_dims[i], col_dims[j]).  ``PolyMatrix.from_rows`` builds a square one from
+a table of entries, a polynomial or a coefficient standing for that multiple
+of its block's identity, on the mode's 2x2 (N, M) split (``block_dims``) or
+as n x n scalar blocks; ``diagonal_part`` splits one into its diagonal and
+off-diagonal blocks.
 """
 from __future__ import annotations
 
@@ -10,6 +14,15 @@ from typing import Callable
 
 from .atoms import ShapeError
 from .ncpoly import NCPolynomial, nc_mul, scalarize
+
+BLOCK_DIMS = {"scalar": ("1", "1"), "matrix": ("N", "M")}
+
+
+def block_dims(mode: str) -> tuple[str, str]:
+    """The (N, M) block sizes of a mode's 2x2 layout; any other mode is refused."""
+    if mode not in BLOCK_DIMS:
+        raise ValueError(f"unknown mode {mode!r}")
+    return BLOCK_DIMS[mode]
 
 
 class PolyMatrix:
@@ -45,10 +58,27 @@ class PolyMatrix:
         return PolyMatrix(mode, dims, dims, ent)
 
     @staticmethod
-    def diag(mode, dims, blocks) -> "PolyMatrix":
-        ent = [[blocks[i] if i == j else NCPolynomial.zero(mode, (r, c))
-                for j, c in enumerate(dims)] for i, r in enumerate(dims)]
-        return PolyMatrix(mode, dims, dims, ent)
+    def from_rows(mode, rows) -> "PolyMatrix":
+        """The square block matrix of a table of entries.
+
+        Two rows lay out on the mode's (N, M) split, any other count as 1x1
+        blocks.  An entry is an NCPolynomial or a coefficient c, which stands
+        for c times its block's identity: a zero is a zero block of any
+        shape, and a nonzero c in a non-square block raises ShapeError.
+        """
+        dims = block_dims(mode) if len(rows) == 2 else ("1",) * len(rows)
+
+        def entry(e, r, c):
+            if isinstance(e, NCPolynomial):
+                return e
+            if not e:
+                return NCPolynomial.zero(mode, (r, c))
+            if r != c:
+                raise ShapeError(f"a nonzero constant cannot fill a {r}x{c} block")
+            return NCPolynomial.unit(mode, r, e)
+        return PolyMatrix(mode, dims, dims,
+                          [[entry(e, r, c) for e, c in zip(row, dims, strict=True)]
+                           for row, r in zip(rows, dims, strict=True)])
 
     # -- algebra ---------------------------------------------------------------
     def _compat(self, other: "PolyMatrix"):
@@ -130,6 +160,12 @@ class PolyMatrix:
     def substitute(self, rules):
         return self.map_entries(lambda e: e.substitute(rules))
 
+    def diagonal_part(self) -> "PolyMatrix":
+        """The diagonal blocks, every off-diagonal block zero; self minus it is the rest."""
+        ent = [[e if i == j else NCPolynomial.zero(self.mode, e.shape) for j, e in enumerate(row)]
+               for i, row in enumerate(self.entries)]
+        return PolyMatrix(self.mode, self.row_dims, self.col_dims, ent)
+
     def scalarized(self) -> "PolyMatrix":
         ones = tuple("1" for _ in self.row_dims), tuple("1" for _ in self.col_dims)
         ent = [[scalarize(e) for e in row] for row in self.entries]
@@ -151,11 +187,6 @@ class PolyMatrix:
 
     def __hash__(self):
         return hash((self.mode, self.row_dims, self.col_dims, self.entries))
-
-    def is_anti_diagonal(self) -> bool:
-        return all(self.entries[i][j].is_zero
-                   for i in range(len(self.row_dims))
-                   for j in range(len(self.col_dims)) if i == j)
 
     def is_diagonal(self) -> bool:
         return all(self.entries[i][j].is_zero

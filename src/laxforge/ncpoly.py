@@ -125,9 +125,6 @@ class NCPolynomial:
     def atoms_set(self) -> set[FieldAtom]:
         return {a for w in self.terms for a in w}
 
-    def has_x_atoms(self) -> bool:
-        return any(a.dx > 0 for a in self.atoms_set())
-
     def constant_term(self):
         return self.terms.get(EMPTY_WORD)
 
@@ -365,12 +362,6 @@ def trace(p: NCPolynomial) -> NCPolynomial:
         raise ShapeError("trace requires a square shape")
     return _poly("trace", ("1", "1"), collect(
         (make_word(w.atoms, "trace"), c) for w, c in p.terms.items()))
-
-
-def set_fields_zero(p: NCPolynomial) -> NCPolynomial:
-    """Keep only the field-independent (empty-word) part."""
-    kept = {w: c for w, c in p.terms.items() if len(w) == 0}
-    return NCPolynomial(p.mode, p.shape, kept)
 
 
 # ---------------------------------------------------------------------------

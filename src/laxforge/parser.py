@@ -101,7 +101,10 @@ class _Parser:
         return t
 
     def parse(self):
-        e = self.expr()
+        try:
+            e = self.expr()
+        except RecursionError:
+            raise ParseError("expression nested too deeply") from None
         if self.peek()[0] != "end":
             raise ParseError(f"trailing input near token {self.peek()!r}")
         return e
@@ -180,6 +183,4 @@ def parse_poly(text: str, mode: str = "scalar") -> NCPolynomial:
     shape, terms = _Parser(_tokenize(text), mode).parse()
     if any(p != 0 for p, _ in terms):
         raise ParseError("expression contains the spectral parameter")
-    if not terms:
-        return NCPolynomial.zero(mode, _UNIT)
     return NCPolynomial(mode, shape, {w: c for (_, w), c in terms.items()})

@@ -1,12 +1,16 @@
 """Order-by-order solution of the time Riccati system.
 
-The time part of the auxiliary linear problem factorizes through
-``(1 + W) e^Z (1 + W)^-1`` with W strictly anti-diagonal and Z diagonal.
-Expanding W = sum_n W^(n)/lam^n, the lam^2-leading commutator with the
-constant signature matrix fixes each W^(k+2) algebraically from lower
-orders; the diagonal phase densities follow from Z' = V_D + V_A W.  The
-ratios Gamma and Gamma-hat of the auxiliary-function blocks are the 21 and 12
-blocks of the matrix-mode W, and their residual is the same formula on a block.
+The time Lax operator V = lam^2/2 Sigma + lam X + Y is typed once, in
+``nls_v``; everything else reads its pieces from it.  Each coefficient V_j
+splits into a diagonal part D_j and an anti-diagonal part A_j
+(``PolyMatrix.diagonal_part``).  The time part of the auxiliary linear problem
+factorizes through ``(1 + W) e^Z (1 + W)^-1`` with W strictly anti-diagonal and
+Z diagonal.  Expanding W = sum_n W^(n)/lam^n, the commutator with the lead
+coefficient Sigma/2 fixes each W^(k+2) algebraically from lower orders and the
+other coefficients of V; the diagonal phase densities follow from
+Z' = V_D + V_A W.  The ratios Gamma and Gamma-hat of the auxiliary-function
+blocks are the 21 and 12 blocks of the matrix-mode W, and their residual is
+the same formula on a block.
 """
 from __future__ import annotations
 
@@ -14,101 +18,53 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .atoms import ShapeError, atom
+from .atoms import atom
 from .coeff import gr
-from .matrices import PolyMatrix
+from .matrices import PolyMatrix, block_dims
 from .ncpoly import NCPolynomial, nc_mul
 from .series import LaurentSeries
 
-BLOCK_DIMS = {"scalar": ("1", "1"), "matrix": ("N", "M")}
-
-
-def block_dims(mode: str) -> tuple[str, str]:
-    """The (N, M) block sizes of a mode's 2x2 layout; any other mode is refused."""
-    if mode not in BLOCK_DIMS:
-        raise ValueError(f"unknown mode {mode!r}")
-    return BLOCK_DIMS[mode]
+_HALF = gr(Fraction(1, 2))
 
 
 def _f(base, mode, dt=0, dx=0, flow=2) -> NCPolynomial:
     return NCPolynomial.from_atom(atom(base, dt, dx, mode, flow), mode)
 
 
-def _blk_zero(mode, r, c):
-    return NCPolynomial.zero(mode, (r, c))
-
-
 def sigma_matrix(mode: str) -> PolyMatrix:
-    """diag(I, -I) on the (N, M) block split."""
-    n, m = block_dims(mode)
-    return PolyMatrix.diag(mode, (n, m),
-                           [NCPolynomial.unit(mode, n),
-                            NCPolynomial.unit(mode, m, gr(-1))])
-
-
-def projector_d(mode: str) -> PolyMatrix:
-    """diag(I, 0) on the (N, M) block split."""
-    n, m = block_dims(mode)
-    return PolyMatrix.diag(mode, (n, m),
-                           [NCPolynomial.unit(mode, n), _blk_zero(mode, m, m)])
+    """Sigma = [[I, 0], [0, -I]] on the (N, M) block split."""
+    return PolyMatrix.from_rows(mode, [[1, 0], [0, -1]])
 
 
 def omega_matrix(mode: str = "scalar") -> PolyMatrix:
-    """antidiag(i, -i); the involution used by the reflected monodromy."""
-    n, m = block_dims(mode)
-    if mode != "scalar":
-        raise ShapeError("the reflected-monodromy involution is scalar-mode only")
+    """antidiag(i, -i); the involution used by the reflected monodromy.
+
+    Its corners are constants, so only the scalar mode's square blocks hold
+    them: in matrix mode ``from_rows`` raises ShapeError."""
     i = gr(0, 1)
-    return PolyMatrix(mode, (n, m), (n, m),
-                      [[_blk_zero(mode, n, n), NCPolynomial.unit(mode, "1", i)],
-                       [NCPolynomial.unit(mode, "1", -i), _blk_zero(mode, m, m)]])
+    return PolyMatrix.from_rows(mode, [[0, i], [-i, 0]])
 
 
-def x_matrix(mode: str) -> PolyMatrix:
-    """Anti-diagonal field matrix [[0, uh], [u, 0]]."""
-    n, m = block_dims(mode)
-    return PolyMatrix(mode, (n, m), (n, m),
-                      [[_blk_zero(mode, n, n), _f("uh", mode)],
-                       [_f("u", mode), _blk_zero(mode, m, m)]])
-
-
-def y_matrix(mode: str) -> PolyMatrix:
-    """[[-uh*u, pi], [-pih, u*uh]]: the lam^0 part of the time Lax operator."""
-    n, m = block_dims(mode)
-    uhu = nc_mul(_f("uh", mode), _f("u", mode))
-    uuh = nc_mul(_f("u", mode), _f("uh", mode))
-    return PolyMatrix(mode, (n, m), (n, m),
-                      [[-uhu, _f("pi", mode)],
-                       [-_f("pih", mode), uuh]])
-
-
-def p_a_matrix(mode: str) -> PolyMatrix:
-    """Anti-diagonal momentum matrix [[0, pi], [-pih, 0]]."""
-    n, m = block_dims(mode)
-    return PolyMatrix(mode, (n, m), (n, m),
-                      [[_blk_zero(mode, n, n), _f("pi", mode)],
-                       [-_f("pih", mode), _blk_zero(mode, m, m)]])
-
-
+@lru_cache(maxsize=None)
 def nls_v(mode: str = "scalar") -> LaurentSeries:
-    """The time Lax operator: lam^2/2 Sigma + lam X + Y (exact in lam)."""
-    half = gr(Fraction(1, 2))
-    return (LaurentSeries.of(sigma_matrix(mode).scale(half), 2)
-            + LaurentSeries.of(x_matrix(mode), 1)
-            + LaurentSeries.of(y_matrix(mode), 0))
+    """The time Lax operator lam^2/2 Sigma + lam X + Y (exact in lam): the lam^1
+    part X = [[0, uh], [u, 0]] and the lam^0 part Y = [[-uh*u, pi], [-pih, u*uh]].
+
+    Built once per mode; callers must not mutate it."""
+    block_dims(mode)   # refuses an unknown mode by name, before any field is built
+    u, uh, pi, pih = (_f(b, mode) for b in ("u", "uh", "pi", "pih"))
+    return LaurentSeries.from_rows(mode, {2: [[_HALF, 0], [0, -_HALF]],
+                                          1: [[0, uh], [u, 0]],
+                                          0: [[-nc_mul(uh, u), pi], [-pih, nc_mul(u, uh)]]})
 
 
-def v_diagonal(mode: str) -> LaurentSeries:
-    half = gr(Fraction(1, 2))
-    n, m = block_dims(mode)
-    yd = PolyMatrix.diag(mode, (n, m),
-                         [-nc_mul(_f("uh", mode), _f("u", mode)),
-                          nc_mul(_f("u", mode), _f("uh", mode))])
-    return LaurentSeries.of(sigma_matrix(mode).scale(half), 2) + LaurentSeries.of(yd, 0)
-
-
-def v_antidiagonal(mode: str) -> LaurentSeries:
-    return LaurentSeries.of(x_matrix(mode), 1) + LaurentSeries.of(p_a_matrix(mode), 0)
+@lru_cache(maxsize=None)
+def _v_split(mode: str) -> tuple[LaurentSeries, LaurentSeries]:
+    """(V_D, V_A): the diagonal and anti-diagonal parts of each coefficient of V,
+    split once per mode; callers must not mutate them."""
+    v = nls_v(mode)
+    vd = v.map_coefficients(PolyMatrix.diagonal_part)
+    return vd, v - vd
 
 
 @dataclass
@@ -136,12 +92,12 @@ class RiccatiSolution:
 
     def w_series(self) -> LaurentSeries:
         coeffs = {-k: self.w_coeffs[k - 1] for k in range(1, self.order + 1)}
-        n, m = block_dims(self.mode)
-        return LaurentSeries(self.mode, (n, m), (n, m), coeffs, self.order)
+        dims = block_dims(self.mode)
+        return LaurentSeries(self.mode, dims, dims, coeffs, self.order)
 
     def one_plus_w(self) -> LaurentSeries:
-        n, m = block_dims(self.mode)
-        return LaurentSeries.identity(self.mode, (n, m), truncation=self.order) + self.w_series()
+        return LaurentSeries.identity(self.mode, block_dims(self.mode),
+                                      truncation=self.order) + self.w_series()
 
 
 # one growing tower {k: W^(k)} per mode from W^(0) = 0: W^(k) depends only on
@@ -161,48 +117,40 @@ def solve_w_z(order: int, mode: str = "scalar") -> RiccatiSolution:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    n, m = block_dims(mode)
-    X = x_matrix(mode)
-    PA = p_a_matrix(mode)
-    uhu = nc_mul(_f("uh", mode), _f("u", mode))
-    uuh = nc_mul(_f("u", mode), _f("uh", mode))
-    YD = PolyMatrix.diag(mode, (n, m), [-uhu, uuh])
-    zero = PolyMatrix.zero(mode, (n, m), (n, m))
+    vd, va = _v_split(mode)
+    lead = vd.max_power
+    below = [(j, d) for j, d in sorted(vd.coeffs.items(), reverse=True) if j < lead]
+    anti = sorted(va.coeffs.items(), reverse=True)
+    dims = block_dims(mode)
+    zero = PolyMatrix.zero(mode, dims, dims)
     W = _TOWER.setdefault(mode, {0: zero})
 
     def getw(k):
         return W.get(k, zero)
 
-    for k in range(len(W) - 2, order - 1):
-        rhs = -getw(k).differentiate_t() - getw(k).commutator(YD)
-        for a in range(1, k + 1):
-            b = k + 1 - a
-            if b >= 1:
-                rhs = rhs - getw(a) * X * getw(b)
-        for a in range(1, k):
-            b = k - a
-            if b >= 1:
-                rhs = rhs - getw(a) * PA * getw(b)
-        if k == -1:
-            rhs = rhs + X
-        if k == 0:
-            rhs = rhs + PA
-        # (1/2)[W^(k+2), Sigma] = rhs  =>  W12 = -rhs12, W21 = +rhs21
-        w12 = -rhs.entries[0][1]
-        w21 = rhs.entries[1][0]
-        W[k + 2] = PolyMatrix(mode, (n, m), (n, m),
-                              [[_blk_zero(mode, n, n), w12],
-                               [w21, _blk_zero(mode, m, m)]])
+    # lam^-k of dW/dt + [W, V_D] + W V_A W - V_A = 0, solved for W^(k+lead)
+    for k in range(len(W) - lead, order - lead + 1):
+        rhs = -getw(k).differentiate_t()
+        for j, d in below:
+            rhs = rhs - getw(k + j).commutator(d)
+        for j, a_j in anti:
+            for a in range(1, k + j):
+                rhs = rhs - getw(a) * a_j * getw(k + j - a)
+        if -k in va.coeffs:
+            rhs = rhs + va.coeffs[-k]
+        # the lead is Sigma/2: (1/2)[W^(k+2), Sigma] = rhs  =>  W12 = -rhs12, W21 = +rhs21
+        W[k + lead] = PolyMatrix.from_rows(mode, [[0, -rhs.entries[0][1]],
+                                                  [rhs.entries[1][0], 0]])
 
     Z = _Z.setdefault(mode, [])
     for k in range(len(Z) + 1, order):
-        density = X * W[k + 1] + PA * W[k]
+        terms = [a_j * W[k + j] for j, a_j in anti]
+        density = sum(terms[1:], terms[0])
         if not density.is_diagonal():
             raise RuntimeError(f"Z^({k}) density is not diagonal")
         Z.append(density)
-    half = gr(Fraction(1, 2))
     return RiccatiSolution(mode, order, [W[k] for k in range(1, order + 1)],
-                           Z[:order - 1], sigma_matrix(mode).scale(half))
+                           Z[:order - 1], vd.coefficient(lead))
 
 
 def _riccati_form(w: LaurentSeries, vd_l, vd_r, va_q, va) -> LaurentSeries:
@@ -225,7 +173,7 @@ def _riccati_form(w: LaurentSeries, vd_l, vd_r, va_q, va) -> LaurentSeries:
 
 def riccati_residual(sol: RiccatiSolution) -> LaurentSeries:
     """dW/dt + [W, V_D] + W V_A W - V_A with the truncated series W."""
-    VD, VA = v_diagonal(sol.mode), v_antidiagonal(sol.mode)
+    VD, VA = _v_split(sol.mode)
     return _riccati_form(sol.w_series(), VD, VD, VA, VA)
 
 
@@ -265,9 +213,9 @@ def solve_gamma(order: int, which: str = "gamma") -> GammaSolution:
 def gamma_residual(sol: GammaSolution) -> LaurentSeries:
     """Residual of the matrix Riccati equation with the truncated series."""
     i, j = _GAMMA_BLOCK[sol.which]
-    r, c = BLOCK_DIMS["matrix"][i], BLOCK_DIMS["matrix"][j]
+    r, c = block_dims("matrix")[i], block_dims("matrix")[j]
     gser = LaurentSeries("matrix", (r,), (c,),
                          {-k: PolyMatrix("matrix", (r,), (c,), [[g]])
                           for k, g in enumerate(sol.coeffs, 1)}, sol.order)
-    VD, VA = v_diagonal("matrix"), v_antidiagonal("matrix")
+    VD, VA = _v_split("matrix")
     return _riccati_form(gser, VD.block(i, i), VD.block(j, j), VA.block(j, i), VA.block(i, j))

@@ -61,6 +61,14 @@ class LaurentSeries:
         return LaurentSeries(matrix.mode, matrix.row_dims, matrix.col_dims,
                              {power: matrix}, truncation)
 
+    @staticmethod
+    def from_rows(mode, table: dict) -> "LaurentSeries":
+        """The exact series sum_p lam^p M_p of ``{p: rows of M_p}``, each M_p
+        built by ``PolyMatrix.from_rows``."""
+        coeffs = {p: PolyMatrix.from_rows(mode, rows) for p, rows in table.items()}
+        dims = next(iter(coeffs.values())).row_dims
+        return LaurentSeries(mode, dims, dims, coeffs)
+
     # -- truncation bookkeeping -------------------------------------------------
     @property
     def lowest_reliable(self):

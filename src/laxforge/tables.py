@@ -17,8 +17,10 @@ defects that the engine's solutions expose:
 """
 from __future__ import annotations
 
+from .matrices import PolyMatrix
 from .ncpoly import NCPolynomial, trace
-from .parser import parse_poly
+from .parser import parse_expression, parse_poly
+from .series import LaurentSeries
 
 # ---------------------------------------------------------------------------
 # anti-diagonal Riccati coefficients W^(k), scalar mode: (12-entry, 21-entry)
@@ -128,12 +130,6 @@ I_MATRIX = {
     3: ("uh*pih_t", "-pi*u_t"),
 }
 
-# ---------------------------------------------------------------------------
-# open-boundary reference values (lam^-2 coefficients of the half-logs)
-# ---------------------------------------------------------------------------
-HPLUS_REFERENCE = "xi_p/ka_p * u - i/ka_p * pih + 1/2 u*u"   # symbolic template
-HMINUS_REFERENCE = "xi_m/ka_m * uh - i/ka_m * pi + 1/2 uh*uh"
-
 EOM_SCALAR = "u_t + u_xx - 2*u*u*uh"
 EOM_MATRIX = "u_t + u_xx - 2*u*uh*u"
 EOM_SCALAR_HAT = "uh_t - uh_xx + 2*u*uh*uh"
@@ -155,55 +151,31 @@ def gamma_matrix(k: int):
     return parse_poly(GAMMA_MATRIX[k], mode="matrix")
 
 
-def _lift(p, mode, r, c):
-    """Lift a pure-number entry to the identity of a square block."""
-    if p.shape == (r, c):
-        return p
-    if not p.strip_constant().is_zero:
-        raise ValueError(f"entry of shape {p.shape} cannot be lifted to ({r},{c})")
-    ct = p.constant_term()
-    if ct is None:
-        return NCPolynomial.zero(mode, (r, c))
-    if r != c:
-        raise ValueError("cannot lift a constant to a non-square block")
-    return NCPolynomial.unit(mode, r, ct)
+def _entry(p: NCPolynomial):
+    """A parsed table entry: a pure number stands for that multiple of its block's identity."""
+    return p if p.strip_constant() else p.constant_term() or 0
 
 
-def _entries_to_series(rows, mode):
+def _u_series(rows, mode):
     """Assemble a 2x2 table of lam-expression strings into one block series."""
-    from .matrices import PolyMatrix
-    from .parser import parse_expression
-    from .series import LaurentSeries
-    dims = ("1", "1") if mode == "scalar" else ("N", "M")
-    parsed = [[parse_expression(e, mode=mode) for e in row] for row in rows]
-    powers = sorted({p for row in parsed for s in row for p in s.coeffs})
-    out = LaurentSeries.zero(mode, dims, dims)
-    for p in powers:
-        ent = []
-        for i in range(2):
-            row = []
-            for j in range(2):
-                blk = parsed[i][j].coeffs.get(p)
-                poly = blk.entries[0][0] if blk is not None \
-                    else NCPolynomial.zero(mode, ("1", "1"))
-                row.append(_lift(poly, mode, dims[i], dims[j]))
-            ent.append(row)
-        out = out + LaurentSeries.of(PolyMatrix(mode, dims, dims, ent), p)
-    return out
+    parsed = [[parse_expression(e, mode=mode).coeffs for e in row] for row in rows]
+    powers = sorted({p for row in parsed for s in row for p in s})
+    return LaurentSeries.from_rows(mode, {p: [[_entry(s[p].entries[0][0]) if p in s else 0
+                                              for s in row] for row in parsed]
+                                          for p in powers})
 
 
 def u_gen_scalar(n: int):
-    return _entries_to_series(U_GEN_SCALAR[n], "scalar")
+    return _u_series(U_GEN_SCALAR[n], "scalar")
 
 
 def u_dress_matrix(n: int):
-    return _entries_to_series(U_DRESS_MATRIX[n], "matrix")
+    return _u_series(U_DRESS_MATRIX[n], "matrix")
 
 
-def w0_matrix(n: int):
-    dims = ("N", "M")
-    return [[_lift(parse_poly(e, mode="matrix"), "matrix", dims[i], dims[j])
-             for j, e in enumerate(row)] for i, row in enumerate(W0_MATRIX[n])]
+def w0_matrix(n: int) -> PolyMatrix:
+    return PolyMatrix.from_rows("matrix", [[_entry(parse_poly(e, mode="matrix")) for e in row]
+                                           for row in W0_MATRIX[n]])
 
 
 def h_scalar(k: int):

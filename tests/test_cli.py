@@ -334,6 +334,12 @@ def test_expr_refuses_a_zero_denominator(capsys):
     assert err == "error: zero denominator in '1/0'\n"
 
 
+def test_expr_refuses_deep_nesting(capsys):
+    code, out, err = run_cli("expr", "(" * 2000 + "u" + ")" * 2000, capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: expression nested too deeply\n"
+
+
 # whole number literals besides the single characters, so that a zero
 # denominator turns up in a few dozen examples rather than a few thousand
 _EXPR_TOKENS = st.one_of(st.from_regex(r"[0-9]{1,2}(/[0-9]{1,2})?", fullmatch=True),

@@ -180,7 +180,7 @@ def _reference_poly(text, mode):
     if any(p != 0 for p in s.coeffs):
         raise ParseError("expression contains the spectral parameter")
     if s.is_zero:
-        return NCPolynomial.zero(mode, ("1", "1"))
+        return NCPolynomial.zero(mode, (s.row_dims[0], s.col_dims[0]))
     return s.coefficient(0).entries[0][0]
 
 
@@ -228,6 +228,20 @@ def test_parser_agrees_with_the_series_route_on_edge_cases(text, mode):
 def test_a_literal_zero_leaves_no_term():
     assert parse_expression("0").coeffs == {} and parse_poly("0*u").terms == {}
     assert parse_expression("0*u", "matrix").row_dims == ("M",)
+
+
+def test_a_zero_polynomial_keeps_the_expression_shape():
+    assert parse_poly("u - u", "matrix") == NCPolynomial.zero("matrix", ("M", "N"))
+    assert parse_poly("0*uh", "matrix") == NCPolynomial.zero("matrix", ("N", "M"))
+    assert parse_poly("0", "matrix") == NCPolynomial.zero("matrix", ("1", "1"))
+
+
+def test_deep_nesting_is_a_parse_error():
+    deep = "(" * 2000 + "u" + ")" * 2000
+    for parse in (parse_poly, parse_expression):
+        with pytest.raises(ParseError, match="^expression nested too deeply$"):
+            parse(deep)
+    assert parse_poly("(" * 50 + "u" + ")" * 50) == parse_poly("u")
 
 
 # -- JSON schema ----------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Riccati solver: golden tables, residuals, structure invariants."""
+from fractions import Fraction
+
 import pytest
 
 import laxforge.riccati as R
 import laxforge.tables as T
-from laxforge.atoms import atom, make_word
-from laxforge.matrices import PolyMatrix
+from laxforge.atoms import ShapeError, atom, make_word
+from laxforge.coeff import gr
+from laxforge.matrices import PolyMatrix, block_dims
 from laxforge.ncpoly import NCPolynomial, scalarize
-from laxforge.riccati import (GammaSolution, gamma_residual, riccati_residual,
-                              solve_gamma, solve_w_z, v_antidiagonal, v_diagonal)
+from laxforge.riccati import (GammaSolution, gamma_residual, nls_v, riccati_residual,
+                              solve_gamma, solve_w_z)
 from laxforge.series import LaurentSeries
 
 
@@ -42,12 +45,12 @@ def test_w5_transcription_discrepancy(scalar5):
 
 def test_anti_diagonal_and_diagonal_split(scalar5):
     for k in range(1, 6):
-        assert scalar5.w(k).is_anti_diagonal()
+        assert not scalar5.w(k).diagonal_part()
     for k in range(1, 5):
         assert scalar5.z(k).is_diagonal()
     m = solve_w_z(4, "matrix")
     for k in range(1, 5):
-        assert m.w(k).is_anti_diagonal()
+        assert not m.w(k).diagonal_part()
     for k in range(1, 4):
         assert m.z(k).is_diagonal()
 
@@ -55,6 +58,63 @@ def test_anti_diagonal_and_diagonal_split(scalar5):
 def test_residual_vanishes_below_truncation(scalar5):
     assert riccati_residual(scalar5).is_zero
     assert riccati_residual(solve_w_z(4, "matrix")).is_zero
+
+
+def test_a_zero_entry_takes_its_block_shape():
+    for mode in ("scalar", "matrix"):
+        m = PolyMatrix.from_rows(mode, [[0, 0], [0, 0]])
+        assert m == PolyMatrix.zero(mode, block_dims(mode), block_dims(mode))
+        assert [e.shape for row in m.entries for e in row] == \
+            [(r, c) for r in block_dims(mode) for c in block_dims(mode)]
+
+
+def test_a_constant_entry_is_a_multiple_of_its_block_identity():
+    half = gr(Fraction(1, 2))
+    m = PolyMatrix.from_rows("matrix", [[half, 0], [0, -1]])
+    assert m.entries[0][0] == NCPolynomial.unit("matrix", "N", half)
+    assert m.entries[1][1] == NCPolynomial.unit("matrix", "M", -1)
+    assert PolyMatrix.from_rows("matrix", [[1, 0], [0, 1]]) == \
+        PolyMatrix.identity("matrix", ("N", "M"))
+    uh = NCPolynomial.from_atom(atom("uh", mode="matrix"), "matrix")
+    assert PolyMatrix.from_rows("matrix", [[0, uh], [0, 0]]).entries[0][1] is uh
+
+
+def test_a_constant_in_a_non_square_block_is_refused():
+    with pytest.raises(ShapeError, match="cannot fill a NxM block"):
+        PolyMatrix.from_rows("matrix", [[0, 1], [0, 0]])
+    with pytest.raises(ShapeError, match="cannot fill a NxM block"):
+        R.omega_matrix("matrix")
+    assert R.omega_matrix("scalar") == \
+        PolyMatrix.from_rows("scalar", [[0, gr(0, 1)], [gr(0, -1), 0]])
+
+
+def test_other_row_counts_lay_out_scalar_blocks():
+    m = PolyMatrix.from_rows("matrix", [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert m == PolyMatrix.identity("matrix", ("1", "1", "1"))
+    with pytest.raises(ValueError):
+        PolyMatrix.from_rows("scalar", [[1, 0], [0]])
+
+
+def test_the_lam_series_form_keeps_the_table_order():
+    s = LaurentSeries.from_rows("matrix", {1: [[1, 0], [0, 0]], -2: [[0, 0], [0, 0]],
+                                           0: [[0, 0], [0, -1]]})
+    assert list(s.coeffs) == [1, 0] and s.truncation is None
+    assert s.row_dims == s.col_dims == ("N", "M")
+    assert s.coefficient(0).entries[1][1] == NCPolynomial.unit("matrix", "M", -1)
+
+
+@pytest.mark.parametrize("mode", ["scalar", "matrix"])
+def test_v_splits_into_its_diagonal_and_anti_diagonal_parts(mode):
+    v = nls_v(mode)
+    vd, va = R._v_split(mode)
+    assert vd + va == v
+    assert all(m.is_diagonal() for m in vd.coeffs.values())
+    assert all(not m.diagonal_part() for m in va.coeffs.values())
+    assert list(vd.coeffs) == [2, 0] and list(va.coeffs) == [1, 0]
+    f = {b: NCPolynomial.from_atom(atom(b, mode=mode), mode) for b in ("u", "uh", "pi", "pih")}
+    assert va.coefficient(1) == PolyMatrix.from_rows(mode, [[0, f["uh"]], [f["u"], 0]])
+    assert va.coefficient(0) == PolyMatrix.from_rows(mode, [[0, f["pi"]], [-f["pih"], 0]])
+    assert vd.coefficient(2) == R.sigma_matrix(mode).scale(gr(Fraction(1, 2)))
 
 
 def test_order_validation():
@@ -151,10 +211,17 @@ def _same(got, want):
          for p, m in want.coeffs.items()]
 
 
+def _v_parts(mode):
+    """V_D and V_A: the diagonal and anti-diagonal blocks of V's coefficients."""
+    v = nls_v(mode)
+    vd = v.map_coefficients(lambda m: m.diagonal_part())
+    return vd, v - vd
+
+
 @pytest.mark.parametrize("mode,top", [("scalar", 10), ("matrix", 8)])
 def test_riccati_residual_equals_the_full_product_formula(mode, top):
     """Also off the solution: with W^(1) doubled the residual is nonzero."""
-    VD, VA = v_diagonal(mode), v_antidiagonal(mode)
+    VD, VA = _v_parts(mode)
     for order in range(1, top + 1):
         sol = solve_w_z(order, mode)
         w = sol.w_series()
@@ -167,7 +234,7 @@ def test_riccati_residual_equals_the_full_product_formula(mode, top):
 
 def _gamma_series(sol):
     i, j = R._GAMMA_BLOCK[sol.which]
-    r, c = R.BLOCK_DIMS["matrix"][i], R.BLOCK_DIMS["matrix"][j]
+    r, c = block_dims("matrix")[i], block_dims("matrix")[j]
     return LaurentSeries("matrix", (r,), (c,),
                          {-k: PolyMatrix("matrix", (r,), (c,), [[g]])
                           for k, g in enumerate(sol.coeffs, 1)}, sol.order), i, j
@@ -175,7 +242,7 @@ def _gamma_series(sol):
 
 @pytest.mark.parametrize("which", ["gamma", "gamma_hat"])
 def test_gamma_residual_equals_the_full_product_formula(which):
-    VD, VA = v_diagonal("matrix"), v_antidiagonal("matrix")
+    VD, VA = _v_parts("matrix")
     for order in range(1, 9):
         sol = solve_gamma(order, which)
         off = GammaSolution(which, order, [sol.coeffs[0] + sol.coeffs[0]] + sol.coeffs[1:])
@@ -200,3 +267,20 @@ def test_z_from_a_grown_tower_equals_a_cold_solve(mode, top, monkeypatch):
         cold = solve_w_z(k, mode).z_coeffs
         assert cold == warm[k] and [str(z) for z in cold] == [str(z) for z in warm[k]]
     solve_w_z.cache_clear()
+
+
+# sha256 of every W^(k) and Z^(k) entry of solve_w_z(10) as its (word, coefficient)
+# terms in insertion order: that order sets the numeric oracle's summation order
+_TERM_ORDER_DIGESTS = {
+    "scalar": "05d91db5096d8632417803c8330fe803d6efd4c01dc7e32dadde01d9b55ebd9d",
+    "matrix": "a1c14579b65a2048af23c177a02dd210f4387259e620b61bf8dded51986c84f7",
+}
+
+
+@pytest.mark.parametrize("mode", ["scalar", "matrix"])
+def test_w_and_z_keep_their_term_order(mode):
+    import hashlib
+    sol = solve_w_z(10, mode)
+    text = repr([[(str(w), str(c)) for e in row for w, c in e.terms.items()]
+                 for m in sol.w_coeffs + sol.z_coeffs for row in m.entries])
+    assert hashlib.sha256(text.encode()).hexdigest() == _TERM_ORDER_DIGESTS[mode]

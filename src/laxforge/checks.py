@@ -12,6 +12,15 @@ each plan once per chunk, each residual assembled with batched numpy
 operations, one number per trial.  Products of numbers go through
 ``oracle.pymul``, which rounds as Python does, so every residual, and with
 it every report, is bit for bit what a trial-by-trial loop gives.
+
+``run_numeric`` spreads its checks over ``n = min(usable CPUs, checks)``
+processes: this one, which runs the last check and every n-th before it,
+and ``n - 1`` children made with ``os.fork`` for the rest (``_run_split``).
+A check seeds its own generator and reads nothing another check writes,
+and the reports are merged back into the order one process runs them in,
+so the report is byte-identical to a one-process run.  The checks stay in
+this process when there is one check or one CPU, when the platform has no
+``os.fork``, and while another Python thread runs.
 """
 from __future__ import annotations
 
@@ -301,11 +310,101 @@ TARGETS = {
 }
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    import os
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _run_split(calls: list, names: list[str]) -> list:
+    """``[call() for call in calls]``, spread over the usable CPUs.
+
+    With ``n = min(_usable_cpus(), len(calls))``, call ``i`` runs in share
+    ``(len(calls) - 1 - i) % n``: share 0, which holds the last call, runs
+    here, and each other share in a child made with ``os.fork``.  A child
+    sends back its results, or the exception of its first failing call,
+    pickled through a pipe, and leaves with ``os._exit``.  The results are
+    merged by position, so the list is the one a single process gives.  This
+    process waits for every child on every path, and kills the children
+    first when it raises itself.
+
+    The calls run here, one after another, when ``n`` is 1, when there is no
+    ``os.fork``, or while another Python thread runs: a child holds only the
+    forking thread, so a lock another thread held would stay held in it.
+    The one other OS thread a plain run has is OpenBLAS's worker pool, which
+    OpenBLAS stops in its own at-fork handler.  CPython 3.12+ warns
+    (``DeprecationWarning``) when it counts more than one thread, and it
+    counts in the parent after the fork, with the pool stopped, so a plain
+    run gives no warning.  No warning is silenced: if some other C thread
+    runs, the warning is the true one.
+    """
+    import os
+    import threading
+    n = min(_usable_cpus(), len(calls))
+    if n == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [call() for call in calls]
+    import pickle
+    import signal   # not loaded by numpy: a run in one process skips its import
+    shares = [range((len(calls) - 1 - p) % n, len(calls), n) for p in range(n)]
+    results = [None] * len(calls)
+    children = {}   # pid -> (its share, the read end of its pipe)
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                status = 1
+                try:
+                    try:
+                        out = [calls[i]() for i in share]
+                    except Exception as exc:
+                        out = exc
+                    with open(write, "wb") as pipe:
+                        pickle.dump(out, pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children[pid] = (share, open(read, "rb"))
+        for i in shares[0]:
+            results[i] = calls[i]()
+        for pid, (share, pipe) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            if status:
+                raise RuntimeError(f"the process running checks "
+                                   f"{', '.join(names[i] for i in share)} "
+                                   f"exited without a report")
+            out = pickle.loads(data)
+            if isinstance(out, Exception):
+                raise out
+            for i, result in zip(share, out):
+                results[i] = result
+    finally:
+        for pid, (_, pipe) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
+
+
 def run_numeric(target: str, trials: int, tol: float, seed: int) -> dict:
-    """Run one target (or 'all'); returns a canonical report dict."""
+    """Run one target (or 'all'); returns a canonical report dict.
+
+    The checks are independent and seeded, so ``_run_split`` spreads them
+    over the usable CPUs; the report is the one a single process gives.
+    """
     if target not in (*TARGETS, "all"):
         raise ValueError(f"unknown target {target!r}")
     names = sorted(TARGETS) if target == "all" else [target]
-    checks = [fn(trials, tol, seed) for name in names for fn in TARGETS[name]]
+    fns = [fn for name in names for fn in TARGETS[name]]
+    checks = _run_split([lambda fn=fn: fn(trials, tol, seed) for fn in fns],
+                        [fn.__name__.removeprefix("check_") for fn in fns])
     return {"target": target, "trials": trials, "tol": tol, "seed": seed,
             "checks": checks, "passed": all(c["passed"] for c in checks)}

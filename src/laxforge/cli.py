@@ -170,14 +170,10 @@ def _cmd_boundary_poisson(args, cfg) -> int:
                           "entries of (lam - mu) * residual:")
 
 
-def _frac(text):
-    return Fraction(text) if text is not None else None
-
-
 def _cmd_boundary_charges(args, cfg) -> int:
     from .boundary import BoundaryParams, open_charge_expansion
-    params = BoundaryParams(_frac(args.xi_plus), _frac(args.xi_minus),
-                            _frac(args.kappa_plus), _frac(args.kappa_minus))
+    params = BoundaryParams(args.xi_plus, args.xi_minus,
+                            args.kappa_plus, args.kappa_minus)
     exp = open_charge_expansion(params, order=args.order + 2)
     payload = {"command": "boundary-charges", "order": args.order,
                "bulk": str(exp.bulk_density),
@@ -220,6 +216,14 @@ def _tolerance(text: str) -> float:
     if not 0 < value < float("inf"):
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return value
+
+
+def _rational(text: str) -> Fraction:
+    """A boundary constant: an exact rational such as 3, -1/2 or 0.25."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
 def _target(name: str) -> str:
@@ -307,10 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, choices=(2,), default=2,
                    help="order of the charge; only 2 (the lam^-2 charge) until "
                         "the expansion reads other orders")
-    p.add_argument("--xi+", "--xi-plus", dest="xi_plus")
-    p.add_argument("--kappa+", "--kappa-plus", dest="kappa_plus")
-    p.add_argument("--xi-", "--xi-minus", dest="xi_minus")
-    p.add_argument("--kappa-", "--kappa-minus", dest="kappa_minus")
+    p.add_argument("--xi+", "--xi-plus", dest="xi_plus", type=_rational)
+    p.add_argument("--kappa+", "--kappa-plus", dest="kappa_plus", type=_rational)
+    p.add_argument("--xi-", "--xi-minus", dest="xi_minus", type=_rational)
+    p.add_argument("--kappa-", "--kappa-minus", dest="kappa_minus", type=_rational)
     add_common(p)
     p.set_defaults(fn=_cmd_boundary_charges)
     p = bsub.add_parser("extract-bc", help="boundary conditions from delta U = 0")

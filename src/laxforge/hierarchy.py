@@ -301,6 +301,8 @@ def _flow2_rules() -> EOMRules:
 
 def verify_conservation(k: int) -> ConservationProof:
     """Certify d_x(H-density) is a total d_t derivative; return the flux witness."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     t0 = time.perf_counter()
     rho = charges("H", k)[k - 1].density
     rules = _flow2_rules()

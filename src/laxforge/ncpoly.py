@@ -12,6 +12,7 @@ through ``coeff.collect``, which needs ``+`` and a value truthy iff nonzero.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, Iterable
 
@@ -24,8 +25,9 @@ class SubstitutionError(RuntimeError):
 
 
 def _coerce(c):
-    if isinstance(c, (int,)):
-        return GaussianRational.of(c)
+    """An ``int`` or ``Fraction`` as the Gaussian rational every other term holds."""
+    if isinstance(c, (int, Fraction)):
+        return GaussianRational(c)
     return c
 
 

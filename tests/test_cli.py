@@ -229,6 +229,19 @@ def test_boundary_charges_refuses_other_orders(order, capsys):
     assert exc.value.code == 2 and out == "" and "invalid choice" in err
 
 
+@pytest.mark.parametrize("flag", ["--xi+", "--xi-", "--kappa+", "--kappa-"])
+@pytest.mark.parametrize("value", ["1/0", "abc", "nan"])
+def test_boundary_constants_refuse_what_is_not_a_rational(flag, value, capsys):
+    """``--xi+ 1/0`` once escaped as a ZeroDivisionError traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(["boundary", "charges", flag, value])
+    out, err = capsys.readouterr()
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert exc.value.code == 2 and out == "" and "Traceback" not in err
+    assert len(errors) == 1 and errors[0].startswith("laxforge boundary charges: error: ")
+    assert errors[0].endswith(f": not a rational number: {value!r}")
+
+
 @pytest.mark.parametrize("target", ["algebra", "route"])
 def test_verify_numeric_every_target(target, capsys):
     code, out, _ = run_cli("verify", "numeric", "--target", target,

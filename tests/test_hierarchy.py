@@ -257,6 +257,13 @@ def test_verify_conservation(k):
     assert proof.flux == parse_poly(expected[k])
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_verify_conservation_refuses_k_below_one(k):
+    """The refusal once came from charges and named its max_k."""
+    with pytest.raises(ValueError, match=rf"^k must be >= 1, got {k}$"):
+        verify_conservation(k)
+
+
 def test_flow2_rules_are_derived_once_per_process(monkeypatch):
     """verify_conservation at every k and the dispersion check share one
     derivation of the flow-2 relations."""

@@ -1,15 +1,19 @@
 """Kernel algebra: products, derivations, substitution, the Euler test."""
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laxforge.atoms import MATRIX_SHAPES, ShapeError, atom, make_word
-from laxforge.coeff import collect, gr
+from laxforge.coeff import GaussianRational, collect, gr
 from laxforge.hierarchy import verify_conservation
+from laxforge.matrices import PolyMatrix
 from laxforge.ncpoly import (NCPolynomial, SubstitutionError, eliminate,
                              euler_derivative, is_total_t_derivative, nc_mul,
                              scalarize, sole_word, trace)
 from laxforge.parser import parse_poly
+from laxforge.serialize import to_dict
 
 
 def f(base, dt=0, dx=0, mode="scalar"):
@@ -433,3 +437,18 @@ def test_cancellations_leave_no_key():
     rule = ((atom("u", mode="matrix"), atom("K11", mode="matrix")), m["pih"])
     uk = nc_mul(m["u"], f("K11", mode="matrix"))
     assert (uk - m["pih"]).substitute([rule]).terms == {}
+
+
+def test_a_fraction_coefficient_is_a_gaussian_rational():
+    """A raw Fraction once went into the terms: it printed like gr(1/2) but was
+    not equal to it, and to_dict raised AttributeError on it."""
+    half = Fraction(1, 2)
+    unit = NCPolynomial.unit("scalar", "1", half)
+    assert unit == NCPolynomial.unit("scalar", "1", gr(half))
+    assert to_dict(unit) == to_dict(NCPolynomial.unit("scalar", "1", gr(half)))
+    m = PolyMatrix.from_rows("scalar", [[half, 0], [0, 1]])
+    assert m == PolyMatrix.from_rows("scalar", [[gr(half), 0], [0, 1]])
+    scaled = PolyMatrix.from_rows("scalar", [[1, 0], [0, 2]]).scale(half)
+    assert scaled == PolyMatrix.from_rows("scalar", [[gr(half), 0], [0, 1]])
+    for poly in (unit, *m.entries[0], *scaled.entries[1]):
+        assert all(type(c) is GaussianRational for c in poly.terms.values())

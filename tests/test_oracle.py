@@ -1,5 +1,9 @@
 """Numeric oracle: exact evaluation, identity checks, finite differences."""
 import hashlib
+import os
+import signal
+import threading
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -8,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laxforge.atoms import FIELD_BASES, MATRIX_SHAPES, atom, make_word
+from laxforge import checks
+from laxforge.atoms import FIELD_BASES, MATRIX_SHAPES, ShapeError, atom, make_word
 from laxforge.checks import check_conservation, check_route, identity_check
 from laxforge.coeff import GaussianRational, gr
 from laxforge.matrices import PolyMatrix
@@ -654,3 +659,128 @@ def test_riccati_reports_the_samples_it_draws(monkeypatch, trials, per_mode):
     rep = checks.check_riccati(trials, 1e-9, 5)
     assert rep["trials"] == trials and rep["per_mode_trials"] == per_mode
     assert drawn == {"scalar": per_mode, "matrix": per_mode}
+
+
+# -- run_numeric's process split ------------------------------------------------
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The ``os.fork`` calls of this process, one entry each."""
+    made, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: made.append(1) or fork())
+    return made
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: n)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("target", [*sorted(checks.TARGETS), "all"])
+def test_split_reports_are_the_one_process_reports(target, monkeypatch, forks):
+    """Two processes give the report bytes of one, for every target, seed and
+    trial count; a target of one check never forks."""
+    runs = {}
+    for n in (2, 1):
+        _cpus(monkeypatch, n)
+        runs[n] = [dumps(checks.run_numeric(target, trials, 1e-9, seed))
+                   for seed in (1, 7, 42) for trials in (1, 5, 70)]
+    assert runs[2] == runs[1]
+    split = target == "all" or len(checks.TARGETS[target]) > 1
+    assert len(forks) == (9 if split else 0)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [3, 8])
+def test_more_processes_give_the_same_report(cpus, monkeypatch, forks):
+    """Seven checks on more CPUs: one process per check at most."""
+    _cpus(monkeypatch, 1)
+    alone = dumps(checks.run_numeric("all", 5, 1e-9, 7))
+    _cpus(monkeypatch, cpus)
+    assert dumps(checks.run_numeric("all", 5, 1e-9, 7)) == alone
+    assert len(forks) == min(cpus, 7) - 1
+    _assert_no_child_left()
+
+
+def _checks_that_are(monkeypatch, **patched):
+    """``checks.TARGETS`` with the named checks replaced, in their places."""
+    for name, fn in patched.items():
+        target = next(t for t, fns in checks.TARGETS.items()
+                      if any(f.__name__ == f"check_{name}" for f in fns))
+        fns = tuple(fn if f.__name__ == f"check_{name}" else f
+                    for f in checks.TARGETS[target])
+        monkeypatch.setitem(checks.TARGETS, target, fns)
+
+
+def test_a_child_error_is_raised_by_the_caller(monkeypatch, forks):
+    """The child's exception comes back with its type and message."""
+    caller = os.getpid()
+
+    def check_dispersion(trials, tol, seed):
+        raise ShapeError(f"raised in {'a child' if os.getpid() != caller else 'the caller'}")
+    _checks_that_are(monkeypatch, dispersion=check_dispersion)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(ShapeError) as exc:
+        checks.run_numeric("all", 3, 1e-9, 1)
+    assert exc.type is ShapeError and str(exc.value) == "raised in a child"
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_a_child_that_dies_is_named(monkeypatch, forks):
+    """A child killed after its first check leaves no report: the caller names
+    the checks that child ran."""
+    caller = os.getpid()
+
+    def check_dispersion(trials, tol, seed):
+        assert os.getpid() != caller, "the split changed: dispersion ran in the caller"
+        os.kill(os.getpid(), signal.SIGKILL)
+    _checks_that_are(monkeypatch, dispersion=check_dispersion)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="^the process running checks conservation, "
+                                           "dispersion, gamma exited without a report$"):
+        checks.run_numeric("all", 3, 1e-9, 1)
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_the_caller_kills_its_children_when_its_own_share_raises(monkeypatch, forks):
+    """The caller's own error wins; a child still running is killed, not awaited."""
+    def check_route(trials, tol, seed):
+        raise ValueError("route failed")
+
+    def check_gamma(trials, tol, seed):
+        time.sleep(30)
+    _checks_that_are(monkeypatch, route=check_route, gamma=check_gamma)
+    _cpus(monkeypatch, 2)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^route failed$"):
+        checks.run_numeric("all", 3, 1e-9, 1)
+    assert time.perf_counter() - start < 20
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_the_split_returns_with_no_child_left(monkeypatch, forks):
+    _cpus(monkeypatch, 2)
+    assert checks.run_numeric("all", 2, 1e-9, 3)["passed"]
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_no_fork_while_another_python_thread_runs(monkeypatch, forks):
+    """A forked child holds only the forking thread, so the checks stay here."""
+    _cpus(monkeypatch, 2)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert checks.run_numeric("riccati", 2, 1e-9, 3)["passed"]
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive() and forks == []

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -226,6 +227,28 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
+# the boundary-constant flags: (option strings, dest)
+_CONSTANTS = ((("--xi+", "--xi-plus"), "xi_plus"), (("--kappa+", "--kappa-plus"), "kappa_plus"),
+              (("--xi-", "--xi-minus"), "xi_minus"), (("--kappa-", "--kappa-minus"), "kappa_minus"))
+_CONSTANT_FLAGS = frozenset(flag for flags, _ in _CONSTANTS for flag in flags)
+
+
+def _join_negative_constants(argv: list[str]) -> list[str]:
+    """``--xi+ -1/2`` as ``--xi+=-1/2``, for each boundary-constant flag.
+
+    argparse takes a value that starts with '-' for an option unless it reads
+    as a negative decimal such as -2 or -0.5, so it would refuse a negative
+    fraction after its flag with "expected one argument".
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _CONSTANT_FLAGS and re.match(r"-[0-9.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _target(name: str) -> str:
     """A ``verify numeric`` target; only this command imports checks, and numpy."""
     from .checks import TARGETS
@@ -311,10 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, choices=(2,), default=2,
                    help="order of the charge; only 2 (the lam^-2 charge) until "
                         "the expansion reads other orders")
-    p.add_argument("--xi+", "--xi-plus", dest="xi_plus", type=_rational)
-    p.add_argument("--kappa+", "--kappa-plus", dest="kappa_plus", type=_rational)
-    p.add_argument("--xi-", "--xi-minus", dest="xi_minus", type=_rational)
-    p.add_argument("--kappa-", "--kappa-minus", dest="kappa_minus", type=_rational)
+    for flags, dest in _CONSTANTS:
+        p.add_argument(*flags, dest=dest, type=_rational)
     add_common(p)
     p.set_defaults(fn=_cmd_boundary_charges)
     p = bsub.add_parser("extract-bc", help="boundary conditions from delta U = 0")
@@ -349,7 +370,7 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = build_parser()
     ap = _parser
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_join_negative_constants(sys.argv[1:] if argv is None else argv))
     if args.golden and args.fn not in (_cmd_riccati, _cmd_hierarchy_u, _cmd_hierarchy_charges,
                                        _cmd_boundary_charges):
         ap.error("--golden: this command has no golden table")

@@ -138,6 +138,8 @@ def _new(a: int, b: int, d: int) -> GaussianRational:
 
 def _normal(a: int, b: int, d: int) -> GaussianRational:
     """A GaussianRational from ``(a + b*i) / d`` with ``d > 0``, normalised."""
+    if d == 1:
+        return _new(a, b, 1)
     g = gcd(a, b, d)
     if g != 1:
         a, b, d = a // g, b // g, d // g
@@ -150,7 +152,13 @@ def collect(pairs, out=None) -> dict:
     The one place sparse sums are formed: words, exponents and powers of lam
     all map to values that support ``+`` and are truthy exactly when nonzero.
     ``out``, when given, is updated in place and returned; it must hold no
-    zero value itself.
+    zero value itself, and it must be owned by the caller: a dict the caller
+    built for this sum, never the ``terms`` of a polynomial that exists
+    elsewhere (``NCPolynomial.__add__`` returns an operand itself when the
+    other is zero, so such a dict may be shared).  Merging the summands of
+    ``a + b + c`` one after another into one owned dict gives the terms in the
+    order of the left-to-right sum of immutable values: a key that cancels is
+    dropped and goes last if a later summand adds it again.
     """
     if out is None:
         out = {}

@@ -13,7 +13,8 @@ from __future__ import annotations
 from typing import Callable
 
 from .atoms import ShapeError
-from .ncpoly import NCPolynomial, nc_mul, scalarize
+from .coeff import collect
+from .ncpoly import NCPolynomial, _poly, nc_mul, scalarize
 
 BLOCK_DIMS = {"scalar": ("1", "1"), "matrix": ("N", "M")}
 
@@ -23,6 +24,19 @@ def block_dims(mode: str) -> tuple[str, str]:
     if mode not in BLOCK_DIMS:
         raise ValueError(f"unknown mode {mode!r}")
     return BLOCK_DIMS[mode]
+
+
+def add_terms(acc: list[list[dict]], rows: list[list[dict]]) -> None:
+    """Add the entry term dicts ``rows`` into ``acc``'s, in place.
+
+    ``acc`` must own its dicts (see ``coeff.collect``); ``rows`` is only read.
+    Each entry merges as the immutable ``a + b`` would, so a run of merges
+    keeps the term order of the left-to-right immutable sum.
+    """
+    for acc_row, row in zip(acc, rows, strict=True):
+        for out, terms in zip(acc_row, row, strict=True):
+            if terms:
+                collect(terms.items(), out)
 
 
 class PolyMatrix:
@@ -98,19 +112,48 @@ class PolyMatrix:
 
     def __mul__(self, other):
         if isinstance(other, PolyMatrix):
-            if self.col_dims != other.row_dims:
-                raise ShapeError("block layouts do not chain")
-            ent = []
-            for i in range(len(self.row_dims)):
-                row = []
-                for j in range(len(other.col_dims)):
-                    acc = NCPolynomial.zero(self.mode, (self.row_dims[i], other.col_dims[j]))
-                    for k in range(len(self.col_dims)):
-                        acc = acc + nc_mul(self.entries[i][k], other.entries[k][j])
-                    row.append(acc)
-                ent.append(row)
-            return PolyMatrix(self.mode, self.row_dims, other.col_dims, ent)
+            return PolyMatrix.of_terms(self.mode, self.row_dims, other.col_dims,
+                                       self.product_terms(other))
         return self.scale(other)
+
+    def product_terms(self, other: "PolyMatrix") -> list[list[dict]]:
+        """The entries of self * other as term dicts that the caller owns.
+
+        Entry (i, j) multiplies only nonzero block pairs and merges their
+        products left to right, so it holds the terms, in the order, of the
+        sum ``0 + a_i0 b_0j + a_i1 b_1j + ...`` of immutable polynomials.
+        """
+        if self.mode != other.mode:
+            raise ValueError("mode mismatch")
+        if self.col_dims != other.row_dims:
+            raise ShapeError("block layouts do not chain")
+        cols = list(zip(*other.entries))
+        out = []
+        for row in self.entries:
+            out_row = []
+            for col in cols:
+                acc = None
+                for a, b in zip(row, col):
+                    if a.terms and b.terms:
+                        terms = nc_mul(a, b).terms   # a dict nc_mul built for this call
+                        if acc is None:
+                            acc = terms
+                        else:
+                            collect(terms.items(), acc)
+                out_row.append({} if acc is None else acc)
+            out.append(out_row)
+        return out
+
+    def term_rows(self) -> list[list[dict]]:
+        """The entries' term dicts, for ``add_terms`` to read; they are not the caller's."""
+        return [[e.terms for e in row] for row in self.entries]
+
+    @staticmethod
+    def of_terms(mode, row_dims, col_dims, rows) -> "PolyMatrix":
+        """The matrix whose entries take over the owned term dicts ``rows``."""
+        return PolyMatrix(mode, row_dims, col_dims,
+                          [[_poly(mode, (r, c), t) for c, t in zip(col_dims, row)]
+                           for r, row in zip(row_dims, rows)])
 
     def __rmul__(self, other):
         return self.scale(other)

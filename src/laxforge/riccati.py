@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .atoms import atom
 from .coeff import gr
-from .matrices import PolyMatrix, block_dims
+from .matrices import PolyMatrix, add_terms, block_dims
 from .ncpoly import NCPolynomial, nc_mul
 from .series import LaurentSeries
 
@@ -119,8 +119,9 @@ def solve_w_z(order: int, mode: str = "scalar") -> RiccatiSolution:
         raise ValueError("order must be >= 1")
     vd, va = _v_split(mode)
     lead = vd.max_power
-    below = [(j, d) for j, d in sorted(vd.coeffs.items(), reverse=True) if j < lead]
+    below = [(j, d, -d) for j, d in sorted(vd.coeffs.items(), reverse=True) if j < lead]
     anti = sorted(va.coeffs.items(), reverse=True)
+    minus_anti = [(j, -a_j) for j, a_j in anti]
     dims = block_dims(mode)
     zero = PolyMatrix.zero(mode, dims, dims)
     W = _TOWER.setdefault(mode, {0: zero})
@@ -128,24 +129,32 @@ def solve_w_z(order: int, mode: str = "scalar") -> RiccatiSolution:
     def getw(k):
         return W.get(k, zero)
 
-    # lam^-k of dW/dt + [W, V_D] + W V_A W - V_A = 0, solved for W^(k+lead)
+    # lam^-k of dW/dt + [W, V_D] + W V_A W - V_A = 0, solved for W^(k+lead).  rhs owns
+    # its entry dicts and takes the summands of -dW/dt - [W, D_j] - W A_j W + A_-k in
+    # place, in the order of their immutable sum; -dW/dt = d(-W)/dt, -[W, D] = W(-D) + DW
+    # and -W A W = W(-A)W, so no term is negated after it is built
     for k in range(len(W) - lead, order - lead + 1):
-        rhs = -getw(k).differentiate_t()
-        for j, d in below:
-            rhs = rhs - getw(k + j).commutator(d)
-        for j, a_j in anti:
+        rhs = (-getw(k)).differentiate_t().term_rows()   # dicts built here
+        for j, d, minus_d in below:
+            w = getw(k + j)
+            comm = w.product_terms(minus_d)
+            add_terms(comm, d.product_terms(w))
+            add_terms(rhs, comm)
+        for j, minus_a in minus_anti:
             for a in range(1, k + j):
-                rhs = rhs - getw(a) * a_j * getw(k + j - a)
+                add_terms(rhs, (getw(a) * minus_a).product_terms(getw(k + j - a)))
         if -k in va.coeffs:
-            rhs = rhs + va.coeffs[-k]
+            add_terms(rhs, va.coeffs[-k].term_rows())
         # the lead is Sigma/2: (1/2)[W^(k+2), Sigma] = rhs  =>  W12 = -rhs12, W21 = +rhs21
-        W[k + lead] = PolyMatrix.from_rows(mode, [[0, -rhs.entries[0][1]],
-                                                  [rhs.entries[1][0], 0]])
+        W[k + lead] = PolyMatrix.of_terms(
+            mode, dims, dims, [[{}, {w: -c for w, c in rhs[0][1].items()}], [rhs[1][0], {}]])
 
     Z = _Z.setdefault(mode, [])
     for k in range(len(Z) + 1, order):
-        terms = [a_j * W[k + j] for j, a_j in anti]
-        density = sum(terms[1:], terms[0])
+        rows = [[{} for _ in dims] for _ in dims]
+        for j, a_j in anti:
+            add_terms(rows, a_j.product_terms(W[k + j]))
+        density = PolyMatrix.of_terms(mode, dims, dims, rows)
         if not density.is_diagonal():
             raise RuntimeError(f"Z^({k}) density is not diagonal")
         Z.append(density)
@@ -165,10 +174,11 @@ def _riccati_form(w: LaurentSeries, vd_l, vd_r, va_q, va) -> LaurentSeries:
     """
     t = w.truncation
     vd_l, vd_r, va_q, va = (s.truncated(t) for s in (vd_l, vd_r, va_q, va))
-    w_vd, vd_w = w * vd_r, vd_l * w
-    floor = max(w_vd.lowest_reliable, vd_w.lowest_reliable)
-    return (w.truncated(-floor).differentiate_t() + w_vd - vd_w
-            + w._times(va_q, floor)._times(w, floor) - va)
+    # (-VD_l) W and -VA are the negated summands with no term negated after the product
+    w_vd, minus_vd_w = w * vd_r, -vd_l * w
+    floor = max(w_vd.lowest_reliable, minus_vd_w.lowest_reliable)
+    return LaurentSeries.sum(w.truncated(-floor).differentiate_t(), w_vd, minus_vd_w,
+                             w._times(va_q, floor)._times(w, floor), -va)
 
 
 def riccati_residual(sol: RiccatiSolution) -> LaurentSeries:

@@ -229,8 +229,19 @@ def test_boundary_charges_refuses_other_orders(order, capsys):
     assert exc.value.code == 2 and out == "" and "invalid choice" in err
 
 
+@pytest.mark.parametrize("flag", ["--xi+", "--xi-", "--kappa+", "--kappa-", "--kappa-minus"])
+@pytest.mark.parametrize("value", ["-1/2", "-3", "-0.25"])
+def test_boundary_constants_take_negative_values(flag, value, capsys):
+    """``--xi+ -1/2`` once exited 2 with "expected one argument": argparse took the
+    negative fraction for an option.  It now gives the output of ``--xi+=-1/2``."""
+    spaced = run_cli("boundary", "charges", flag, value, "--out", "json", capsys=capsys)
+    joined = run_cli("boundary", "charges", f"{flag}={value}", "--out", "json", capsys=capsys)
+    assert spaced == joined and spaced[0] == 0
+    assert spaced != run_cli("boundary", "charges", "--out", "json", capsys=capsys)
+
+
 @pytest.mark.parametrize("flag", ["--xi+", "--xi-", "--kappa+", "--kappa-"])
-@pytest.mark.parametrize("value", ["1/0", "abc", "nan"])
+@pytest.mark.parametrize("value", ["1/0", "-1/0", "abc", "nan"])
 def test_boundary_constants_refuse_what_is_not_a_rational(flag, value, capsys):
     """``--xi+ 1/0`` once escaped as a ZeroDivisionError traceback."""
     with pytest.raises(SystemExit) as exc:

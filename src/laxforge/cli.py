@@ -233,20 +233,24 @@ _CONSTANTS = ((("--xi+", "--xi-plus"), "xi_plus"), (("--kappa+", "--kappa-plus")
 _CONSTANT_FLAGS = frozenset(flag for flags, _ in _CONSTANTS for flag in flags)
 
 
-def _join_negative_constants(argv: list[str]) -> list[str]:
-    """``--xi+ -1/2`` as ``--xi+=-1/2``, for each boundary-constant flag.
+class _BoundaryParser(argparse.ArgumentParser):
+    """A ``boundary`` subcommand's parser; it reads ``--xi+ -1/2`` as ``--xi+=-1/2``.
 
     argparse takes a value that starts with '-' for an option unless it reads
     as a negative decimal such as -2 or -0.5, so it would refuse a negative
-    fraction after its flag with "expected one argument".
+    fraction after its flag with "expected one argument".  Only the eight full
+    spellings of ``_CONSTANTS`` are joined: an abbreviated flag takes a
+    negative fraction after '=' (``--xi-p=-1/2``).
     """
-    out: list[str] = []
-    for arg in argv:
-        if out and out[-1] in _CONSTANT_FLAGS and re.match(r"-[0-9.]", arg):
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
+
+    def parse_known_args(self, args, namespace=None):
+        joined: list[str] = []
+        for arg in args:
+            if joined and joined[-1] in _CONSTANT_FLAGS and re.match(r"-[0-9.]", arg):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
 
 
 def _target(name: str) -> str:
@@ -324,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_hierarchy_verify)
 
     pb = sub.add_parser("boundary", help="reflection, Poisson, boundary operators")
-    bsub = pb.add_subparsers(dest="subcommand", required=True)
+    bsub = pb.add_subparsers(dest="subcommand", required=True, parser_class=_BoundaryParser)
     p = bsub.add_parser("reflect-check", help="reflection-equation residual")
     p.set_defaults(fn=_cmd_boundary_reflect)
     p = bsub.add_parser("poisson-check", help="ultralocal Poisson residual")
@@ -370,7 +374,7 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = build_parser()
     ap = _parser
-    args = ap.parse_args(_join_negative_constants(sys.argv[1:] if argv is None else argv))
+    args = ap.parse_args(argv)
     if args.golden and args.fn not in (_cmd_riccati, _cmd_hierarchy_u, _cmd_hierarchy_charges,
                                        _cmd_boundary_charges):
         ap.error("--golden: this command has no golden table")

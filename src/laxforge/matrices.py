@@ -6,7 +6,8 @@ and stores one NCPolynomial per block; entry (i, j) must have shape
 a table of entries, a polynomial or a coefficient standing for that multiple
 of its block's identity, on the mode's 2x2 (N, M) split (``block_dims``) or
 as n x n scalar blocks; ``diagonal_part`` splits one into its diagonal and
-off-diagonal blocks.
+off-diagonal blocks.  ``MatrixSum`` sums matrices and products in place; a
+product is one, so a zero block is never multiplied.
 """
 from __future__ import annotations
 
@@ -24,19 +25,6 @@ def block_dims(mode: str) -> tuple[str, str]:
     if mode not in BLOCK_DIMS:
         raise ValueError(f"unknown mode {mode!r}")
     return BLOCK_DIMS[mode]
-
-
-def add_terms(acc: list[list[dict]], rows: list[list[dict]]) -> None:
-    """Add the entry term dicts ``rows`` into ``acc``'s, in place.
-
-    ``acc`` must own its dicts (see ``coeff.collect``); ``rows`` is only read.
-    Each entry merges as the immutable ``a + b`` would, so a run of merges
-    keeps the term order of the left-to-right immutable sum.
-    """
-    for acc_row, row in zip(acc, rows, strict=True):
-        for out, terms in zip(acc_row, row, strict=True):
-            if terms:
-                collect(terms.items(), out)
 
 
 class PolyMatrix:
@@ -112,48 +100,10 @@ class PolyMatrix:
 
     def __mul__(self, other):
         if isinstance(other, PolyMatrix):
-            return PolyMatrix.of_terms(self.mode, self.row_dims, other.col_dims,
-                                       self.product_terms(other))
+            acc = MatrixSum(self.mode, self.row_dims, other.col_dims)
+            acc.add_product(self, other)
+            return acc.matrix()
         return self.scale(other)
-
-    def product_terms(self, other: "PolyMatrix") -> list[list[dict]]:
-        """The entries of self * other as term dicts that the caller owns.
-
-        Entry (i, j) multiplies only nonzero block pairs and merges their
-        products left to right, so it holds the terms, in the order, of the
-        sum ``0 + a_i0 b_0j + a_i1 b_1j + ...`` of immutable polynomials.
-        """
-        if self.mode != other.mode:
-            raise ValueError("mode mismatch")
-        if self.col_dims != other.row_dims:
-            raise ShapeError("block layouts do not chain")
-        cols = list(zip(*other.entries))
-        out = []
-        for row in self.entries:
-            out_row = []
-            for col in cols:
-                acc = None
-                for a, b in zip(row, col):
-                    if a.terms and b.terms:
-                        terms = nc_mul(a, b).terms   # a dict nc_mul built for this call
-                        if acc is None:
-                            acc = terms
-                        else:
-                            collect(terms.items(), acc)
-                out_row.append({} if acc is None else acc)
-            out.append(out_row)
-        return out
-
-    def term_rows(self) -> list[list[dict]]:
-        """The entries' term dicts, for ``add_terms`` to read; they are not the caller's."""
-        return [[e.terms for e in row] for row in self.entries]
-
-    @staticmethod
-    def of_terms(mode, row_dims, col_dims, rows) -> "PolyMatrix":
-        """The matrix whose entries take over the owned term dicts ``rows``."""
-        return PolyMatrix(mode, row_dims, col_dims,
-                          [[_poly(mode, (r, c), t) for c, t in zip(col_dims, row)]
-                           for r, row in zip(row_dims, rows)])
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -241,3 +191,69 @@ class PolyMatrix:
         return "[" + "; ".join(rows) + "]"
 
     __repr__ = __str__
+
+
+class MatrixSum:
+    """A sum of block matrices of one layout, built in place.
+
+    Every entry is a term dict that this sum owns, built by it or by
+    ``nc_mul`` for it; the matrices it adds are only read (``coeff.collect`` says why a polynomial's own dict
+    may be shared).  Adding the summands of ``a + b + c`` one after another
+    gives the value and the term order of the left-to-right sum of immutable
+    matrices.  ``matrix()`` hands the dicts over to its result, so the sum
+    takes nothing more after it.
+    """
+    __slots__ = ("mode", "row_dims", "col_dims", "_rows")
+
+    def __init__(self, mode, row_dims, col_dims):
+        self.mode = mode
+        self.row_dims = tuple(row_dims)
+        self.col_dims = tuple(col_dims)
+        self._rows = [[{} for _ in self.col_dims] for _ in self.row_dims]
+
+    def __bool__(self):
+        return any(any(row) for row in self._rows)
+
+    def add(self, m: PolyMatrix) -> None:
+        """Add m, entry by entry."""
+        if (m.mode, m.row_dims, m.col_dims) != (self.mode, self.row_dims, self.col_dims):
+            raise ShapeError("block layout mismatch")
+        for out_row, row in zip(self._rows, m.entries):
+            for out, e in zip(out_row, row):
+                if e.terms:
+                    collect(e.terms.items(), out)
+
+    def add_product(self, a: PolyMatrix, b: PolyMatrix) -> None:
+        """Add a * b.  Only pairs of nonzero blocks are multiplied, and each
+        entry of a * b is summed, left to right, before it is added, as the
+        immutable ``acc + a * b`` would do."""
+        if a.mode != self.mode or b.mode != self.mode:
+            raise ValueError("mode mismatch")
+        if a.col_dims != b.row_dims:
+            raise ShapeError("block layouts do not chain")
+        if (a.row_dims, b.col_dims) != (self.row_dims, self.col_dims):
+            raise ShapeError("block layout mismatch")
+        cols = list(zip(*b.entries))
+        for out_row, row in zip(self._rows, a.entries):
+            for j, col in enumerate(cols):
+                entry = None
+                for x, y in zip(row, col):
+                    if x.terms and y.terms:
+                        terms = nc_mul(x, y).terms   # a dict nc_mul built for this call
+                        if entry is None:
+                            entry = terms
+                        else:
+                            collect(terms.items(), entry)
+                if not entry:
+                    continue
+                if out_row[j]:
+                    collect(entry.items(), out_row[j])
+                else:
+                    out_row[j] = entry
+
+    def matrix(self) -> PolyMatrix:
+        """The sum, which takes the entry dicts over; this sum is then spent."""
+        rows, self._rows = self._rows, None
+        return PolyMatrix(self.mode, self.row_dims, self.col_dims,
+                          [[_poly(self.mode, (r, c), t) for c, t in zip(self.col_dims, row)]
+                           for r, row in zip(self.row_dims, rows)])

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .atoms import atom
 from .coeff import gr
-from .matrices import PolyMatrix, add_terms, block_dims
+from .matrices import MatrixSum, PolyMatrix, block_dims
 from .ncpoly import NCPolynomial, nc_mul
 from .series import LaurentSeries
 
@@ -129,32 +129,33 @@ def solve_w_z(order: int, mode: str = "scalar") -> RiccatiSolution:
     def getw(k):
         return W.get(k, zero)
 
-    # lam^-k of dW/dt + [W, V_D] + W V_A W - V_A = 0, solved for W^(k+lead).  rhs owns
-    # its entry dicts and takes the summands of -dW/dt - [W, D_j] - W A_j W + A_-k in
-    # place, in the order of their immutable sum; -dW/dt = d(-W)/dt, -[W, D] = W(-D) + DW
-    # and -W A W = W(-A)W, so no term is negated after it is built
+    # lam^-k of dW/dt + [W, V_D] + W V_A W - V_A = 0, solved for W^(k+lead).  rhs sums
+    # -dW/dt - [W, D_j] - W A_j W + A_-k in place, in the order of the immutable sum;
+    # -[W, D] = W(-D) + DW and -W A W = W(-A)W, so no product is negated once built
     for k in range(len(W) - lead, order - lead + 1):
-        rhs = (-getw(k)).differentiate_t().term_rows()   # dicts built here
+        rhs = MatrixSum(mode, dims, dims)
+        rhs.add((-getw(k)).differentiate_t())
         for j, d, minus_d in below:
             w = getw(k + j)
-            comm = w.product_terms(minus_d)
-            add_terms(comm, d.product_terms(w))
-            add_terms(rhs, comm)
+            comm = MatrixSum(mode, dims, dims)
+            comm.add_product(w, minus_d)
+            comm.add_product(d, w)
+            rhs.add(comm.matrix())
         for j, minus_a in minus_anti:
             for a in range(1, k + j):
-                add_terms(rhs, (getw(a) * minus_a).product_terms(getw(k + j - a)))
+                rhs.add_product(getw(a) * minus_a, getw(k + j - a))
         if -k in va.coeffs:
-            add_terms(rhs, va.coeffs[-k].term_rows())
+            rhs.add(va.coeffs[-k])
         # the lead is Sigma/2: (1/2)[W^(k+2), Sigma] = rhs  =>  W12 = -rhs12, W21 = +rhs21
-        W[k + lead] = PolyMatrix.of_terms(
-            mode, dims, dims, [[{}, {w: -c for w, c in rhs[0][1].items()}], [rhs[1][0], {}]])
+        r = rhs.matrix().entries
+        W[k + lead] = PolyMatrix.from_rows(mode, [[0, -r[0][1]], [r[1][0], 0]])
 
     Z = _Z.setdefault(mode, [])
     for k in range(len(Z) + 1, order):
-        rows = [[{} for _ in dims] for _ in dims]
+        z = MatrixSum(mode, dims, dims)
         for j, a_j in anti:
-            add_terms(rows, a_j.product_terms(W[k + j]))
-        density = PolyMatrix.of_terms(mode, dims, dims, rows)
+            z.add_product(a_j, W[k + j])
+        density = z.matrix()
         if not density.is_diagonal():
             raise RuntimeError(f"Z^({k}) density is not diagonal")
         Z.append(density)
@@ -174,11 +175,10 @@ def _riccati_form(w: LaurentSeries, vd_l, vd_r, va_q, va) -> LaurentSeries:
     """
     t = w.truncation
     vd_l, vd_r, va_q, va = (s.truncated(t) for s in (vd_l, vd_r, va_q, va))
-    # (-VD_l) W and -VA are the negated summands with no term negated after the product
-    w_vd, minus_vd_w = w * vd_r, -vd_l * w
-    floor = max(w_vd.lowest_reliable, minus_vd_w.lowest_reliable)
-    return LaurentSeries.sum(w.truncated(-floor).differentiate_t(), w_vd, minus_vd_w,
-                             w._times(va_q, floor)._times(w, floor), -va)
+    w_vd, vd_w = w * vd_r, vd_l * w
+    floor = max(w_vd.lowest_reliable, vd_w.lowest_reliable)
+    return (w.truncated(-floor).differentiate_t() + w_vd - vd_w
+            + w._times(va_q, floor)._times(w, floor) - va)
 
 
 def riccati_residual(sol: RiccatiSolution) -> LaurentSeries:

@@ -21,7 +21,7 @@ from typing import Callable
 
 from .atoms import ShapeError
 from .coeff import ONE as GR_ONE, collect
-from .matrices import PolyMatrix, add_terms
+from .matrices import MatrixSum, PolyMatrix
 
 
 class TruncationError(RuntimeError):
@@ -128,27 +128,22 @@ class LaurentSeries:
         if other.lowest_reliable is not None:
             lows.append(other.lowest_reliable + self.max_power)
         low = max(lows) if lows else None
-        out: dict[int, list[list[dict]]] = {}
+        # each power's products summed in place, as collect sums PolyMatrix values:
+        # a power that sums to zero is dropped, and goes last if a product re-adds it
+        out: dict[int, MatrixSum] = {}
         for p1, m1 in self.coeffs.items():
             for p2, m2 in other.coeffs.items():
-                if low is None or p1 + p2 >= low:
-                    _add_at(out, p1 + p2, m1.product_terms(m2))
-        return _of_powers(self.mode, self.row_dims, other.col_dims, out, low)
-
-    @staticmethod
-    def sum(first: "LaurentSeries", *rest: "LaurentSeries") -> "LaurentSeries":
-        """first + rest[0] + ..., each power's entries summed in place: the value,
-        truncation and term order of the left-to-right sum of immutable series."""
-        out: dict[int, list[list[dict]]] = {}
-        for s in (first, *rest):
-            if (s.row_dims, s.col_dims) != (first.row_dims, first.col_dims):
-                raise ShapeError("layout mismatch")
-            for p, m in s.coeffs.items():
-                rows = m.term_rows()
-                _add_at(out, p, rows if p in out else [[dict(t) for t in row] for row in rows])
-        lows = [s.lowest_reliable for s in (first, *rest) if s.lowest_reliable is not None]
-        return _of_powers(first.mode, first.row_dims, first.col_dims, out,
-                          max(lows) if lows else None)
+                p = p1 + p2
+                if low is None or p >= low:
+                    acc = out.get(p)
+                    if acc is None:
+                        acc = out[p] = MatrixSum(self.mode, self.row_dims, other.col_dims)
+                    acc.add_product(m1, m2)
+                    if not acc:
+                        del out[p]
+        return LaurentSeries(self.mode, self.row_dims, other.col_dims,
+                             {p: acc.matrix() for p, acc in out.items()},
+                             None if low is None else -low)
 
     def __rmul__(self, other):
         return self.map_coefficients(lambda m: m.scale(other))
@@ -210,27 +205,6 @@ class LaurentSeries:
         return " + ".join(parts) + tail
 
     __repr__ = __str__
-
-
-def _add_at(out: dict, p: int, rows: list[list[dict]]) -> None:
-    """Add the entry term dicts ``rows`` at power p of ``out``, as ``collect`` adds
-    a PolyMatrix: a new power takes ``rows`` over (they must be owned), an
-    existing one merges them in place, and a power that sums to zero is dropped."""
-    acc = out.get(p)
-    if acc is None:
-        if any(any(row) for row in rows):
-            out[p] = rows
-        return
-    add_terms(acc, rows)
-    if not any(any(row) for row in acc):
-        del out[p]
-
-
-def _of_powers(mode, row_dims, col_dims, out: dict, low) -> LaurentSeries:
-    """The series of ``_add_at``'s powers, reliable down to low (None: exact)."""
-    return LaurentSeries(mode, row_dims, col_dims,
-                         {p: PolyMatrix.of_terms(mode, row_dims, col_dims, rows)
-                          for p, rows in out.items()}, None if low is None else -low)
 
 
 def _split_lead(s: LaurentSeries, what: str):

@@ -240,6 +240,13 @@ def test_boundary_constants_take_negative_values(flag, value, capsys):
     assert spaced != run_cli("boundary", "charges", "--out", "json", capsys=capsys)
 
 
+def test_an_abbreviated_constant_flag_takes_a_negative_fraction_after_equals(capsys):
+    """Only the full spellings are joined with a spaced value; an abbreviation uses '='."""
+    short = run_cli("boundary", "charges", "--xi-p=-1/2", "--out", "json", capsys=capsys)
+    full = run_cli("boundary", "charges", "--xi-plus", "-1/2", "--out", "json", capsys=capsys)
+    assert short == full and short[0] == 0
+
+
 @pytest.mark.parametrize("flag", ["--xi+", "--xi-", "--kappa+", "--kappa-"])
 @pytest.mark.parametrize("value", ["1/0", "-1/0", "abc", "nan"])
 def test_boundary_constants_refuse_what_is_not_a_rational(flag, value, capsys):

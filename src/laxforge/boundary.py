@@ -285,6 +285,12 @@ def _transpose_series(series: LaurentSeries) -> LaurentSeries:
 
 @dataclass
 class OpenChargeExpansion:
+    """The open chain's bulk density and its two boundary terms at lam^-2.
+
+    ``generator_plus`` and ``generator_minus`` are the two ends' generators,
+    built only down to lam^-2, the power their logs are read at: their
+    ``truncation`` is 2.
+    """
     order: int
     bulk_density: NCPolynomial
     plus_term: NCPolynomial
@@ -303,27 +309,31 @@ def open_charge_expansion(params: BoundaryParams | None = None,
     minus-end generator ((1 + W)^-1 K- Omega ((1 + What)^-1)^t)_11 at the
     respective boundary points, takes series logs, halves, and returns the
     lam^-2 coefficients with field-independent constants stripped.  Only
-    lam^-2 of each log is read, so each generator is logged cut at lam^-2.
+    lam^-read (read = 2) of each log is read, so the reflected products stop
+    there: 1 + W, and with it its hat and inverse, is cut at lam^-(read + 1);
+    Omega and K are exact, and K's lead lam^1 lifts each product's floor to
+    lam^-read.  The logs are cut where the products end.  ``order`` sets
+    only the Riccati solve.
     """
     if order < 3:
         raise ValueError("order must be >= 3: the lam^-2 bulk term is Z^(2), which "
                          "the Riccati solve reaches only at order >= 3")
     params = params or BoundaryParams()
     params.check_kappa()
+    read = 2
     sol = solve_w_z(order, "scalar")
-    one_plus_w = sol.one_plus_w()
+    one_plus_w = sol.one_plus_w().truncated(read + 1)
     one_plus_what = _hat(one_plus_w)
-    omega = LaurentSeries.of(omega_matrix("scalar")).truncated(order)
+    omega = LaurentSeries.of(omega_matrix("scalar"))
     values = params.values()
 
-    a_fac = _transpose_series(one_plus_what) * (omega * _k_series("+").truncated(order)) \
-        * one_plus_w
-    w_plus, plus_term, prefix_plus = _end_term(a_fac, values)
+    a_fac = _transpose_series(one_plus_what) * (omega * _k_series("+")) * one_plus_w
+    w_plus, plus_term, prefix_plus = _end_term(a_fac, values, read)
 
     inv_w = series_invert(one_plus_w)   # lam -> -lam is a ring automorphism:
     inv_what = _hat(inv_w)               # (1 + What)^-1 is the hat of (1 + W)^-1
-    b_fac = inv_w * (_k_series("-").truncated(order) * omega) * _transpose_series(inv_what)
-    w_minus, minus_term, prefix_minus = _end_term(b_fac, values)
+    b_fac = inv_w * (_k_series("-") * omega) * _transpose_series(inv_what)
+    w_minus, minus_term, prefix_minus = _end_term(b_fac, values, read)
 
     # bulk part: (Z11 + Z11-hat)/2 at lam^-2 equals the closed-chain density;
     # the hat contributes the same sign at even order
@@ -332,17 +342,17 @@ def open_charge_expansion(params: BoundaryParams | None = None,
                                prefix_plus, prefix_minus, w_plus, w_minus)
 
 
-def _end_term(factor: LaurentSeries, values: dict):
+def _end_term(factor: LaurentSeries, values: dict, read: int):
     """One end's generator, boundary term and log prefix from its reflected product.
 
-    The generator is block 11 of ``factor``.  Only lam^-2 of its log is read
-    (the charge), so it is logged cut there; that coefficient is halved, its
+    The generator is block 11 of ``factor``, which is built only down to
+    lam^-read, the one power of its log that is read (the charge); so the log
+    is cut where the product ends.  That coefficient is halved, its
     field-independent constant stripped and ``values`` substituted for the
     constants they name.
     """
-    read = 2
     generator = factor.block(0, 0)
-    log, prefix = series_log(generator.truncated(read))
+    log, prefix = series_log(generator)
     term = log.coefficient(-read).entries[0][0].scale(gr(Fraction(1, 2))).strip_constant()
     if values:
         term = term.map_coeff(lambda c: c.subs_values(values))

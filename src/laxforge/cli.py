@@ -59,8 +59,9 @@ class RunConfig:
 
 def _emit(args, payload_json: dict, payload_objs: list, golden_name: str | None = None) -> int:
     """Write the artifact in the requested format; run golden comparison."""
+    json_text = serialize.dumps(payload_json) if args.out == "json" or args.golden else None
     if args.out == "json":
-        text = serialize.dumps(payload_json)
+        text = json_text
     elif args.out == "latex":
         text = "\n".join(tex(o) for o in payload_objs) + "\n"
     else:
@@ -71,12 +72,11 @@ def _emit(args, payload_json: dict, payload_objs: list, golden_name: str | None 
         sys.stdout.write(text)
     if args.golden:
         want_path = Path(args.golden) / golden_name
-        got = serialize.dumps(payload_json)
         if not want_path.exists():
             sys.stderr.write(f"golden file missing: {want_path}\n")
             return 1
         want = want_path.read_text()
-        if got != want:
+        if json_text != want:
             sys.stderr.write(f"golden mismatch against {want_path}\n")
             return 1
         sys.stderr.write(f"golden match: {want_path.name}\n")

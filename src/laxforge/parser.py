@@ -40,6 +40,7 @@ class ParseError(ValueError):
 
 
 def _tokenize(text: str):
+    """``(kind, value, source text)`` triples, closed by an ``end`` token."""
     pos = 0
     out = []
     while pos < len(text):
@@ -55,8 +56,8 @@ def _tokenize(text: str):
                 val = Fraction(val)
             except ZeroDivisionError:
                 raise ParseError(f"zero denominator in {val!r}") from None
-        out.append((kind, val))
-    out.append(("end", None))
+        out.append((kind, val, m.group(kind)))
+    out.append(("end", None, ""))
     return out
 
 
@@ -105,34 +106,35 @@ class _Parser:
             e = self.expr()
         except RecursionError:
             raise ParseError("expression nested too deeply") from None
-        if self.peek()[0] != "end":
-            raise ParseError(f"trailing input near token {self.peek()!r}")
+        kind, _, text = self.peek()
+        if kind != "end":
+            raise ParseError(f"trailing input near {text!r}")
         return e
 
     def expr(self):
         node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
+        while self.peek()[:2] in (("op", "+"), ("op", "-")):
+            _, op, _ = self.take()
             rhs = self.term()
             node = _add(node, rhs if op == "+" else _neg(rhs))
         return node
 
     def term(self):
         node = self.factor()
-        while self.peek() == ("op", "*"):
+        while self.peek()[:2] == ("op", "*"):
             self.take()
             node = self.mul(node, self.factor())
         return node
 
     def factor(self):
-        kind, val = self.peek()
+        kind, val, text = self.peek()
         if (kind, val) == ("op", "-"):
             self.take()
             return _neg(self.factor())
         if (kind, val) == ("op", "("):
             self.take()
             e = self.expr()
-            if self.take() != ("op", ")"):
+            if self.take()[:2] != ("op", ")"):
                 raise ParseError("expected ')'")
             return e
         if kind == "num":
@@ -148,7 +150,9 @@ class _Parser:
             base, suffix = m.group(1), m.group(2)
             a = atom(base, suffix.count("t"), suffix.count("x"), mode=self.mode)
             return a.shape, {(0, Word((a,))): ONE}
-        raise ParseError(f"unexpected token {val!r}")
+        if kind == "end":
+            raise ParseError("unexpected end of expression")
+        raise ParseError(f"unexpected token {text!r}")
 
     def mul(self, a, b):
         """Product; a pure number scales an operand of any shape."""

@@ -1,4 +1,5 @@
 """Reflection equation, Poisson structures, boundary operators and charges."""
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -17,7 +18,7 @@ from laxforge.ncpoly import NCPolynomial, nc_mul
 from laxforge.parser import parse_poly
 from laxforge.ratfunc import MPoly
 from laxforge.riccati import solve_w_z
-from laxforge.series import LaurentSeries, series_invert
+from laxforge.series import LaurentSeries, series_invert, series_log
 
 
 def _constants(rows) -> PolyMatrix:
@@ -321,6 +322,62 @@ def test_numeric_params_substituted():
     exp = open_charge_expansion(BoundaryParams(xi_p=2, ka_p=3, xi_m=1, ka_m=2))
     s = str(exp.plus_term)
     assert "xi_p" not in s and "ka_p" not in s
+
+
+# -- the products cut at the power read, against the full-truncation route ------
+
+def _reference_end_term(factor, values):
+    """One end's term and prefix from a product built to the solve's order; its
+    generator is cut at lam^-2 only for the log."""
+    log, prefix = series_log(factor.block(0, 0).truncated(2))
+    term = log.coefficient(-2).entries[0][0].scale(gr(Fraction(1, 2))).strip_constant()
+    if values:
+        term = term.map_coeff(lambda c: c.subs_values(values))
+    return term, prefix
+
+
+def _reference_expansion(params, order):
+    """(bulk, plus term and prefix, minus term and prefix) with every factor of
+    both reflected products truncated at ``order``, as the expansion once built them."""
+    sol = solve_w_z(order, "scalar")
+    one_plus_w = sol.one_plus_w()
+    one_plus_what = boundary._hat(one_plus_w)
+    omega = LaurentSeries.of(riccati.omega_matrix("scalar")).truncated(order)
+    values = params.values()
+    a_fac = boundary._transpose_series(one_plus_what) \
+        * (omega * boundary._k_series("+").truncated(order)) * one_plus_w
+    inv_w = series_invert(one_plus_w)
+    b_fac = inv_w * (boundary._k_series("-").truncated(order) * omega) \
+        * boundary._transpose_series(boundary._hat(inv_w))
+    return (sol.z(2).entries[0][0], _reference_end_term(a_fac, values),
+            _reference_end_term(b_fac, values))
+
+
+def _seeded_params(seed):
+    rng = random.Random(seed)
+
+    def rational():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+    return BoundaryParams(rational(), rational(), rational(), rational())
+
+
+def _term_list(p: NCPolynomial):
+    return [(w, c, str(c)) for w, c in p.terms.items()]
+
+
+@pytest.mark.parametrize("params", [BoundaryParams(), _seeded_params(5), _seeded_params(23)],
+                         ids=["symbolic", "seed5", "seed23"])
+@pytest.mark.parametrize("order", [3, 4, 6, 8])
+def test_products_cut_at_the_read_power_match_the_full_truncation(order, params):
+    """Building the reflected products only down to lam^-2 changes no term, no
+    term's place in its polynomial, no prefix and not the bulk."""
+    exp = open_charge_expansion(params, order=order)
+    bulk, (plus, plus_prefix), (minus, minus_prefix) = _reference_expansion(params, order)
+    assert exp.bulk_density == bulk
+    assert _term_list(exp.plus_term) == _term_list(plus)
+    assert _term_list(exp.minus_term) == _term_list(minus)
+    assert (exp.plus_prefix, exp.minus_prefix) == (plus_prefix, minus_prefix)
+    assert exp.generator_plus.lowest_reliable == exp.generator_minus.lowest_reliable == -2
 
 
 # -- independent numeric confirmation of both boundary generators ---------------

@@ -358,6 +358,20 @@ def test_malformed_expression_fails(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("text,message", [
+    ("", "unexpected end of expression"),
+    ("u*", "unexpected end of expression"),
+    ("u +", "unexpected end of expression"),
+    ("u)", "trailing input near ')'"),
+    ("u_tx2", "trailing input near '2'"),
+])
+def test_expr_refusals_name_the_text_not_a_token(text, message, capsys):
+    # these once read "unexpected token None" and "trailing input near token
+    # ('op', ')')" or "('num', Fraction(2, 1))"
+    code, out, err = run_cli("expr", "--", text, capsys=capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_expr_refuses_a_zero_denominator(capsys):
     # "1/0" once escaped as a ZeroDivisionError traceback
     code, out, err = run_cli("expr", "--", "1/0*u", capsys=capsys)
@@ -408,6 +422,23 @@ def test_boundary_charges_golden_match(capsys):
                              "--order", "2", "--out", "json", capsys=capsys)
     assert code == 0 and "golden match" in err
     assert out == (REPO / "goldens" / "boundary-charges-2.json").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["riccati", "--order", "4", "--mode", "scalar"],
+    ["hierarchy", "charges", "--max-k", "3"],
+    ["boundary", "charges", "--order", "2"],
+])
+def test_golden_json_is_serialized_once(argv, capsys, monkeypatch):
+    """--golden with --out json writes and compares one serialization."""
+    import laxforge.cli as cli
+    calls = []
+    dumps = cli.serialize.dumps
+    monkeypatch.setattr(cli.serialize, "dumps", lambda obj: calls.append(1) or dumps(obj))
+    code, out, err = run_cli("--golden", str(REPO / "goldens"), *argv, "--out", "json",
+                             capsys=capsys)
+    assert code == 0 and "golden match" in err and len(calls) == 1
+    assert out == (REPO / "goldens" / err.split()[-1]).read_text()
 
 
 def test_goldens_regenerate_byte_for_byte(tmp_path):

@@ -79,32 +79,33 @@ class _ReferenceParser:
 
     def parse(self):
         e = self.expr()
-        if self.peek()[0] != "end":
-            raise ParseError(f"trailing input near token {self.peek()!r}")
+        kind, _, text = self.peek()
+        if kind != "end":
+            raise ParseError(f"trailing input near {text!r}")
         return e
 
     def expr(self):
         node = self.term()
-        while self.peek() in (("op", "+"), ("op", "-")):
-            _, op = self.take()
+        while self.peek()[:2] in (("op", "+"), ("op", "-")):
+            _, op, _ = self.take()
             rhs = self.term()
             node = _reference_add(node, rhs if op == "+" else -rhs)
         return node
 
     def term(self):
         node = self.factor()
-        while self.peek() == ("op", "*"):
+        while self.peek()[:2] == ("op", "*"):
             self.take()
             node = _reference_mul(node, self.factor())
         return node
 
     def factor(self):
-        kind, val = self.take()
+        kind, val, text = self.take()
         if (kind, val) == ("op", "-"):
             return -self.factor()
         if (kind, val) == ("op", "("):
             e = self.expr()
-            if self.take() != ("op", ")"):
+            if self.take()[:2] != ("op", ")"):
                 raise ParseError("expected ')'")
             return e
         if kind == "num":
@@ -120,7 +121,9 @@ class _ReferenceParser:
             a = atom(m.group(1), m.group(2).count("t"), m.group(2).count("x"), mode=self.mode)
             poly = NCPolynomial.from_atom(a, self.mode)
             return LaurentSeries.of(PolyMatrix(self.mode, (a.rows,), (a.cols,), [[poly]]))
-        raise ParseError(f"unexpected token {val!r}")
+        if kind == "end":
+            raise ParseError("unexpected end of expression")
+        raise ParseError(f"unexpected token {text!r}")
 
     def const(self, c):
         return LaurentSeries.of(PolyMatrix(self.mode, ("1",), ("1",),

@@ -105,9 +105,14 @@ class FieldAtom:
 
 def atom(base: str, dt: int = 0, dx: int = 0, mode: str = "matrix",
          flow: int = 2) -> FieldAtom:
-    """Build an atom with the shape implied by its base and mode."""
-    shape = ("1", "1") if mode == "scalar" else MATRIX_SHAPES[base]
-    return FieldAtom(base, dt, dx, flow, shape)
+    """Build an atom with the shape implied by its base and mode (scalar or matrix)."""
+    if mode == "scalar":
+        return FieldAtom(base, dt, dx, flow)
+    if mode != "matrix":
+        raise ValueError(f"unknown atom mode {mode!r}")
+    if base not in MATRIX_SHAPES:
+        raise ValueError(f"unknown atom base {base!r}")
+    return FieldAtom(base, dt, dx, flow, MATRIX_SHAPES[base])
 
 
 class Word:

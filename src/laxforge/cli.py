@@ -126,20 +126,13 @@ def _cmd_hierarchy_charges(args, cfg) -> int:
 
 def _cmd_hierarchy_verify(args, cfg) -> int:
     from .hierarchy import verify_conservation
-    try:
-        proof = verify_conservation(args.k)
-    except RuntimeError as e:
-        sys.stderr.write(f"conservation verification failed: {e}\n")
-        return 1
+    proof = verify_conservation(args.k)
     payload = {"command": "hierarchy-verify", "k": args.k,
                "density": serialize.to_dict(proof.density),
                "x_derivative": serialize.to_dict(proof.x_derivative),
                "flux": serialize.to_dict(proof.flux)}
-    sys.stdout.write(f"charge {args.k}: total t-derivative certified; "
-                     f"flux = {proof.flux}\n")
-    if args.out == "json":
-        sys.stdout.write(serialize.dumps(payload))
-    return 0
+    return _emit(args, payload, [f"charge {args.k}: total t-derivative certified; "
+                                 f"flux = {proof.flux}"])
 
 
 def _residual_exit(res, holds: str, fails: str) -> int:
@@ -188,19 +181,14 @@ def _cmd_boundary_charges(args, cfg) -> int:
 def _cmd_boundary_extract(args, cfg) -> int:
     from .boundary import boundary_u, bulk_u2, extract_boundary_conditions
     sides = ["+", "-"] if args.side == "both" else [args.side]
-    results = {}
+    results, lines = {}, []
     for side in sides:
         bc = extract_boundary_conditions(bulk_u2(), boundary_u(side), side)
         results[side] = {"equations": bc.as_dict(), "flags": bc.flags}
         point = "tau" if side == "+" else "-tau"
-        for f, v in bc.equations:
-            sys.stdout.write(f"{f}({point}) = {v}\n")
-        for fl in bc.flags:
-            sys.stdout.write(f"flag: {fl}\n")
-    if args.out == "json":
-        sys.stdout.write(serialize.dumps({"command": "boundary-extract-bc",
-                                          "sides": results}))
-    return 0
+        lines += [f"{f}({point}) = {v}" for f, v in bc.equations]
+        lines += [f"flag: {fl}" for fl in bc.flags]
+    return _emit(args, {"command": "boundary-extract-bc", "sides": results}, lines)
 
 
 def _positive(text: str) -> int:
@@ -268,11 +256,7 @@ def _cmd_verify_numeric(args, cfg) -> int:
     tol = args.tol if args.tol is not None else cfg.tolerance
     trials = args.trials if args.trials is not None else cfg.trials
     report = run_numeric(args.target, trials, tol, seed)
-    text = serialize.dumps(report)
-    if args.out_path:
-        Path(args.out_path).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, report, [])
     return 0 if report["passed"] else 1
 
 
@@ -325,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = hsub.add_parser("verify", help="certify conservation of one charge")
     p.add_argument("--k", type=_positive, required=True)
     p.add_argument("--out", choices=("text", "json"), default="text")
-    p.set_defaults(fn=_cmd_hierarchy_verify)
+    p.set_defaults(fn=_cmd_hierarchy_verify, out_path=None)
 
     pb = sub.add_parser("boundary", help="reflection, Poisson, boundary operators")
     bsub = pb.add_subparsers(dest="subcommand", required=True, parser_class=_BoundaryParser)
@@ -345,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = bsub.add_parser("extract-bc", help="boundary conditions from delta U = 0")
     p.add_argument("--side", choices=("+", "-", "both"), default="both")
     p.add_argument("--out", choices=("text", "json"), default="text")
-    p.set_defaults(fn=_cmd_boundary_extract)
+    p.set_defaults(fn=_cmd_boundary_extract, out_path=None)
 
     pv = sub.add_parser("verify", help="numeric verification battery")
     vsub = pv.add_subparsers(dest="subcommand", required=True)
@@ -356,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_tolerance)
     p.add_argument("--seed", type=int)
     p.add_argument("--out-path")
-    p.set_defaults(fn=_cmd_verify_numeric)
+    p.set_defaults(fn=_cmd_verify_numeric, out="json")
 
     p = sub.add_parser("expr", help="parse and emit an expression")
     p.add_argument("expression")

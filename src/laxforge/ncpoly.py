@@ -18,6 +18,10 @@ from typing import Callable, Iterable
 
 from .atoms import EMPTY_WORD, FieldAtom, ShapeError, Word, chain_shape, make_word
 from .coeff import GaussianRational, ONE as GR_ONE, collect
+from .ratfunc import MPoly
+
+
+MODES = ("scalar", "matrix", "trace")   # the word modes of ``atoms.make_word``
 
 
 class SubstitutionError(RuntimeError):
@@ -25,10 +29,17 @@ class SubstitutionError(RuntimeError):
 
 
 def _coerce(c):
-    """An ``int`` or ``Fraction`` as the Gaussian rational every other term holds."""
+    """An ``int`` or ``Fraction`` as the Gaussian rational every other term holds.
+
+    Anything but those, a Gaussian rational or an ``MPoly`` is refused: a
+    float would carry rounding into the exact layer.
+    """
+    if isinstance(c, (GaussianRational, MPoly)):
+        return c
     if isinstance(c, (int, Fraction)):
         return GaussianRational(c)
-    return c
+    raise TypeError(f"coefficient must be exact (int, Fraction, GaussianRational "
+                    f"or MPoly), not {type(c).__name__}")
 
 
 class NCPolynomial:
@@ -37,7 +48,7 @@ class NCPolynomial:
     __slots__ = ("mode", "shape", "terms")
 
     def __init__(self, mode: str, shape, terms=None):
-        if mode not in ("scalar", "matrix", "trace"):
+        if mode not in MODES:
             raise ValueError(f"bad mode {mode!r}")
         self.mode = mode
         self.shape = tuple(shape)
@@ -348,6 +359,8 @@ def nc_mul(p: NCPolynomial, q: NCPolynomial) -> NCPolynomial:
 
 def scalarize(p: NCPolynomial) -> NCPolynomial:
     """Homomorphic image of a matrix-mode polynomial under N = M = 1."""
+    if not isinstance(p, NCPolynomial):   # a block matrix or series has .scalarized()
+        raise TypeError(f"scalarize takes an NCPolynomial, not {type(p).__name__}")
     if p.mode == "scalar":
         return p
     return _poly("scalar", ("1", "1"), collect(

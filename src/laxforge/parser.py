@@ -89,6 +89,8 @@ def _add(a, b):
 
 class _Parser:
     def __init__(self, tokens, mode: str):
+        if mode not in ("scalar", "matrix"):   # for a trace, parse in matrix mode, then trace()
+            raise ValueError(f"parse mode must be scalar or matrix, not {mode!r}")
         self.toks = tokens
         self.k = 0
         self.mode = mode

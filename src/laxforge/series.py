@@ -22,6 +22,7 @@ from typing import Callable
 from .atoms import ShapeError
 from .coeff import ONE as GR_ONE, collect
 from .matrices import MatrixSum, PolyMatrix
+from .ncpoly import MODES
 
 
 class TruncationError(RuntimeError):
@@ -32,6 +33,8 @@ class LaurentSeries:
     __slots__ = ("mode", "row_dims", "col_dims", "coeffs", "truncation")
 
     def __init__(self, mode, row_dims, col_dims, coeffs=None, truncation=None):
+        if mode not in MODES:
+            raise ValueError(f"bad mode {mode!r}")
         self.mode = mode
         self.row_dims = tuple(row_dims)
         self.col_dims = tuple(col_dims)

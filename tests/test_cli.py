@@ -146,9 +146,20 @@ def test_golden_is_refused_without_a_golden_table(argv, capsys):
 def test_hierarchy_verify_json_prints_the_payload_once(capsys):
     code, out, _ = run_cli("hierarchy", "verify", "--k", "2", "--out", "json",
                            capsys=capsys)
-    line, payload = out.split("\n", 1)
-    assert code == 0 and line.startswith("charge 2: total t-derivative certified")
-    assert json.loads(payload)["k"] == 2
+    assert code == 0 and json.loads(out)["k"] == 2
+
+
+def test_a_failed_conservation_certificate_is_one_error_line(capsys, monkeypatch):
+    from laxforge import hierarchy
+
+    def fail(k):
+        raise RuntimeError(f"charge {k}: residual is not a total x-derivative")
+    monkeypatch.setattr(hierarchy, "verify_conservation", fail)
+    for out_format in ("text", "json"):
+        code, out, err = run_cli("hierarchy", "verify", "--k", "3", "--out", out_format,
+                                 capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: charge 3: residual is not a total x-derivative\n"
 
 
 def test_boundary_reflect_check(capsys):
@@ -331,6 +342,14 @@ def test_verify_numeric_json_and_exit(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out_file.read_text())
     assert rep["passed"] is True
+
+
+def test_verify_numeric_prints_a_failed_report_and_exits_1(capsys, monkeypatch):
+    from laxforge import checks
+    failed = {"passed": False, "checks": [{"name": "eom", "max_abs": 1.0, "passed": False}]}
+    monkeypatch.setattr(checks, "run_numeric", lambda *args: failed)
+    code, out, err = run_cli("verify", "numeric", "--target", "eom", capsys=capsys)
+    assert (code, err) == (1, "") and json.loads(out) == failed
 
 
 def test_verify_numeric_byte_identical(tmp_path, capsys):
@@ -541,3 +560,4 @@ def test_config_refuses_keys_no_command_reads(line, tmp_path, capsys):
                              capsys=capsys)
     key = line.split(" = ")[0]
     assert code == 2 and out == "" and err == f"config error: unknown config key {key!r}\n"
+

@@ -1,14 +1,19 @@
 """Every CLI leaf command keeps one contract, checked from one table.
 
-A call exits 0 with output that parses (JSON for ``--out json`` and for the
-numeric report, some text otherwise), or it exits 1 or 2 with nothing on
-stdout and exactly one failure line on stderr; argparse's usage lines may
-come before an exit-2 line.  No exception escapes ``main``.
+A call exits 0 with output that parses (one JSON document, the whole of
+stdout, for ``--out json`` and for the numeric report; some text
+otherwise), or it exits 1 or 2 with nothing on stdout and exactly one
+failure line on stderr; argparse's usage lines may come before an exit-2
+line.  No exception escapes ``main``.  README's CLI examples keep the same
+contract.
 """
 import argparse
 import contextlib
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +51,7 @@ CONTRACT = {
     ("hierarchy", "verify"): [
         (["--k", "2"], 0),
         (["--k", "2", "--out", "json"], 0),
+        (["--k", "3", "--out", "json"], 0),
         (["--k", "0"], 2),
         (["--k", "-1"], 2),
         (["--k", "nan"], 2),
@@ -75,6 +81,8 @@ CONTRACT = {
     ("boundary", "extract-bc"): [
         ([], 0),
         (["--side", "+", "--out", "json"], 0),
+        (["--side", "both", "--out", "json"], 0),
+        (["--side", "-", "--out", "json"], 0),
         (["--side", "x"], 2),
     ],
     ("verify", "numeric"): [
@@ -118,6 +126,13 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _assert_parses(argv, out):
+    if "json" in argv or argv[:2] == ["verify", "numeric"]:
+        json.loads(out)
+    else:
+        assert out.strip()
+
+
 def test_every_leaf_command_has_a_contract_row():
     leaves = set(_leaves(build_parser()))
     assert leaves == set(CONTRACT), "commands without a row, or rows without a command"
@@ -131,10 +146,7 @@ def test_cli_keeps_its_contract(argv, code):
     got, out, err = _run(argv)
     assert got == code, err
     if code == 0:
-        if "json" in argv or argv[:2] == ["verify", "numeric"]:
-            json.loads(out.splitlines()[-1])   # text lines may come before the payload
-        else:
-            assert out.strip()
+        _assert_parses(argv, out)
         return
     lines = err.splitlines()
     assert out == "" and "Traceback" not in err
@@ -142,3 +154,22 @@ def test_cli_keeps_its_contract(argv, code):
         assert len(lines) == 1 and lines[0].startswith("error: ")
     else:
         assert sum(": error: " in line for line in lines) == 1 and ": error: " in lines[-1]
+
+
+# every ``laxforge ...`` line of README's code blocks: the CLI block and the golden example
+REPO = Path(__file__).resolve().parent.parent
+README_EXAMPLES = re.findall(r"^laxforge (.+)$", (REPO / "README.md").read_text(), re.M)
+
+
+def test_readme_shows_the_cli_block_and_the_golden_example():
+    assert len(README_EXAMPLES) >= 12 and any("--golden" in e for e in README_EXAMPLES)
+
+
+@pytest.mark.parametrize("example", README_EXAMPLES)
+def test_readme_cli_examples_run(example, monkeypatch):
+    """Each example exits 0 from the repo root (``--golden goldens`` is relative)."""
+    monkeypatch.chdir(REPO)
+    argv = shlex.split(example)
+    code, out, err = _run(argv)
+    assert code == 0, err
+    _assert_parses(argv, out)

@@ -22,9 +22,8 @@ from functools import lru_cache
 from .atoms import KERNEL_BASES, FieldAtom, atom
 from .coeff import gr
 from .matrices import PolyMatrix, block_dims
-from .ncpoly import (NCPolynomial, eliminate, is_total_t_derivative, nc_mul,
-                     sole_word, trace)
-from .riccati import _f, nls_v, solve_gamma, solve_w_z
+from .ncpoly import NCPolynomial, eliminate, is_total_t_derivative, sole_word, trace
+from .riccati import _f, nls_v, solve_w_z
 from .series import LaurentSeries, series_invert
 
 
@@ -161,28 +160,22 @@ class ChargeDensity:
 def charges(kind: str, max_k: int, mode: str | None = None) -> list[ChargeDensity]:
     """Charge densities by coefficient extraction; no extra normalization.
 
-    H-charges are the 11-entry of the diagonal phase densities (scalar mode by
-    default); I-charges are the matrix-mode traces tr(uh G^(k+1) + pi G^(k)).
+    Both read the 11-entry Z^(k)_11 of the diagonal phase densities: H-charges
+    are that entry (scalar mode by default), I-charges the trace of the
+    matrix-mode entry, Z^(k)_11 = uh G^(k+1) + pi G^(k).
     """
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
+    if kind not in ("H", "I"):
+        raise ValueError("kind must be 'H' or 'I'")
+    if kind == "I" and mode not in (None, "matrix"):
+        raise ValueError("I-charges are defined in matrix mode")
+    sol = solve_w_z(max_k + 1, mode or ("scalar" if kind == "H" else "matrix"))
     out = []
-    if kind == "H":
-        mode = mode or "scalar"
-        sol = solve_w_z(max_k + 1, mode)
-        for k in range(1, max_k + 1):
-            out.append(ChargeDensity("H", k, sol.z(k).entries[0][0]))
-        return out
-    if kind == "I":
-        if mode not in (None, "matrix"):
-            raise ValueError("I-charges are defined in matrix mode")
-        sol = solve_gamma(max_k + 1)
-        uh, pi = _f("uh", "matrix"), _f("pi", "matrix")
-        for k in range(1, max_k + 1):
-            inner = nc_mul(uh, sol.gamma(k + 1)) + nc_mul(pi, sol.gamma(k))
-            out.append(ChargeDensity("I", k, trace(inner)))
-        return out
-    raise ValueError("kind must be 'H' or 'I'")
+    for k in range(1, max_k + 1):
+        z11 = sol.z(k).entries[0][0]
+        out.append(ChargeDensity(kind, k, trace(z11) if kind == "I" else z11))
+    return out
 
 
 # ---------------------------------------------------------------------------

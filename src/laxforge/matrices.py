@@ -15,7 +15,7 @@ from typing import Callable
 
 from .atoms import ShapeError
 from .coeff import collect
-from .ncpoly import NCPolynomial, _poly, nc_mul, scalarize
+from .ncpoly import MODES, NCPolynomial, _poly, nc_mul, scalarize
 
 BLOCK_DIMS = {"scalar": ("1", "1"), "matrix": ("N", "M")}
 
@@ -31,6 +31,8 @@ class PolyMatrix:
     __slots__ = ("mode", "row_dims", "col_dims", "entries")
 
     def __init__(self, mode, row_dims, col_dims, entries):
+        if mode not in MODES:
+            raise ValueError(f"bad mode {mode!r}")
         self.mode = mode
         self.row_dims = tuple(row_dims)
         self.col_dims = tuple(col_dims)

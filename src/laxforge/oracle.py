@@ -6,17 +6,18 @@ a pointwise identity evaluation (never an x-evolution of the PDE, which is
 ill-posed).  Matrix products and commutators on the numeric side go through
 numpy, keeping the route independent of the symbolic multiplication.
 
-``plan`` compiles an expression once: complex coefficients, each word as
-indices into the expression's distinct atoms, and the block layout.  A plan
-evaluates a whole chunk of trials (sample, point, lam) at once; ``evaluate``
-is a chunk of one.  Each trial rounds as it would alone, save one case (see
-``Plan``), and the reports match a trial-by-trial loop.  A ``Chunk`` keeps each
-atom value it computes, so each distinct atom is evaluated once per chunk
-however many expressions read it.  On trig samples a chunk evaluates the atoms
-of a field for all its trials in one numpy pass, bit for bit ``TrigPoly.value``
-(see ``_trig_values``).  Only the flow-2 variable x has an evaluator: an atom
-with ``dx > 0`` in another flow is refused, and so is a ``FieldSample`` of the
-other mode than the expression's (a trace counts as matrix).
+``plan`` compiles an expression once into its nonzero block entries: each
+word as indices into the expression's distinct atoms, with its complex
+coefficient.  A plan evaluates a whole chunk of trials (sample, point, lam)
+at once; ``evaluate`` is a chunk of one.  Each trial rounds as it would
+alone, save one case (see ``Plan``), and the reports match a trial-by-trial
+loop.  A ``Chunk`` keeps each atom value it computes, so each distinct atom
+is evaluated once per chunk however many expressions read it.  On trig
+samples a chunk evaluates the atoms of a field for all its trials in one
+numpy pass, bit for bit ``TrigPoly.value`` (see ``_trig_values``).  Only
+the flow-2 variable x has an evaluator: an atom with ``dx > 0`` in another
+flow is refused, and so is a ``FieldSample`` of the other mode than the
+expression's (a trace counts as matrix).
 """
 from __future__ import annotations
 
@@ -303,56 +304,30 @@ class Plan:
     ``atoms`` are the distinct atoms of the expression.  ``powers`` are the
     lambda powers of a series, or None for a polynomial or block matrix
     (whose value is a number when ``scalar_out`` is set and it is 1x1).
-    Each term is a word (a tuple of indices into ``atoms``) in block entry
-    ``(i, j)`` at slot ``(p, k)``, where ``p`` numbers the powers (0 outside
-    a series) and ``k`` the terms of one power; ``coeffs[p, k]`` is its
-    coefficient as a complex number, zero in an unused slot.
+    ``entries`` are the nonzero block entries in term order, each
+    ``(p, i, j, words, coeffs)``: ``p`` numbers the powers (0 outside a
+    series), ``(i, j)`` is the block, ``words`` are its terms as tuples of
+    indices into ``atoms`` and ``coeffs`` their coefficients as complex
+    numbers, shaped ``(terms, 1, 1)``.
 
-    ``value`` evaluates a chunk of trials at once, on one leading axis.  It
-    stacks each atom's values, forms each word once for the chunk, writes
-    the words into their block entries of an otherwise zero slot array,
-    scales the slots by the coefficients and sums each power's slots in term
-    order.  Products of numbers round as Python's (``pymul``).  Matrix
+    ``value`` evaluates a chunk of trials at once, on one leading axis.  For
+    each entry it forms each word once for the chunk (an empty word is the
+    entry's identity block), stacks the words on a term axis, scales them by
+    the coefficients and sums them in term order into the entry's block of
+    the result.  Products of numbers round as Python's (``pymul``).  Matrix
     products, scaling and sums stay in numpy and round each entry as for one
     trial, save that numpy may leave a complex product unfused when it is
-    the whole operation (a one-trial chunk of a one-term 1x1 plan), which
+    the whole operation (a one-trial chunk of a one-term 1x1 entry), which
     changes nothing for the battery's real or imaginary coefficients: its
-    reports do not move.  Block offsets are worked out once per N and M.
+    reports do not move.
     """
 
-    __slots__ = ("atoms", "row_dims", "col_dims", "powers", "terms", "coeffs", "mode",
-                 "scalar_out", "_layouts")
+    __slots__ = ("atoms", "row_dims", "col_dims", "powers", "entries", "mode", "scalar_out")
 
-    def __init__(self, atoms, row_dims, col_dims, powers, terms, coeffs, mode, scalar_out):
+    def __init__(self, atoms, row_dims, col_dims, powers, entries, mode, scalar_out):
         self.atoms, self.row_dims, self.col_dims = atoms, row_dims, col_dims
-        self.powers, self.terms, self.coeffs = powers, terms, coeffs
+        self.powers, self.entries = powers, entries
         self.mode, self.scalar_out = mode, scalar_out
-        self._layouts = {}
-
-    def _layout(self, sample):
-        """``(shape, ones, cells)`` for the sample's sizes of N and M.
-
-        ``ones`` holds the identity block of each empty word (None for the
-        other words), and ``cells`` the positions in the flattened slot
-        array of each term's block elements, term by term and row by row.
-        """
-        key = (sample.dim_of("N"), sample.dim_of("M"))
-        layout = self._layouts.get(key)
-        if layout is None:
-            def offsets(dims):
-                sizes = [sample.dim_of(d) for d in dims]
-                return sizes, list(accumulate([0] + sizes))
-            (nr, r0), (nc, c0) = offsets(self.row_dims), offsets(self.col_dims)
-            shape = (r0[-1], c0[-1])
-            slots = np.arange(self.coeffs[..., 0, 0].size * shape[0] * shape[1])
-            slots = slots.reshape(self.coeffs.shape[:2] + shape)
-            cells = np.array([n for p, k, i, j, _ in self.terms
-                              for n in slots[p, k, r0[i]:r0[i + 1], c0[j]:c0[j + 1]].flat],
-                             dtype=np.intp)
-            ones = [None if w else np.eye(nr[i], nc[j], dtype=complex).reshape(1, -1)
-                    for _, _, i, j, w in self.terms]
-            layout = self._layouts[key] = (shape, ones, cells)
-        return layout
 
     def value(self, trials):
         """The expression at each ``(sample, point, lam)`` of ``trials``, stacked:
@@ -370,28 +345,30 @@ class Plan:
         vals = trials.atom_values(self.atoms)
         blocks = bool(vals) and vals[0].ndim == 3
         mul = np.matmul if blocks else pymul
-        words = [reduce(mul, map(vals.__getitem__, w)) if w else None
-                 for *_, w in self.terms]
+
+        def word(w):
+            return reduce(mul, map(vals.__getitem__, w))
         if self.mode == "trace":   # a word of 1x1 blocks is a number, its own trace
-            return sum((pymul(c, np.trace(v, axis1=1, axis2=2) if blocks else v)
-                        for c, v in zip(self.coeffs.ravel().tolist(), words)),
+            return sum((pymul(c, np.trace(word(w), axis1=1, axis2=2) if blocks else word(w))
+                        for *_, words, cs in self.entries
+                        for w, c in zip(words, cs.ravel().tolist())),
                        np.zeros(n, dtype=complex))
-        shape, ones, cells = self._layout(trials[0][0])
-        buf = np.zeros((n,) + self.coeffs.shape[:2] + shape, dtype=complex)
-        if cells.size:
-            buf.reshape(n, -1)[:, cells] = np.concatenate(
-                [np.broadcast_to(one, (n, one.size)) if v is None else v.reshape(n, -1)
-                 for one, v in zip(ones, words)], axis=1)
-        np.multiply(self.coeffs, buf, out=buf)
-        mats = np.add.accumulate(buf, axis=2, out=buf)[:, :, -1]
-        if self.powers is None:
-            out = mats[:, 0, 0, 0] if self.scalar_out and shape == (1, 1) else mats[:, 0]
-        elif not self.powers:
-            out = np.zeros((n,) + shape, dtype=complex)
-        else:
-            lams = np.array([[lam ** p for p in self.powers] for *_, lam in trials])
-            out = np.add.accumulate(mats * lams[:, :, None, None], axis=1)[:, -1]
-        return out.copy()   # a view would keep the whole slot array alive
+        r0, c0 = (list(accumulate([0] + [trials[0][0].dim_of(d) for d in dims]))
+                  for dims in (self.row_dims, self.col_dims))
+        # one power slot outside a series, and for a series without terms
+        mats = np.zeros((n, len(self.powers or (0,)), r0[-1], c0[-1]), dtype=complex)
+        for p, i, j, words, coeffs in self.entries:
+            shape = (n, r0[i + 1] - r0[i], c0[j + 1] - c0[j])
+            one = np.broadcast_to(np.eye(*shape[1:], dtype=complex), shape)
+            terms = np.stack([word(w).reshape(shape) if w else one for w in words], axis=1)
+            np.multiply(coeffs, terms, out=terms)
+            mats[:, p, r0[i]:r0[i + 1], c0[j]:c0[j + 1]] = \
+                np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+        if not self.powers:
+            return mats[:, 0, 0, 0] if self.scalar_out and mats.shape[2:] == (1, 1) else mats[:, 0]
+        lams = np.array([[lam ** p for p in self.powers] for *_, lam in trials])
+        # a copy, so the result is contiguous and keeps no power's block alive
+        return np.add.accumulate(mats * lams[:, :, None, None], axis=1)[:, -1].copy()
 
 
 def plan(expr, params: dict | None = None) -> Plan:
@@ -413,25 +390,21 @@ def plan(expr, params: dict | None = None) -> Plan:
         raise TypeError(f"cannot evaluate {type(expr).__name__}")
     trace = expr.mode == "trace"
     index: dict = {}
-    terms, by_power = [], []
-    for p, entries in enumerate(matrices):
-        cs = []
-        for i, row in enumerate(entries):
+    entries = []
+    for p, block in enumerate(matrices):
+        for i, row in enumerate(block):
             for j, e in enumerate(row):
+                words, cs = [], []
                 for w, c in e.terms.items():
                     if trace and not w.atoms:
                         raise ValueError("the trace of a constant depends on the block size")
-                    word = tuple(index.setdefault(a, len(index)) for a in w.atoms)
-                    terms.append((p, len(cs), i, j, word))
+                    words.append(tuple(index.setdefault(a, len(index)) for a in w.atoms))
                     cs.append(_coeff_value(c, params))
-        by_power.append(cs)
-    coeffs = np.zeros((len(by_power), max(map(len, by_power), default=0) or 1, 1, 1),
-                      dtype=complex)
-    for p, cs in enumerate(by_power):
-        coeffs[p, :len(cs), 0, 0] = cs
+                if words:
+                    entries.append((p, i, j, words, np.array(cs, dtype=complex)[:, None, None]))
     scalar_out = isinstance(expr, NCPolynomial) and (expr.mode == "scalar"
                                                      or expr.shape == ("1", "1"))
-    return Plan(tuple(index), row_dims, col_dims, powers, terms, coeffs, expr.mode, scalar_out)
+    return Plan(tuple(index), row_dims, col_dims, powers, entries, expr.mode, scalar_out)
 
 
 def evaluate(expr, sample, point, lam: complex | None = None, params: dict | None = None):

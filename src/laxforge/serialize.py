@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from .atoms import FieldAtom, make_word
-from .coeff import collect, format_coeff, parse_coeff
+from .coeff import GaussianRational, collect, format_coeff, parse_coeff
 from .matrices import PolyMatrix
 from .ncpoly import NCPolynomial
 from .series import LaurentSeries
@@ -25,9 +25,16 @@ def atom_from_dict(d: dict) -> FieldAtom:
                      tuple(d["shape"]))
 
 
+def _coeff_to_str(c) -> str:
+    if not isinstance(c, GaussianRational):
+        raise TypeError(f"cannot serialize a coefficient of type {type(c).__name__}: only exact "
+                        "Gaussian rationals have a JSON form (print boundary terms instead)")
+    return format_coeff(c)
+
+
 def poly_to_dict(p: NCPolynomial) -> dict:
     terms = [{"word": [atom_to_dict(a) for a in w.atoms],
-              "coeff": format_coeff(c)}
+              "coeff": _coeff_to_str(c)}
              for w, c in p.sorted_terms()]
     if p.mode == "trace":  # a trace is always (1, 1): its record has no mode or shape
         return {"kind": "trace", "terms": terms}

@@ -19,24 +19,26 @@ import pytest
 
 from laxforge.cli import build_parser, main
 
-# leaf command -> [(arguments, exit code)]
+# leaf command -> [(arguments, exit code[, a fragment of stderr])]
 CONTRACT = {
     ("riccati",): [
         (["--order", "2"], 0),
         (["--order", "2", "--out", "json"], 0),
         (["--order", "2", "--mode", "matrix", "--out", "latex"], 0),
         (["--which", "gamma", "--order", "2", "--out", "json"], 0),
-        (["--order", "0"], 2),
-        (["--order", "-1"], 2),
+        (["--order", "0"], 2, "must be >= 1"),
+        (["--order", "-1"], 2, "must be >= 1"),
         (["--order", "nan"], 2),
         (["--mode", "vector"], 2),
         (["--which", "gamma-hat", "--mode", "scalar"], 2),
+        (["--which", "gamma", "--mode", "scalar"], 2),
+        (["--which", "gamma-hat", "--mode", "scalar", "--order", "2"], 2),
     ],
     ("hierarchy", "u"): [
         (["--n", "2"], 0),
         (["--n", "2", "--route", "dress", "--mode", "matrix", "--out", "json"], 0),
-        (["--n", "0"], 2),
-        (["--n", "-1"], 2),
+        (["--n", "0"], 2, "must be >= 1"),
+        (["--n", "-1"], 2, "must be >= 1"),
         (["--n", "1/0"], 2),
         (["--mode", "vector"], 2),
         (["--route", "guess"], 2),
@@ -44,35 +46,42 @@ CONTRACT = {
     ("hierarchy", "charges"): [
         (["--max-k", "2", "--out", "json"], 0),
         (["--kind", "I", "--max-k", "2", "--out", "latex"], 0),
-        (["--max-k", "0"], 2),
-        (["--max-k", "-1"], 2),
+        (["--max-k", "0"], 2, "must be >= 1"),
+        (["--max-k", "-1"], 2, "must be >= 1"),
         (["--kind", "J"], 2),
     ],
     ("hierarchy", "verify"): [
         (["--k", "2"], 0),
         (["--k", "2", "--out", "json"], 0),
         (["--k", "3", "--out", "json"], 0),
-        (["--k", "0"], 2),
-        (["--k", "-1"], 2),
+        (["--k", "0"], 2, "must be >= 1"),
+        (["--k", "-1"], 2, "must be >= 1"),
         (["--k", "nan"], 2),
         ([], 2),
         (["--k", "2", "--out", "latex"], 2),
+        (["--k", "2", "--out-path", "x.txt"], 2),
     ],
     ("boundary", "reflect-check"): [
         ([], 0),
         (["--order", "2"], 2),
+        (["--out", "json"], 2),
+        (["--out-path", "x.txt"], 2),
     ],
     ("boundary", "poisson-check"): [
         (["--which", "V"], 0),
         (["--which", "U"], 0),
         (["--which", "W"], 2),
+        (["--out", "text"], 2),
+        (["--out-path", "x.txt"], 2),
     ],
     ("boundary", "charges"): [
         ([], 0),
         (["--out", "json", "--xi+", "1/2", "--kappa-", "-3"], 0),
         (["--out", "latex", "--xi-", "-1/2", "--kappa+", "0.25"], 0),
-        (["--order", "0"], 2),
+        # only the lam^-2 charge is computed, so no other order gets its label
+        (["--order", "0"], 2, "invalid choice"),
         (["--order", "-1"], 2),
+        (["--order", "3"], 2, "invalid choice"),
         (["--order", "4"], 2),
         (["--xi+", "1/0"], 2),
         (["--kappa-", "nan"], 2),
@@ -84,14 +93,20 @@ CONTRACT = {
         (["--side", "both", "--out", "json"], 0),
         (["--side", "-", "--out", "json"], 0),
         (["--side", "x"], 2),
+        (["--out", "latex"], 2),
+        (["--out-path", "x.txt"], 2),
     ],
     ("verify", "numeric"): [
         (["--target", "all", "--trials", "2"], 0),
         (["--target", "algebra", "--trials", "2", "--seed", "7"], 0),
-        (["--target", "guess", "--trials", "2"], 2),
-        (["--trials", "0"], 2),
-        (["--trials", "-1"], 2),
-        (["--tol", "nan", "--trials", "2"], 2),
+        (["--target", "guess", "--trials", "2"], 2, "invalid choice"),
+        (["--trials", "0"], 2, "must be"),
+        (["--trials", "-1"], 2, "must be"),
+        (["--target", "route", "--trials", "-3"], 2, "must be"),
+        (["--tol", "nan", "--trials", "2"], 2, "must be"),
+        (["--target", "route", "--tol", "inf"], 2, "must be"),
+        (["--target", "route", "--tol", "0"], 2, "must be"),
+        (["--target", "route", "--tol=-1e-9"], 2, "must be"),
         (["--seed", "nan", "--trials", "2"], 2),
     ],
     ("expr",): [
@@ -138,13 +153,12 @@ def test_every_leaf_command_has_a_contract_row():
     assert leaves == set(CONTRACT), "commands without a row, or rows without a command"
 
 
-@pytest.mark.parametrize("argv,code", [(list(cmd) + args, code)
-                                       for cmd, rows in CONTRACT.items()
-                                       for args, code in rows],
-                         ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
-def test_cli_keeps_its_contract(argv, code):
+@pytest.mark.parametrize("argv,code,fragment", [
+    pytest.param(list(cmd) + args, code, "".join(part), id=f"{' '.join(cmd + tuple(args))}-{code}")
+    for cmd, rows in CONTRACT.items() for args, code, *part in rows])
+def test_cli_keeps_its_contract(argv, code, fragment):
     got, out, err = _run(argv)
-    assert got == code, err
+    assert got == code and fragment in err, err
     if code == 0:
         _assert_parses(argv, out)
         return

@@ -46,6 +46,8 @@ CONTRACT = {
         ("float coefficient", lambda: PolyMatrix.from_rows("scalar", [[0.5, 0], [0, 1]]),
          TypeError, "float"),
         ("unknown mode", lambda: PolyMatrix.identity("vector", ("1",)), ValueError, "'vector'"),
+        ("unknown mode, no entries", lambda: PolyMatrix("vector", (), (), []), ValueError,
+         "'vector'"),
     ],
     "NCPolynomial": [
         ("unknown mode", lambda: NCPolynomial("vector", ("1", "1")), ValueError, "'vector'"),

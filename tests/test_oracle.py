@@ -4,6 +4,7 @@ import os
 import signal
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from laxforge.oracle import (Chunk, ExponentialSolution, FieldSample, Plan, Trig
                              finite_difference_crosscheck, plan, pymul)
 from laxforge.parser import parse_poly
 from laxforge.ratfunc import MPoly
+from laxforge.riccati import solve_w_z
 from laxforge.serialize import dumps
 from laxforge.series import LaurentSeries
 
@@ -500,6 +502,25 @@ def test_each_atom_is_evaluated_once_per_chunk(monkeypatch):
     p.value([(sample, (0.3, 0.2), None)])                     # so does another point
     p.value([(FieldSample.random(4), point, None)])           # and another sample
     assert len(calls) == 4 + 3 * 3
+
+
+def test_a_plan_allocates_per_block_entry():
+    """A plan sums each block entry's terms on their own: evaluating W^(6) (22
+    terms, 3x3 blocks) on 64 trials allocates less than one full 3x3 block
+    per term and trial would take."""
+    w6 = solve_w_z(6, "matrix").w(6)
+    terms = sum(len(e.terms) for row in w6.entries for e in row)
+    compiled = plan(w6)
+    chunk = Chunk([(FieldSample.random(s, "matrix"), (0.1 * s, -0.05 * s), None)
+                   for s in range(64)])
+    chunk.atom_values(compiled.atoms)
+    tracemalloc.start()
+    try:
+        compiled.value(chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert terms == 22 and peak < 64 * terms * 3 * 3 * 16
 
 
 def _bits(values) -> list:

@@ -271,6 +271,13 @@ def test_trace_roundtrip():
     assert set(serialize.to_dict(tr)) == {"kind", "terms"}
 
 
+def test_a_coefficient_without_a_json_form_is_refused_by_name():
+    """A boundary term's MPoly coefficients once raised an AttributeError."""
+    from laxforge.boundary import open_charge_expansion
+    with pytest.raises(TypeError, match="coefficient of type MPoly"):
+        serialize.dumps(open_charge_expansion(order=3).plus_term)
+
+
 def test_dumps_canonical_and_stable():
     s = u_dress_matrix(3)
     assert serialize.dumps(s) == serialize.dumps(s)

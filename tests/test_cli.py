@@ -90,6 +90,36 @@ def test_hierarchy_u_dress_reaches_flow_8(capsys):
     assert code == 0 and json.loads(out)["n"] == 8
 
 
+@pytest.mark.parametrize("argv", [
+    ["riccati", "--order"], ["hierarchy", "u", "--n"],
+    ["hierarchy", "charges", "--max-k"], ["hierarchy", "verify", "--k"]])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_orders_below_one_are_refused_at_parse_time(argv, value, capsys):
+    """A zero order once fell back silently to the default 4."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, value])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "must be >= 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["boundary", "reflect-check", "--out", "json"],
+    ["boundary", "reflect-check", "--out-path", "x.txt"],
+    ["boundary", "poisson-check", "--out", "text"],
+    ["boundary", "poisson-check", "--out-path", "x.txt"],
+    ["boundary", "extract-bc", "--out", "latex"],
+    ["boundary", "extract-bc", "--out-path", "x.txt"],
+    ["hierarchy", "verify", "--k", "2", "--out", "latex"],
+    ["hierarchy", "verify", "--k", "2", "--out-path", "x.txt"],
+    ["riccati", "--which", "gamma", "--mode", "scalar"],
+    ["riccati", "--which", "gamma-hat", "--mode", "scalar", "--order", "2"]])
+def test_options_a_command_ignores_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, _ = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+
+
 @pytest.mark.parametrize("mode", [[], ["--mode", "matrix"]])
 def test_gamma_is_the_matrix_mode_block(mode, capsys):
     """Gamma prints the same golden bytes with no --mode and with --mode matrix."""
@@ -201,6 +231,15 @@ def test_boundary_charges_with_plus_flags(capsys):
     assert "2/3*u" in payload["plus"]
 
 
+@pytest.mark.parametrize("order", ["0", "3"])
+def test_boundary_charges_refuses_other_orders(order, capsys):
+    """Only the lam^-2 charge is computed, so no other order gets its label."""
+    with pytest.raises(SystemExit) as exc:
+        main(["boundary", "charges", "--order", order])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "invalid choice" in err
+
+
 @pytest.mark.parametrize("flag", ["--xi+", "--xi-", "--kappa+", "--kappa-", "--kappa-minus"])
 @pytest.mark.parametrize("value", ["-1/2", "-3", "-0.25"])
 def test_boundary_constants_take_negative_values(flag, value, capsys):
@@ -238,6 +277,13 @@ def test_verify_numeric_every_target(target, capsys):
                            "--trials", "3", "--seed", "7", capsys=capsys)
     rep = json.loads(out)
     assert code == 0 and rep["passed"] is True and rep["target"] == target
+
+
+def test_verify_numeric_refuses_unknown_target(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "numeric", "--target", "bogus"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "invalid choice" in err
 
 
 def test_commands_other_than_verify_numeric_do_not_load_numpy():
@@ -484,6 +530,17 @@ def test_config_rejects_bad_values(tmp_path):
         cfg.write_text(line + "\n")
         with pytest.raises(ValueError):
             RunConfig.from_file(str(cfg))
+
+
+@pytest.mark.parametrize("argv", [["--trials", "0"], ["--trials", "-3"], ["--tol", "nan"],
+                                  ["--tol", "inf"], ["--tol", "0"], ["--tol=-1e-9"]])
+def test_verify_numeric_refuses_an_empty_or_unreadable_check(argv, capsys):
+    """Zero trials once passed with max_abs 0.0; a NaN or infinite tolerance
+    reached the report, and an infinite one passed every finite residual."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "numeric", "--target", "route", *argv])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "must be" in err
 
 
 def test_verify_numeric_refuses_zero_trials_from_a_config_file(tmp_path, capsys):

@@ -6,12 +6,18 @@ Block shapes use the symbolic dimensions 'N', 'M' and the scalar dimension
 '1'; scalar mode forces every shape to (1, 1).
 
 Atoms are interned (hash-consed), so they compare and hash by identity.
-Words are products of atoms; a word hashes its atom tuple once, when built,
-and builds its sort key only when read.  Each word mode is a rule for a word's
-canonical form, applied by ``make_word`` alone.  In matrix mode the factor
-order is meaningful and adjacent shapes must chain; in scalar mode words are
-stored in a fixed canonical total order (sort key: base, dt, dx, flow); in
-trace mode a word is a closed chain stored as its minimal rotation.
+Words are products of atoms, interned the same way: equal atom tuples give
+the same word, so a dict of words matches a hit by identity and ``Word``
+defines no ``__eq__``.  A word still defines ``__hash__``, which returns the
+hash of its atom tuple taken once when built: the benchmark counts word
+hashes through that method (``atoms.hash_calls``).  A word builds its sort
+key only when read.
+
+Each word mode is a rule for a word's canonical form, applied by
+``make_word`` alone.  In matrix mode the factor order is meaningful and
+adjacent shapes must chain; in scalar mode words are stored in a fixed
+canonical total order (sort key: base, dt, dx, flow); in trace mode a word is
+a closed chain stored as its minimal rotation.
 """
 from __future__ import annotations
 
@@ -25,6 +31,7 @@ KERNEL_BASES = ("K11", "K22")
 BASES = FIELD_BASES + KERNEL_BASES
 _BASE_INDEX = {b: k for k, b in enumerate(BASES)}
 _INTERNED: dict[tuple, "FieldAtom"] = {}   # (base, dt, dx, flow, shape) -> its atom
+_WORDS: dict[tuple, "Word"] = {}           # atom tuple -> its word
 
 # matrix-mode shapes: u, pih are M x N; uh, pi are N x M; K11/K22 diagonal
 MATRIX_SHAPES: dict[str, tuple[Dim, Dim]] = {
@@ -116,22 +123,35 @@ def atom(base: str, dt: int = 0, dx: int = 0, mode: str = "matrix",
 
 
 class Word:
-    """Ordered product of atoms; the empty word is the multiplicative unit."""
+    """Ordered product of atoms; the empty word is the multiplicative unit.
+
+    The constructor builds each distinct word once and returns it for an
+    equal atom tuple ever after (pickling and copying too), so equality is
+    identity and a word, shared by all its holders, must never be mutated.
+    An element that is not a ``FieldAtom`` is refused when the word is first
+    built; a word already in the table is returned without a check.
+    """
 
     __slots__ = ("atoms", "_h")
 
-    def __init__(self, atoms: tuple[FieldAtom, ...] = ()):
-        self.atoms = atoms = tuple(atoms)
-        self._h = hash(atoms)
+    def __new__(cls, atoms: Iterable[FieldAtom] = ()):
+        atoms = tuple(atoms)
+        w = _WORDS.get(atoms)
+        if w is not None:
+            return w
+        for a in atoms:
+            if not isinstance(a, FieldAtom):
+                raise TypeError(f"a word holds FieldAtom elements, not {type(a).__name__}")
+        w = object.__new__(cls)
+        w.atoms, w._h = atoms, hash(atoms)
+        return _WORDS.setdefault(atoms, w)
+
+    def __reduce__(self):
+        return Word, (self.atoms,)
 
     @property
     def sort_key(self):
         return (len(self.atoms), tuple([a.sort_key for a in self.atoms]))
-
-    def __eq__(self, other):
-        if not isinstance(other, Word):
-            return NotImplemented
-        return self is other or (self._h == other._h and self.atoms == other.atoms)
 
     def __hash__(self):
         return self._h

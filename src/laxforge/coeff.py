@@ -23,7 +23,9 @@ class GaussianRational:
 
     The form is normal: ``d > 0`` and ``gcd(a, b, d) == 1``, so equal values
     have equal fields.  Each operation builds its result from ints and
-    normalises it with one ``gcd``.
+    normalises it with one ``gcd``, skipped when ``d == 1``.  ``+`` and ``*``
+    of two Gaussian rationals, the bulk of the symbolic kernel's work, run
+    inline in one frame; any other operand goes through ``_as_gr`` first.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -56,13 +58,22 @@ class GaussianRational:
         return None
 
     def __add__(self, other):
-        other = GaussianRational._as_gr(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational._as_gr(other)
+            if other is None:
+                return NotImplemented
         d, e = self._d, other._d
         if d == e:
-            return _normal(self._a + other._a, self._b + other._b, d)
-        return _normal(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
+            a, b = self._a + other._a, self._b + other._b
+        else:
+            a, b, d = self._a * e + other._a * d, self._b * e + other._b * d, d * e
+        if d != 1:
+            g = gcd(a, b, d)
+            if g != 1:
+                a, b, d = a // g, b // g, d // g
+        c = _object_new(GaussianRational)
+        c._a, c._b, c._d = a, b, d
+        return c
 
     __radd__ = __add__
 
@@ -82,11 +93,19 @@ class GaussianRational:
         return other + (-self)
 
     def __mul__(self, other):
-        other = GaussianRational._as_gr(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational._as_gr(other)
+            if other is None:
+                return NotImplemented
         a, b, c, e = self._a, self._b, other._a, other._b
-        return _normal(a * c - b * e, a * e + b * c, self._d * other._d)
+        a, b, d = a * c - b * e, a * e + b * c, self._d * other._d
+        if d != 1:
+            g = gcd(a, b, d)
+            if g != 1:
+                a, b, d = a // g, b // g, d // g
+        c = _object_new(GaussianRational)
+        c._a, c._b, c._d = a, b, d
+        return c
 
     __rmul__ = __mul__
 
@@ -117,7 +136,7 @@ class GaussianRational:
         return not (self._a or self._b)
 
     def __bool__(self):
-        return bool(self._a or self._b)
+        return self._a != 0 or self._b != 0
 
     def to_complex(self) -> complex:
         return complex(self._a / self._d, self._b / self._d)
@@ -129,9 +148,12 @@ class GaussianRational:
         return f"GR({format_coeff(self)})"
 
 
+_object_new = object.__new__
+
+
 def _new(a: int, b: int, d: int) -> GaussianRational:
     """A GaussianRational from fields already in normal form."""
-    c = object.__new__(GaussianRational)
+    c = _object_new(GaussianRational)
     c._a, c._b, c._d = a, b, d
     return c
 

@@ -131,7 +131,9 @@ def solve_w_z(order: int, mode: str = "scalar") -> RiccatiSolution:
 
     # lam^-k of dW/dt + [W, V_D] + W V_A W - V_A = 0, solved for W^(k+lead).  rhs sums
     # -dW/dt - [W, D_j] - W A_j W + A_-k in place, in the order of the immutable sum;
-    # -[W, D] = W(-D) + DW and -W A W = W(-A)W, so no product is negated once built
+    # -[W, D] = W(-D) + DW and -W A W = W(-A)W, so no product is negated once built.
+    # Each W^(a)(-A_j) is built once per call and read at every later order
+    wa: dict[tuple[int, int], PolyMatrix] = {}
     for k in range(len(W) - lead, order - lead + 1):
         rhs = MatrixSum(mode, dims, dims)
         rhs.add((-getw(k)).differentiate_t())
@@ -143,7 +145,10 @@ def solve_w_z(order: int, mode: str = "scalar") -> RiccatiSolution:
             rhs.add(comm.matrix())
         for j, minus_a in minus_anti:
             for a in range(1, k + j):
-                rhs.add_product(getw(a) * minus_a, getw(k + j - a))
+                w_a = wa.get((a, j))
+                if w_a is None:
+                    w_a = wa[a, j] = getw(a) * minus_a
+                rhs.add_product(w_a, getw(k + j - a))
         if -k in va.coeffs:
             rhs.add(va.coeffs[-k])
         # the lead is Sigma/2: (1/2)[W^(k+2), Sigma] = rhs  =>  W12 = -rhs12, W21 = +rhs21

@@ -10,7 +10,7 @@ import pytest
 
 from laxforge import atoms, serialize
 from laxforge.atoms import BASES, EMPTY_WORD, FieldAtom, Word, atom, make_word
-from laxforge.ncpoly import NCPolynomial, scalarize
+from laxforge.ncpoly import NCPolynomial, nc_mul, scalarize
 from laxforge.parser import parse_poly
 
 
@@ -80,17 +80,55 @@ def test_pickle_and_copy_return_the_interned_atom():
     assert pickle.loads(pickle.dumps(w)).atoms[0] is a and copy.deepcopy(w) == w
 
 
-def test_racing_constructors_share_one_atom():
-    """Threads that build the same new atoms at once all get the same objects."""
-    keys = [("uh", 1000 + k, 0, 2, ("N", "M")) for k in range(5000)]  # built nowhere else
+def test_equal_atoms_give_the_same_word_through_every_constructor():
+    u, uh, u_t = atom("u"), atom("uh"), atom("u", 1)
+    su, suh = atom("u", mode="scalar"), atom("uh", mode="scalar")
+    matrix = make_word([u, uh, u_t, uh], "matrix")
+    assert matrix is Word((u, uh, u_t, uh)) is make_word((u, uh, u_t, uh), "matrix")
+    assert make_word([suh, su], "scalar") is Word((su, suh)) is make_word([su, suh], "scalar")
+    assert make_word([u_t, uh, u, uh], "trace") is matrix
+    assert Word() is EMPTY_WORD is make_word([], "trace") is Word([])
+    pu, puh = (NCPolynomial.from_atom(a, "matrix") for a in (u, uh))
+    (word,) = nc_mul(nc_mul(pu, puh), nc_mul(NCPolynomial.from_atom(u_t, "matrix"), puh)).terms
+    assert word is matrix
+    spu, spuh = (NCPolynomial.from_atom(a, "scalar") for a in (su, suh))
+    assert next(iter(nc_mul(spuh, spu).terms)) is Word((su, suh))
+    (word,) = parse_poly("u*uh*u_t*uh", mode="matrix").terms
+    assert word is matrix
+    assert next(iter(parse_poly("uh*u").terms)) is Word((su, suh))
+    p = parse_poly("u*uh*u_t*uh + 2*i*u*uh", mode="matrix")
+    back = serialize.from_dict(json.loads(serialize.dumps(p)))
+    assert len(p.terms) == 2 and {id(w) for w in back.terms} == {id(w) for w in p.terms}
+
+
+def test_pickle_and_copy_return_the_interned_word():
+    w = Word((FieldAtom("pih", 2, 1, 3, ("M", "N")), atom("u")))
+    for word in (w, EMPTY_WORD):
+        assert pickle.loads(pickle.dumps(word)) is word
+        assert copy.copy(word) is word and copy.deepcopy(word) is word
+    assert copy.deepcopy({w: 1}) == {w: 1}
+    assert EMPTY_WORD.atoms == () and len(w) == 2 and Word(()) is EMPTY_WORD
+
+
+def test_a_refused_word_leaves_the_table_unchanged():
+    before = dict(atoms._WORDS)
+    for bad in [("u", "uh"), (atom("u"), "uh"), (atom("u"), None)]:
+        with pytest.raises(TypeError, match="FieldAtom"):
+            Word(bad)
+    assert atoms._WORDS == before
+
+
+def _race(build):
+    """Run ``build`` on more threads than CPUs at once, with a short switch
+    interval; return each thread's result."""
     workers = min((os.cpu_count() or 2) + 2, 64)
     start, built = threading.Barrier(workers, timeout=30), []
 
-    def build():
+    def run():
         start.wait()
-        built.append([FieldAtom(*key) for key in keys])
+        built.append(build())
 
-    threads = [threading.Thread(target=build) for _ in range(workers)]
+    threads = [threading.Thread(target=run) for _ in range(workers)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -101,9 +139,26 @@ def test_racing_constructors_share_one_atom():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and len(built) == workers
+    return built
+
+
+def test_racing_constructors_share_one_atom():
+    """Threads that build the same new atoms at once all get the same objects."""
+    keys = [("uh", 1000 + k, 0, 2, ("N", "M")) for k in range(5000)]  # built nowhere else
+    built = _race(lambda: [FieldAtom(*key) for key in keys])
     assert all(a is b for run in built for a, b in zip(run, built[0], strict=True))
+
+
+def test_racing_constructors_share_one_word():
+    """Threads that build the same new words at once all get the same objects."""
+    u = atom("u")
+    keys = [(u, FieldAtom("uh", 2000 + k, 0, 2, ("N", "M"))) for k in range(5000)]
+    built = _race(lambda: [Word(list(key)) for key in keys])
+    assert all(a is b for run in built for a, b in zip(run, built[0], strict=True))
+    assert all(w.atoms == key for w, key in zip(built[0], keys))
 
 
 def test_atoms_define_no_python_equality_hash_or_init():
     assert {"__eq__", "__hash__", "__init__"}.isdisjoint(vars(FieldAtom))
+    assert {"__eq__", "__init__"}.isdisjoint(vars(Word))
     assert "__hash__" in vars(Word) and "sort_key" not in Word.__slots__

@@ -100,6 +100,34 @@ def test_matches_a_fraction_pair_reference(p, q):
     assert (x == y) == (p == q)
 
 
+small = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.fractions(max_denominator=4))
+
+
+@given(st.tuples(small, small), st.tuples(small, small), st.integers(-50, 50))
+def test_integer_and_small_denominator_operands_stay_normal(p, q, n):
+    """The inline sum and product of two Gaussian rationals, and the operands
+    that go through ``_as_gr`` (an int on either side), give the normal form of
+    the Fraction-pair result."""
+    (a, b), (c, d) = p, q
+    x, y = GaussianRational(a, b), GaussianRational(c, d)
+    cases = [(x + y, (a + c, b + d)), (y + x, (a + c, b + d)),
+             (x * y, (a * c - b * d, a * d + b * c)), (y * x, (a * c - b * d, a * d + b * c)),
+             (x + n, (a + n, b)), (n + x, (a + n, b)), (x * n, (a * n, b * n)),
+             (n * x, (a * n, b * n)), (x - n, (a - n, b)), (n - x, (n - a, -b))]
+    for got, (re, im) in cases:
+        assert type(got) is GaussianRational and _is_normal(got)
+        assert (got.re, got.im) == (re, im) and got == GaussianRational(re, im)
+        assert bool(got) == (re != 0 or im != 0)
+
+
+def test_sums_that_cancel_give_the_normal_zero():
+    for x in (gr(3, -2), gr(Fraction(1, 2), Fraction(-5, 6))):
+        s = x + (-x)
+        assert not s and s.is_zero and (s._a, s._b, s._d) == (0, 0, 1)
+        assert collect([("w", x), ("w", -x)]) == {}
+    assert gr(3, -2)._d == 1 and not (gr(3, -2) + gr(-3, 2)) and not gr(7) * gr(0)
+
+
 def test_floats_are_refused():
     for build in (lambda: GaussianRational(0.5), lambda: GaussianRational(1, 0.5),
                   lambda: gr(0.5), lambda: gr(1) + 0.5, lambda: gr(1) * 0.5):

@@ -29,6 +29,7 @@ CONTRACT = {
     ],
     "Word": [
         ("one atom, not a sequence", lambda: Word(atom("u")), TypeError, "FieldAtom"),
+        ("strings, not atoms", lambda: Word(("u", "uh")), TypeError, "FieldAtom"),
     ],
     "atom": [
         ("unknown base", lambda: atom("bogus"), ValueError, "'bogus'"),

@@ -278,9 +278,23 @@ _TERM_ORDER_DIGESTS = {
 
 
 @pytest.mark.parametrize("mode", ["scalar", "matrix"])
-def test_w_and_z_keep_their_term_order(mode):
+def test_w_and_z_keep_their_term_order(mode, monkeypatch):
+    """The digest holds for the shared tower and for an empty tower grown in two
+    calls, where the second call reads orders the first one built."""
     import hashlib
-    sol = solve_w_z(10, mode)
-    text = repr([[(str(w), str(c)) for e in row for w, c in e.terms.items()]
-                 for m in sol.w_coeffs + sol.z_coeffs for row in m.entries])
-    assert hashlib.sha256(text.encode()).hexdigest() == _TERM_ORDER_DIGESTS[mode]
+
+    def digest(sol):
+        text = repr([[(str(w), str(c)) for e in row for w, c in e.terms.items()]
+                     for m in sol.w_coeffs + sol.z_coeffs for row in m.entries])
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert digest(solve_w_z(10, mode)) == _TERM_ORDER_DIGESTS[mode]
+    monkeypatch.setattr(R, "_TOWER", {})
+    monkeypatch.setattr(R, "_Z", {})
+    solve_w_z.cache_clear()
+    try:
+        solve_w_z(4, mode)
+        assert len(R._TOWER[mode]) == 5
+        assert digest(solve_w_z(10, mode)) == _TERM_ORDER_DIGESTS[mode]
+    finally:
+        solve_w_z.cache_clear()

@@ -232,12 +232,15 @@ class BoundaryConditions:
 
 
 def extract_boundary_conditions(bulk: LaxOperator, bdry: LaxOperator,
-                                side: str = "+") -> BoundaryConditions:
+                                side: str | None = None) -> BoundaryConditions:
     """Solve delta U = 0 entrywise; lam-dependent leftovers become flags.
 
     ``side`` labels the result; it must agree with the end ``bdry`` records,
-    if it records one.
+    if it records one.  By default it is that end, or '+' for an operator
+    that records none.
     """
+    if side is None:
+        side = bdry.side or "+"
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
     if bdry.side is not None and bdry.side != side:

@@ -218,27 +218,21 @@ def _rational(text: str) -> Fraction:
 # the boundary-constant flags: (option strings, dest)
 _CONSTANTS = ((("--xi+", "--xi-plus"), "xi_plus"), (("--kappa+", "--kappa-plus"), "kappa_plus"),
               (("--xi-", "--xi-minus"), "xi_minus"), (("--kappa-", "--kappa-minus"), "kappa_minus"))
-_CONSTANT_FLAGS = frozenset(flag for flags, _ in _CONSTANTS for flag in flags)
 
 
 class _BoundaryParser(argparse.ArgumentParser):
     """A ``boundary`` subcommand's parser; it reads ``--xi+ -1/2`` as ``--xi+=-1/2``.
 
-    argparse takes a value that starts with '-' for an option unless it reads
-    as a negative decimal such as -2 or -0.5, so it would refuse a negative
-    fraction after its flag with "expected one argument".  Only the eight full
-    spellings of ``_CONSTANTS`` are joined: an abbreviated flag takes a
-    negative fraction after '=' (``--xi-p=-1/2``).
+    argparse takes a value that starts with '-' for an option unless it
+    matches the parser's negative-number pattern, by default a negative
+    decimal such as -2 or -0.5, so it would refuse a negative fraction after
+    its flag with "expected one argument".  Here any '-' followed by a digit
+    or '.' is a value, after a full or an abbreviated flag alike.
     """
 
-    def parse_known_args(self, args, namespace=None):
-        joined: list[str] = []
-        for arg in args:
-            if joined and joined[-1] in _CONSTANT_FLAGS and re.match(r"-[0-9.]", arg):
-                joined[-1] += "=" + arg
-            else:
-                joined.append(arg)
-        return super().parse_known_args(joined, namespace)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[0-9.]")
 
 
 def _target(name: str) -> str:

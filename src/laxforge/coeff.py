@@ -218,34 +218,3 @@ def format_coeff(c: GaussianRational) -> str:
         return f"-{imag}" if im < 0 else imag
     return f"{_frac_str(re)}{'-' if im < 0 else '+'}{imag}"
 
-
-def parse_coeff(s: str) -> GaussianRational:
-    """Inverse of :func:`format_coeff`."""
-    s = s.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty coefficient string")
-    # split at the last +/- that is not the leading sign
-    split = None
-    for k in range(len(s) - 1, 0, -1):
-        if s[k] in "+-" and s[k - 1] not in "+-/*":
-            split = k
-            break
-    def frac_part(txt: str) -> Fraction:
-        return Fraction(txt)
-    if s.endswith("i"):
-        body = s[:-1].rstrip("*")
-        if split is None:
-            if body in ("", "+"):
-                return GaussianRational(Fraction(0), Fraction(1))
-            if body == "-":
-                return GaussianRational(Fraction(0), Fraction(-1))
-            return GaussianRational(Fraction(0), frac_part(body))
-        re_txt, im_txt = s[:split], s[split:-1].rstrip("*")
-        if im_txt in ("+", ""):
-            im = Fraction(1)
-        elif im_txt == "-":
-            im = Fraction(-1)
-        else:
-            im = frac_part(im_txt)
-        return GaussianRational(frac_part(re_txt), im)
-    return GaussianRational(frac_part(s), Fraction(0))

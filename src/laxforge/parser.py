@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import attrgetter
 
 from .atoms import EMPTY_WORD, ShapeError, Word, atom
-from .coeff import I, ONE, GaussianRational, collect
+from .coeff import I, ONE, ZERO, GaussianRational, collect
 from .matrices import PolyMatrix
 from .ncpoly import NCPolynomial
 from .series import LaurentSeries
@@ -190,3 +190,11 @@ def parse_poly(text: str, mode: str = "scalar") -> NCPolynomial:
     if any(p != 0 for p, _ in terms):
         raise ParseError("expression contains the spectral parameter")
     return NCPolynomial(mode, shape, {w: c for (_, w), c in terms.items()})
+
+
+def parse_coeff(text: str) -> GaussianRational:
+    """A pure number such as ``format_coeff`` prints (``1/2-2*i``); the inverse of it."""
+    p = parse_poly(text)
+    if any(w.atoms for w in p.terms):
+        raise ParseError(f"not a number: {text!r}")
+    return p.terms.get(EMPTY_WORD, ZERO)

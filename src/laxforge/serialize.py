@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from .atoms import FieldAtom, make_word
-from .coeff import GaussianRational, collect, format_coeff, parse_coeff
+from .coeff import GaussianRational, collect, format_coeff
 from .matrices import PolyMatrix
 from .ncpoly import NCPolynomial
 from .series import LaurentSeries
@@ -42,6 +42,7 @@ def poly_to_dict(p: NCPolynomial) -> dict:
 
 
 def poly_from_dict(d: dict) -> NCPolynomial:
+    from .parser import parse_coeff   # imported here: the CLI does not load the parser at start-up
     mode, shape = ("trace", ("1", "1")) if d["kind"] == "trace" else (d["mode"], d["shape"])
     p = NCPolynomial(mode, tuple(shape))
     p.terms = collect((make_word([atom_from_dict(x) for x in t["word"]], mode),

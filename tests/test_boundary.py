@@ -231,6 +231,14 @@ def test_extract_boundary_conditions_minus():
     assert len(bc.flags) == 1 and "ka_m" in bc.flags[0]
 
 
+def test_extract_boundary_conditions_take_the_operators_end_by_default():
+    # the '-' end once raised "side '+' contradicts the operator's end '-'"
+    for end in ("+", "-"):
+        assert extract_boundary_conditions(bulk_u2(), boundary_u(end)) == \
+            extract_boundary_conditions(bulk_u2(), boundary_u(end), end)
+    assert extract_boundary_conditions(bulk_u2(), bulk_u2()).side == "+"
+
+
 def test_boundary_operator_substitutes_the_given_constants():
     params = BoundaryParams(xi_p=Fraction(1, 2), xi_m=1, ka_p=3, ka_m=4)
     values = params.values()

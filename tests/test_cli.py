@@ -240,7 +240,8 @@ def test_boundary_charges_refuses_other_orders(order, capsys):
     assert exc.value.code == 2 and out == "" and "invalid choice" in err
 
 
-@pytest.mark.parametrize("flag", ["--xi+", "--xi-", "--kappa+", "--kappa-", "--kappa-minus"])
+@pytest.mark.parametrize("flag", ["--xi+", "--xi-", "--kappa+", "--kappa-", "--kappa-minus",
+                                  "--xi-p", "--kappa-m"])
 @pytest.mark.parametrize("value", ["-1/2", "-3", "-0.25"])
 def test_boundary_constants_take_negative_values(flag, value, capsys):
     """``--xi+ -1/2`` once exited 2 with "expected one argument": argparse took the
@@ -252,7 +253,7 @@ def test_boundary_constants_take_negative_values(flag, value, capsys):
 
 
 def test_an_abbreviated_constant_flag_takes_a_negative_fraction_after_equals(capsys):
-    """Only the full spellings are joined with a spaced value; an abbreviation uses '='."""
+    """An abbreviated flag takes a negative fraction after '=' as after a space."""
     short = run_cli("boundary", "charges", "--xi-p=-1/2", "--out", "json", capsys=capsys)
     full = run_cli("boundary", "charges", "--xi-plus", "-1/2", "--out", "json", capsys=capsys)
     assert short == full and short[0] == 0

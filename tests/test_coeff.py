@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from laxforge.coeff import GaussianRational, collect, format_coeff, gr, parse_coeff
+from laxforge.coeff import GaussianRational, collect, format_coeff, gr
+from laxforge.parser import parse_coeff
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 gaussians = st.builds(GaussianRational, rationals, rationals)

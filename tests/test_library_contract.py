@@ -61,6 +61,11 @@ CONTRACT = {
     "is_total_t_derivative": [
         ("matrix mode", lambda: is_total_t_derivative(nc_mul(_matrix("u"), _matrix("uh"))),
          ValueError, "matrix mode"),
+        ("an x-derivative atom", lambda: is_total_t_derivative(parse_poly("u*u + uh_x*pi")),
+         ValueError, "x-derivative"),
+        ("an x-derivative beside a constant",
+         lambda: is_total_t_derivative(trace(parse_poly("1 + u_t*uh_x", mode="matrix"))),
+         ValueError, "x-derivative"),
     ],
     "nc_mul": [
         ("shapes that do not chain", lambda: nc_mul(_matrix("u"), _matrix("u")),

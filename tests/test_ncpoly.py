@@ -1,11 +1,15 @@
-"""Kernel algebra: products, derivations, substitution, the Euler test."""
+"""Kernel algebra: products, derivations, substitution, the total-derivative test."""
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laxforge.atoms import MATRIX_SHAPES, ShapeError, atom, make_word
+from laxforge.atoms import EMPTY_WORD, MATRIX_SHAPES, ShapeError, atom, make_word
 from laxforge.coeff import GaussianRational, collect, gr
 from laxforge.hierarchy import verify_conservation
 from laxforge.matrices import PolyMatrix
@@ -332,7 +336,7 @@ def test_conservation_flux_at_order_8():
     assert is_total_t_derivative(proof.x_derivative) == (True, parse_poly(_FLUX_8))
 
 
-# field atoms only (the Euler gate reads the four fields), up to two t-derivatives
+# field atoms only, up to two t-derivatives
 _FIELD_ATOMS = [atom(b, dt, mode="scalar") for b in ("u", "uh", "pi", "pih") for dt in (0, 1, 2)]
 _FIELD_STEPS = [(atom(a, da, mode="matrix"), atom(b, db, mode="matrix"))
                 for a in ("u", "pih") for b in ("uh", "pi") for da in (0, 2) for db in (0, 1)]
@@ -362,6 +366,70 @@ def test_integration_by_parts_recovers_every_antiderivative(q):
     bad = parse_poly("u_t*uh", mode="matrix" if traced else "scalar")
     bad = trace(bad) if traced else bad
     assert is_total_t_derivative(p + bad) == (False, None)
+
+
+
+_FIELDS = ("u", "uh", "pi", "pih")
+
+
+@st.composite
+def t_polys(draw, mode):
+    """A sum of words over the four fields at t-orders 0-3; a trace word is a
+    closed chain M -> N -> M -> ... of even length."""
+    if mode == "scalar":
+        word = st.lists(st.builds(atom, st.sampled_from(_FIELDS), st.integers(0, 3),
+                                  mode=st.just("scalar")), min_size=1, max_size=4)
+    else:
+        step = st.tuples(st.builds(atom, st.sampled_from(("u", "pih")), st.integers(0, 3),
+                                   mode=st.just("matrix")),
+                         st.builds(atom, st.sampled_from(("uh", "pi")), st.integers(0, 3),
+                                   mode=st.just("matrix")))
+        word = st.lists(step, min_size=1, max_size=2).map(lambda ss: [a for s in ss for a in s])
+    p = NCPolynomial.zero(mode)
+    for ats, c in draw(st.lists(st.tuples(word, _small), max_size=3)):
+        p = p + NCPolynomial.from_word(ats, mode, c)
+    return p
+
+
+@st.composite
+def maybe_exact(draw):
+    """dq/dt plus a remainder that is often zero, or an arbitrary polynomial;
+    sometimes with a constant term."""
+    mode = draw(st.sampled_from(("scalar", "trace")))
+    p = draw(t_polys(mode))
+    if draw(st.booleans()):
+        p = draw(t_polys(mode)).differentiate_t() + (p if draw(st.booleans()) else p.zero(mode))
+    if draw(st.integers(0, 9)) == 0:
+        p = p + NCPolynomial.unit(mode)
+    return p
+
+
+@given(maybe_exact())
+@settings(max_examples=200, deadline=None)
+def test_integration_by_parts_agrees_with_the_euler_operator(p):
+    """p is exact iff it has no constant term and every field's Euler derivative
+    vanishes; integration by parts decides alone, and its witness is exact."""
+    euler = EMPTY_WORD not in p.terms and not any(euler_derivative(p, b) for b in _FIELDS)
+    ok, witness = is_total_t_derivative(p)
+    assert ok == euler
+    assert (witness.differentiate_t() == p) if ok else witness is None
+
+
+def test_an_x_derivative_is_refused_under_every_hash_seed():
+    """The Euler gate once read the fields in string-hash order, so ``u*u + uh_x*pi``
+    gave (False, None) under some PYTHONHASHSEED values and ValueError under others."""
+    code = ("from laxforge.ncpoly import is_total_t_derivative\n"
+            "from laxforge.parser import parse_poly\n"
+            "try:\n"
+            "    print(is_total_t_derivative(parse_poly('u*u + uh_x*pi')))\n"
+            "except ValueError as e:\n"
+            "    print('ValueError:', e)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for seed in range(8):
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(seed)))
+        assert run.stdout.startswith("ValueError: eliminate x-derivative"), (seed, run)
 
 
 # -- the add-and-drop-zeros accumulator (coeff.collect) ------------------------

@@ -29,7 +29,7 @@ from .hierarchy import LaxOperator, dress_u
 from .matrices import PolyMatrix
 from .ncpoly import NCPolynomial, eliminate, sole_word
 from .ratfunc import MPoly
-from .riccati import nls_v, omega_matrix, solve_w_z
+from .riccati import _f, nls_v, omega_matrix, solve_w_z
 from .series import LaurentSeries, series_invert, series_log
 
 RVARS = ("lam", "mu", "xi", "ka")          # spectral variables and K's constants
@@ -42,13 +42,14 @@ class BoundaryParamError(ValueError):
 
 @dataclass(frozen=True)
 class BoundaryParams:
-    """Boundary constants; None leaves a constant fully symbolic."""
+    """Boundary constants; None leaves a constant fully symbolic.  A zero ka,
+    which enters through 1/ka, is refused on construction."""
     xi_p: Fraction | None = None
     xi_m: Fraction | None = None
     ka_p: Fraction | None = None
     ka_m: Fraction | None = None
 
-    def check_kappa(self):
+    def __post_init__(self):
         if self.ka_p == 0 or self.ka_m == 0:
             raise BoundaryParamError("kappa constants must be nonzero")
 
@@ -190,10 +191,6 @@ def _end_constants(side: str) -> tuple[MPoly, MPoly]:
     return MPoly.variable(BVARS, f"xi_{end}"), MPoly.variable(BVARS, f"ka_{end}")
 
 
-def _bfield(base, coeff=ONE) -> NCPolynomial:
-    return NCPolynomial.from_atom(atom(base, mode="scalar"), "scalar", coeff)
-
-
 def bulk_u2() -> LaxOperator:
     """The second-flow bulk operator in the half-normalized convention."""
     return dress_u(2, "scalar")
@@ -202,22 +199,21 @@ def bulk_u2() -> LaxOperator:
 def boundary_u(side: str, params: BoundaryParams | None = None) -> LaxOperator:
     """Boundary operator at t = +tau or -tau, with the constants ``params`` gives."""
     params = params or BoundaryParams()
-    params.check_kappa()
     half = gr(Fraction(1, 2))
     values = params.values()
     xi, ka = (c.subs_values(values) for c in _end_constants(side))
     fld = "u" if side == "+" else "uh"
     i_over_ka = I / ka
-    diag_field = _bfield(fld, i_over_ka)
-    corner = _bfield(fld) + NCPolynomial.unit("scalar", "1", xi / ka)
+    diag_field = _f(fld, "scalar", i_over_ka)
+    corner = _f(fld, "scalar") + NCPolynomial.unit("scalar", "1", xi / ka)
     if side == "+":
         lam1 = [[half, i_over_ka], [0, -half]]
-        lam0 = [[-diag_field, corner], [_bfield("u"), diag_field]]
+        lam0 = [[-diag_field, corner], [_f("u", "scalar"), diag_field]]
     else:
         lam1 = [[half, 0], [i_over_ka, -half]]
-        lam0 = [[-diag_field, _bfield("uh")], [corner, diag_field]]
+        lam0 = [[-diag_field, _f("uh", "scalar")], [corner, diag_field]]
     return LaxOperator(LaurentSeries.from_rows("scalar", {1: lam1, 0: lam0}),
-                       flow=2, mode="scalar", side=side)
+                       flow=2, side=side)
 
 
 @dataclass
@@ -292,9 +288,9 @@ class OpenChargeExpansion:
 
     ``generator_plus`` and ``generator_minus`` are the two ends' generators,
     built only down to lam^-2, the power their logs are read at: their
-    ``truncation`` is 2.
+    ``truncation`` is 2.  The Riccati order of the solve that built them is
+    not kept: it changes nothing in the terms.
     """
-    order: int
     bulk_density: NCPolynomial
     plus_term: NCPolynomial
     minus_term: NCPolynomial
@@ -322,7 +318,6 @@ def open_charge_expansion(params: BoundaryParams | None = None,
         raise ValueError("order must be >= 3: the lam^-2 bulk term is Z^(2), which "
                          "the Riccati solve reaches only at order >= 3")
     params = params or BoundaryParams()
-    params.check_kappa()
     read = 2
     sol = solve_w_z(order, "scalar")
     one_plus_w = sol.one_plus_w().truncated(read + 1)
@@ -341,7 +336,7 @@ def open_charge_expansion(params: BoundaryParams | None = None,
     # bulk part: (Z11 + Z11-hat)/2 at lam^-2 equals the closed-chain density;
     # the hat contributes the same sign at even order
     bulk = sol.z(2).entries[0][0]
-    return OpenChargeExpansion(order, bulk, plus_term, minus_term,
+    return OpenChargeExpansion(bulk, plus_term, minus_term,
                                prefix_plus, prefix_minus, w_plus, w_minus)
 
 

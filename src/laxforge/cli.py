@@ -168,7 +168,7 @@ def _cmd_boundary_charges(args, cfg) -> int:
     from .boundary import BoundaryParams, open_charge_expansion
     params = BoundaryParams(args.xi_plus, args.xi_minus,
                             args.kappa_plus, args.kappa_minus)
-    exp = open_charge_expansion(params, order=args.order + 2)
+    exp = open_charge_expansion(params, order=args.order + 1)
     payload = {"command": "boundary-charges", "order": args.order,
                "bulk": str(exp.bulk_density),
                "plus": str(exp.plus_term), "minus": str(exp.minus_term),

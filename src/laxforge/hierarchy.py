@@ -33,25 +33,28 @@ class DressRewriteError(RuntimeError):
 
 @dataclass
 class LaxOperator:
-    """Polynomial-in-lambda operator attached to one flow of the hierarchy."""
+    """Polynomial-in-lambda operator attached to one flow; its mode is its series'."""
     series: LaurentSeries
     flow: int
-    mode: str
     side: str | None = None   # the end ("+" or "-") of a boundary operator; None in the bulk
+
+    @property
+    def mode(self) -> str:
+        return self.series.mode
 
     def coefficient(self, power: int) -> PolyMatrix:
         return self.series.coefficient(power)
 
 
 def nls_v_operator(mode: str = "scalar") -> LaxOperator:
-    return LaxOperator(nls_v(mode), flow=0, mode=mode)
+    return LaxOperator(nls_v(mode), flow=0)
 
 
 def bare_u(n: int, mode: str = "matrix") -> LaxOperator:
     """The vacuum operator lam^(n-1)/2 * Sigma of the x_n flow."""
     if n < 1:
         raise ValueError("flow index must be >= 1")
-    return LaxOperator(LaurentSeries.of(nls_v(mode).coefficient(2), n - 1), flow=n, mode=mode)
+    return LaxOperator(LaurentSeries.of(nls_v(mode).coefficient(2), n - 1), flow=n)
 
 
 def generate_u(n: int, mode: str = "scalar") -> LaxOperator:
@@ -61,7 +64,7 @@ def generate_u(n: int, mode: str = "scalar") -> LaxOperator:
     extracts the lam^-n coefficient and relabels mu -> lam: the result is
     sum_{k<n} lam^(n-1-k) M^(k) with M the conjugated projector series.
     Only M^(0..n-1) are read, so M is built to truncation n - 1, from
-    W^(1..n-1).
+    W^(1..n-1), and the operator is lam^(n-1) M taken as exact.
     """
     if n < 1:
         raise ValueError("flow index must be >= 1")
@@ -69,10 +72,7 @@ def generate_u(n: int, mode: str = "scalar") -> LaxOperator:
     projector = PolyMatrix.from_rows(mode, [[1, 0], [0, 0]])
     m_series = one_plus * LaurentSeries.of(projector).truncated(n - 1) \
         * series_invert(one_plus)
-    acc = LaurentSeries.zero(mode, m_series.row_dims, m_series.col_dims)
-    for k in range(n):
-        acc = acc + LaurentSeries.of(m_series.coefficient(-k), n - 1 - k)
-    return LaxOperator(acc, flow=n, mode=mode)
+    return LaxOperator(m_series.shift(n - 1).truncated(None), flow=n)
 
 
 @lru_cache(maxsize=None)
@@ -122,8 +122,8 @@ def dress_u(n: int, mode: str = "matrix") -> LaxOperator:
         raise ValueError("flow index must be >= 1")
     if mode == "scalar":
         op = dress_u(n, "matrix")
-        return LaxOperator(op.series.scalarized(), n, "scalar")
-    series = bare_u(n, mode).series   # refuses an unknown mode before K is built
+        return LaxOperator(op.series.scalarized(), flow=n)
+    bare = bare_u(n, mode).series   # refuses an unknown mode before K is built
     K = _kernel_matrix(mode)
     w: dict[int, PolyMatrix] = {}
     if n >= 2:
@@ -133,9 +133,8 @@ def dress_u(n: int, mode: str = "matrix") -> LaxOperator:
             # steps, so flow n needs the rules closed (n - 3) // 2 times
             w[k - 1] = (-(w[k] * K)).substitute(_kernel_rules(mode, (n - 3) // 2))
             _assert_kernel_free(w[k - 1], n)
-    for k, mat in w.items():
-        series = series + LaurentSeries.of(mat, k)
-    return LaxOperator(series, flow=n, mode=mode)
+    return LaxOperator(LaurentSeries(mode, bare.row_dims, bare.col_dims, {**bare.coeffs, **w}),
+                       flow=n)
 
 
 def route_difference(n: int, mode: str = "scalar") -> LaurentSeries:
@@ -157,20 +156,18 @@ class ChargeDensity:
     density: NCPolynomial
 
 
-def charges(kind: str, max_k: int, mode: str | None = None) -> list[ChargeDensity]:
+def charges(kind: str, max_k: int) -> list[ChargeDensity]:
     """Charge densities by coefficient extraction; no extra normalization.
 
     Both read the 11-entry Z^(k)_11 of the diagonal phase densities: H-charges
-    are that entry (scalar mode by default), I-charges the trace of the
-    matrix-mode entry, Z^(k)_11 = uh G^(k+1) + pi G^(k).
+    are that entry in scalar mode, I-charges the trace of the matrix-mode
+    entry, Z^(k)_11 = uh G^(k+1) + pi G^(k).  The kind fixes the mode.
     """
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
     if kind not in ("H", "I"):
         raise ValueError("kind must be 'H' or 'I'")
-    if kind == "I" and mode not in (None, "matrix"):
-        raise ValueError("I-charges are defined in matrix mode")
-    sol = solve_w_z(max_k + 1, mode or ("scalar" if kind == "H" else "matrix"))
+    sol = solve_w_z(max_k + 1, "scalar" if kind == "H" else "matrix")
     out = []
     for k in range(1, max_k + 1):
         z11 = sol.z(k).entries[0][0]

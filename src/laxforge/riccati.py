@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .atoms import atom
-from .coeff import gr
+from .coeff import ONE, gr
 from .matrices import MatrixSum, PolyMatrix, block_dims
 from .ncpoly import NCPolynomial, nc_mul
 from .series import LaurentSeries
@@ -27,8 +27,9 @@ from .series import LaurentSeries
 _HALF = gr(Fraction(1, 2))
 
 
-def _f(base, mode, dt=0, dx=0, flow=2) -> NCPolynomial:
-    return NCPolynomial.from_atom(atom(base, dt, dx, mode, flow), mode)
+def _f(base, mode, coeff=ONE) -> NCPolynomial:
+    """The underived field ``base`` times ``coeff``, as a polynomial in ``mode``."""
+    return NCPolynomial.from_atom(atom(base, mode=mode), mode, coeff)
 
 
 def sigma_matrix(mode: str) -> PolyMatrix:
@@ -102,7 +103,9 @@ class RiccatiSolution:
 
 # one growing tower {k: W^(k)} per mode from W^(0) = 0: W^(k) depends only on
 # lower orders, so a solve extends the tower and never re-solves a lower order;
-# the densities [Z^(1), Z^(2), ...] grow beside it the same way
+# the densities [Z^(1), Z^(2), ...] grow beside it.  Each order of W and Z is
+# written into its slot, so a solve that read a stale length rewrites a slot
+# with the same value and never appends a density twice
 _TOWER: dict[str, dict[int, PolyMatrix]] = {}
 _Z: dict[str, list[PolyMatrix]] = {}
 
@@ -163,7 +166,7 @@ def solve_w_z(order: int, mode: str = "scalar") -> RiccatiSolution:
         density = z.matrix()
         if not density.is_diagonal():
             raise RuntimeError(f"Z^({k}) density is not diagonal")
-        Z.append(density)
+        Z[k - 1:k] = [density]
     return RiccatiSolution(mode, order, [W[k] for k in range(1, order + 1)],
                            Z[:order - 1], vd.coefficient(lead))
 

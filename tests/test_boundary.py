@@ -187,10 +187,20 @@ def test_boundary_operator_entries_verbatim():
 
 
 def test_kappa_zero_rejected():
+    """A zero ka is refused when the constants are built, so no reader checks it again."""
+    for given in ({"ka_p": 0}, {"ka_m": 0}, {"ka_p": Fraction(0), "xi_p": 1}):
+        with pytest.raises(BoundaryParamError, match="kappa constants must be nonzero"):
+            BoundaryParams(**given)
     with pytest.raises(BoundaryParamError):
         boundary_u("+", BoundaryParams(ka_p=0))
     with pytest.raises(BoundaryParamError):
         open_charge_expansion(BoundaryParams(ka_m=0))
+
+
+def test_the_expansion_keeps_no_riccati_order():
+    import dataclasses
+    assert "order" not in {f.name for f in dataclasses.fields(boundary.OpenChargeExpansion)}
+    assert not hasattr(open_charge_expansion(order=4), "order")
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])

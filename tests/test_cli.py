@@ -231,6 +231,20 @@ def test_boundary_charges_with_plus_flags(capsys):
     assert "2/3*u" in payload["plus"]
 
 
+def test_boundary_charges_solves_to_the_order_it_reads(capsys, monkeypatch):
+    """The lam^-2 charge reads Z^(2), so the Riccati solve stops at order 3."""
+    from laxforge import boundary
+    seen = []
+    expand = boundary.open_charge_expansion
+
+    def spy(params=None, order=4):
+        seen.append(order)
+        return expand(params, order)
+    monkeypatch.setattr(boundary, "open_charge_expansion", spy)
+    assert run_cli("boundary", "charges", "--order", "2", capsys=capsys)[0] == 0
+    assert seen == [3]
+
+
 @pytest.mark.parametrize("order", ["0", "3"])
 def test_boundary_charges_refuses_other_orders(order, capsys):
     """Only the lam^-2 charge is computed, so no other order gets its label."""

@@ -181,6 +181,25 @@ def test_charges_validation():
         charges("X", 2)
 
 
+def test_the_charge_kind_fixes_the_mode():
+    """H reads the scalar tower and I the matrix one; no mode is passed, so no
+    matrix-mode density is labelled as a scalar H."""
+    with pytest.raises(TypeError):
+        charges("H", 2, mode="matrix")
+    assert charges("H", 2)[1].density.mode == "scalar"
+    assert charges("I", 2)[1].density.mode == "trace"
+
+
+@pytest.mark.parametrize("mode", ["scalar", "matrix"])
+def test_a_lax_operator_reads_its_mode_from_its_series(mode):
+    s = generate_u(2, mode).series
+    assert H.LaxOperator(s, flow=2).mode == s.mode == mode
+    with pytest.raises(TypeError):
+        H.LaxOperator(s, flow=2, mode="scalar" if mode == "matrix" else "matrix")
+    for op in (nls_v_operator(mode), bare_u(3, mode), generate_u(3, mode), dress_u(3, mode)):
+        assert op.mode == mode
+
+
 @pytest.mark.parametrize("mode,expected", [
     ("scalar", "u_t + u_xx - 2*u*u*uh"),
     ("matrix", "u_t + u_xx - 2*u*uh*u"),

@@ -269,6 +269,52 @@ def test_z_from_a_grown_tower_equals_a_cold_solve(mode, top, monkeypatch):
     solve_w_z.cache_clear()
 
 
+@pytest.mark.parametrize("mode", ["scalar", "matrix"])
+def test_two_threads_growing_an_empty_tower_write_each_z_once(mode, monkeypatch):
+    """Two solves that both read the density list empty, held together at their
+    first Z density, leave one Z^(k) per order, and a later solve reads the
+    densities of a cold one, term order included."""
+    import threading
+
+    monkeypatch.setattr(R, "_TOWER", {})
+    monkeypatch.setattr(R, "_Z", {})
+    solve_w_z.cache_clear()
+    cold = solve_w_z(9, mode).z_coeffs
+    monkeypatch.setattr(R, "_TOWER", {})
+    monkeypatch.setattr(R, "_Z", {})
+    solve_w_z.cache_clear()
+    barrier, waited, errors = threading.Barrier(2, timeout=10), set(), []
+    is_diagonal = PolyMatrix.is_diagonal
+
+    def held(m):
+        me = threading.get_ident()
+        if me not in waited:
+            waited.add(me)
+            barrier.wait()
+        return is_diagonal(m)
+
+    def solve():
+        try:
+            solve_w_z(6, mode)
+        except Exception as e:   # re-raised below, in the test's thread
+            errors.append(e)
+
+    monkeypatch.setattr(PolyMatrix, "is_diagonal", held)
+    try:
+        threads = [threading.Thread(target=solve) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        monkeypatch.setattr(PolyMatrix, "is_diagonal", is_diagonal)
+        assert not errors, errors
+        assert len(R._Z[mode]) == 5
+        warm = solve_w_z(9, mode).z_coeffs
+        assert warm == cold and [str(z) for z in warm] == [str(z) for z in cold]
+    finally:
+        solve_w_z.cache_clear()
+
+
 # sha256 of every W^(k) and Z^(k) entry of solve_w_z(10) as its (word, coefficient)
 # terms in insertion order: that order sets the numeric oracle's summation order
 _TERM_ORDER_DIGESTS = {

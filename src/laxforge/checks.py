@@ -14,13 +14,14 @@ operations, one number per trial.  Products of numbers go through
 it every report, is bit for bit what a trial-by-trial loop gives.
 
 ``run_numeric`` spreads its checks over ``n = min(usable CPUs, checks)``
-processes: this one, which runs the last check and every n-th before it,
-and ``n - 1`` children made with ``os.fork`` for the rest (``_run_split``).
+processes: this one and ``n - 1`` children made with ``os.fork``, each
+pulling the next check from one queue, the slowest first (``_run_split``).
 A check seeds its own generator and reads nothing another check writes,
 and the reports are merged back into the order one process runs them in,
-so the report is byte-identical to a one-process run.  The checks stay in
-this process when there is one check or one CPU, when the platform has no
-``os.fork``, and while another Python thread runs.
+so the report is byte-identical to a one-process run, whichever process
+ran which check.  The checks stay in this process when there is one check
+or one CPU, when the platform has no ``os.fork``, and while another Python
+thread runs.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .hierarchy import (_flow2_rules, dress_u, generate_u, nls_v_operator,
 from .oracle import Chunk, ExponentialSolution, FieldSample, plan, pymul
 from .riccati import nls_v, sigma_matrix, solve_gamma, solve_w_z
 
-_CHUNK = 64   # trials evaluated together: larger chunks run faster but hold more samples
+_CHUNK = 150   # trials evaluated together: larger chunks run faster but hold more samples
 
 
 def _worst(trials: int, seed: int, residuals, sample, r: float | None = 2,
@@ -48,10 +49,13 @@ def _worst(trials: int, seed: int, residuals, sample, r: float | None = 2,
     ``(sample(s_seed), point, lam)``, to one residual per trial.
     ``worst_seed`` names the sample of the first strict maximum above 0
     (``seed`` if none); the first NaN is kept as the worst, so the report
-    fails.  Fewer than one trial is refused: it would certify nothing.
+    fails.  Fewer than one trial is refused: it would certify nothing; so is
+    a seed below 0, which would draw the samples of its absolute value.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = rng or random.Random(seed)
     drawn = [(rng.randrange(2 ** 31), None if r is None else _point(rng, r),
               _lam(rng) if lam else None) for _ in range(trials)]
@@ -322,14 +326,20 @@ def _usable_cpus() -> int:
 def _run_split(calls: list, names: list[str]) -> list:
     """``[call() for call in calls]``, spread over the usable CPUs.
 
-    With ``n = min(_usable_cpus(), len(calls))``, call ``i`` runs in share
-    ``(len(calls) - 1 - i) % n``: share 0, which holds the last call, runs
-    here, and each other share in a child made with ``os.fork``.  A child
-    sends back its results, or the exception of its first failing call,
-    pickled through a pipe, and leaves with ``os._exit``.  The results are
-    merged by position, so the list is the one a single process gives.  This
-    process waits for every child on every path, and kills the children
-    first when it raises itself.
+    With ``n = min(_usable_cpus(), len(calls))``, this process makes ``n - 1``
+    children with ``os.fork``, and all ``n`` pull the calls from one queue: a
+    pipe holding each call's index as one byte (so at most 256 calls), the
+    last call first, since the battery's slowest checks come last.  Each
+    process takes one index at a time with ``os.read(fd, 1)``, which is
+    atomic, and runs that call, so no call runs twice and the processes
+    finish at about the same time.  A child sends back the ``(index,
+    result)`` of each call it ran, ending at the exception of its first
+    failing call, pickled through a pipe of its own, and leaves with
+    ``os._exit``.  The results are merged by index, so the list is the one a
+    single process gives.  A child's exception is raised here; a child that
+    dies sends nothing, and the calls it took, those no process reported,
+    are named.  This process waits for every child on every path, and kills
+    the children first when it raises itself.
 
     The calls run here, one after another, when ``n`` is 1, when there is no
     ``os.fork``, or while another Python thread runs: a child holds only the
@@ -348,50 +358,63 @@ def _run_split(calls: list, names: list[str]) -> list:
         return [call() for call in calls]
     import pickle
     import signal   # not loaded by numpy: a run in one process skips its import
-    shares = [range((len(calls) - 1 - p) % n, len(calls), n) for p in range(n)]
-    results = [None] * len(calls)
-    children = {}   # pid -> (its share, the read end of its pipe)
+    order = bytes(reversed(range(len(calls))))   # far below the pipe's buffer
+    queue, write = os.pipe()
+    os.write(write, order)
+    os.close(write)   # before the forks, so an empty queue reads as its end
+
+    def taken():
+        """The indices this process takes from the queue, one at a time."""
+        while index := os.read(queue, 1):
+            yield index[0]
+    done = {}
+    children = {}   # pid -> the read end of its pipe
     try:
-        for share in shares[1:]:
+        for _ in range(n - 1):
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
                 os.close(read)
                 status = 1
                 try:
-                    try:
-                        out = [calls[i]() for i in share]
-                    except Exception as exc:
-                        out = exc
+                    out = []
+                    for i in taken():
+                        try:
+                            out.append((i, calls[i]()))
+                        except Exception as exc:
+                            out.append((i, exc))
+                            break
                     with open(write, "wb") as pipe:
                         pickle.dump(out, pipe)
                     status = 0
                 finally:
                     os._exit(status)
             os.close(write)
-            children[pid] = (share, open(read, "rb"))
-        for i in shares[0]:
-            results[i] = calls[i]()
-        for pid, (share, pipe) in list(children.items()):
+            children[pid] = open(read, "rb")
+        for i in taken():
+            done[i] = calls[i]()
+        for pid, pipe in list(children.items()):
             with pipe:
                 data = pipe.read()
             _, status = os.waitpid(pid, 0)
             del children[pid]
-            if status:
-                raise RuntimeError(f"the process running checks "
-                                   f"{', '.join(names[i] for i in share)} "
-                                   f"exited without a report")
-            out = pickle.loads(data)
-            if isinstance(out, Exception):
-                raise out
-            for i, result in zip(share, out):
-                results[i] = result
+            if status:   # it died: the checks it took are named below
+                continue
+            for i, out in pickle.loads(data):
+                if isinstance(out, Exception):
+                    raise out
+                done[i] = out
+        lost = [names[i] for i in range(len(calls)) if i not in done]
+        if lost:
+            raise RuntimeError(f"the process running checks {', '.join(lost)} "
+                               f"exited without a report")
     finally:
-        for pid, (_, pipe) in children.items():
+        os.close(queue)
+        for pid, pipe in children.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return results
+    return [done[i] for i in range(len(calls))]
 
 
 def run_numeric(target: str, trials: int, tol: float, seed: int) -> dict:
@@ -402,6 +425,8 @@ def run_numeric(target: str, trials: int, tol: float, seed: int) -> dict:
     """
     if target not in (*TARGETS, "all"):
         raise ValueError(f"unknown target {target!r}")
+    if seed < 0:   # random.Random(-5) draws what random.Random(5) does
+        raise ValueError(f"seed must be >= 0, got {seed}")
     names = sorted(TARGETS) if target == "all" else [target]
     fns = [fn for name in names for fn in TARGETS[name]]
     checks = _run_split([lambda fn=fn: fn(trials, tol, seed) for fn in fns],

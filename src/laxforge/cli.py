@@ -50,6 +50,8 @@ class RunConfig:
                 raise ValueError(f"unknown config key {key!r}")
         if "LAXFORGE_SEED" in os.environ:
             cfg.seed = int(os.environ["LAXFORGE_SEED"])
+        if cfg.seed < 0:   # random.Random(-5) draws what random.Random(5) does
+            raise ValueError(f"seed must be >= 0, got {cfg.seed}")
         if cfg.trials < 1 or any(v < 1 for v in cfg.orders.values()):
             raise ValueError("trials and orders must be >= 1")
         if not 0 < cfg.tolerance < float("inf"):  # NaN is refused too
@@ -199,6 +201,15 @@ def _positive(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """A seed: refused at parse time below 0, as ``random.Random(-s)`` draws what
+    ``random.Random(s)`` does."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _tolerance(text: str) -> float:
     """A numeric tolerance: refused at parse time unless positive and finite."""
     value = float(text)
@@ -327,12 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="numeric verification battery")
     vsub = pv.add_subparsers(dest="subcommand", required=True)
-    p = vsub.add_parser("numeric", help="evaluate symbolic zeros numerically")
+    # no abbreviations: --out would otherwise be read as --out-path
+    p = vsub.add_parser("numeric", help="evaluate symbolic zeros numerically",
+                        allow_abbrev=False)
     p.add_argument("--target", type=_target, default="all",
                    help="a name in checks.TARGETS, or all")
     p.add_argument("--trials", type=_positive)
     p.add_argument("--tol", type=_tolerance)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--out-path")
     p.set_defaults(fn=_cmd_verify_numeric, out="json")
 

@@ -12,9 +12,12 @@ coefficient.  A plan evaluates a whole chunk of trials (sample, point, lam)
 at once; ``evaluate`` is a chunk of one.  Each trial rounds as it would
 alone, save one case (see ``Plan``), and the reports match a trial-by-trial
 loop.  A ``Chunk`` keeps each atom value it computes, so each distinct atom
-is evaluated once per chunk however many expressions read it.  On trig
-samples a chunk evaluates the atoms of a field for all its trials in one
-numpy pass, bit for bit ``TrigPoly.value`` (see ``_trig_values``).  Only
+is evaluated once per chunk however many expressions read it.  A
+``FieldSample`` draws each field's block entries straight into flat lists
+(mode counts, amplitudes, ω and k; no ``TrigPoly`` is built), and a chunk of
+trig samples evaluates the atoms of a field for all its trials in one numpy
+pass over those lists, bit for bit ``TrigPoly.value``, the per-entry
+reference (see ``_trig_values``).  Only
 the flow-2 variable x has an evaluator: an atom with ``dx > 0`` in another
 flow is refused, and so is a ``FieldSample`` of the other mode than the
 expression's (a trace counts as matrix).
@@ -54,32 +57,52 @@ class TrigPoly:
         return out
 
 
-def _below(getrandbits, n: int) -> int:
-    """CPython's ``randrange(n)``: draws of ``n.bit_length()`` bits until one is below n."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
+def _draw_modes(rng: random.Random, entries: int) -> tuple[list, list, list, list]:
+    """``entries`` trig polynomials from ``rng``, as four flat lists: the mode
+    count of each entry, then the amplitude, ``ω`` and ``k`` of every mode in order.
 
-
-def _random_trig(rng: random.Random) -> TrigPoly:
-    """The draws of ``randint`` and ``uniform`` without their Python layers.
-
-    ``randint(a, b)`` is ``a + randrange(b - a + 1)`` and ``uniform(-1, 1)`` is
-    ``-1 + 2 * random()``, so the stream and the samples are those of the calls.
+    An entry draws ``randint(1, MAX_MODES)`` modes, each an amplitude
+    ``(uniform(-1, 1) + 1j * uniform(-1, 1)) / 2`` then ``randint(-2, 2)`` for
+    ``ω`` and for ``k``.  The draws go straight to ``getrandbits`` and
+    ``random``: ``randint(a, b)`` is ``a + randrange(b - a + 1)``, which draws
+    ``n.bit_length()`` bits until they read below ``n = b - a + 1``, and
+    ``uniform(-1, 1)`` is ``-1 + 2 * random()``.  So the stream, the samples
+    and the generator's end state are those of the calls.  With ``x`` and
+    ``y`` the two uniforms, the amplitude ``(x + 1j * y) / 2`` is
+    ``complex(x / 2, y / 2)`` (neither is ever ``-0.0``), and ``x / 2`` is
+    ``random() - 0.5``: every one of these steps is exact in binary floating
+    point.
     """
     bits, unit = rng.getrandbits, rng.random
-    modes = []
-    for _ in range(1 + _below(bits, MAX_MODES)):
-        amp = ((-1 + 2 * unit()) + 1j * (-1 + 2 * unit())) / 2
-        modes.append((amp, (_below(bits, 5) - 2, _below(bits, 5) - 2)))
-    return TrigPoly(tuple(modes))
+    count_bits = MAX_MODES.bit_length()
+    counts, amps, ws, ks = [], [], [], []
+    for _ in range(entries):
+        n = bits(count_bits)
+        while n >= MAX_MODES:
+            n = bits(count_bits)
+        counts.append(n + 1)
+        for _ in range(n + 1):
+            amps.append(complex(unit() - 0.5, unit() - 0.5))
+            w = bits(3)
+            while w >= 5:
+                w = bits(3)
+            k = bits(3)
+            while k >= 5:
+                k = bits(3)
+            ws.append(w - 2)
+            ks.append(k - 2)
+    return counts, amps, ws, ks
 
 
 @dataclass
 class FieldSample:
-    """Independent trig polynomials per field; scalar or small-matrix mode."""
+    """Independent trig polynomials per field; scalar or small-matrix mode.
+
+    ``fields`` maps each base to its block entries, row by row (one entry in
+    scalar mode), as four flat lists: the mode count of each entry, then the
+    amplitude, ``ω`` and ``k`` of every mode, entry after entry.  An entry is
+    the ``TrigPoly`` whose modes are its ``(a, (ω, k))``.
+    """
     seed: int
     mode: str = "scalar"
     dims: tuple[int, int] = (2, 1)  # concrete sizes for the symbolic N and M
@@ -95,12 +118,9 @@ class FieldSample:
     def random(seed: int, mode: str = "scalar", dims: tuple[int, int] = (2, 1)) -> "FieldSample":
         rng = random.Random(seed)
         sample = FieldSample(seed, mode, dims)
+        entries = 1 if mode == "scalar" else dims[0] * dims[1]   # each field is N x M or M x N
         for base in FIELD_BASES:
-            if mode == "scalar":
-                sample.fields[base] = _random_trig(rng)
-            else:
-                r, c = (sample.dim_of(d) for d in MATRIX_SHAPES[base])
-                sample.fields[base] = [[_random_trig(rng) for _ in range(c)] for _ in range(r)]
+            sample.fields[base] = _draw_modes(rng, entries)
         return sample
 
     def dim_of(self, d: str) -> int:
@@ -160,32 +180,33 @@ def _stack_field(samples, points, base):
     the trials and, within a trial, over the block entries row by row; the
     columns over the modes.  ``amp`` is ``(R, n)`` and so is the table
     ``e = cos φ + i sin φ``, ``φ = ωt + kx``; ``where`` is ``(2, R, n)``,
-    the index of each ``ω`` and ``k`` in ``freqs``, the distinct values as
-    drawn; ``counts`` are the modes of each row and ``shape`` the block
-    shape (``()`` in scalar mode).
+    the index of each ``ω`` and ``k`` in ``freqs``, the sorted distinct
+    values and 0; ``counts`` are the modes of each row and ``shape`` the
+    block shape (``()`` in scalar mode).  The samples' flat lists are joined
+    and scattered into the padded rows by numpy.
     """
-    if samples[0].mode == "scalar":
-        polys, shape = [s.fields[base] for s in samples], ()
-    else:
-        block = samples[0].fields[base]
-        polys = [g for s in samples for row in s.fields[base] for g in row]
-        shape = (len(block), len(block[0]))
-    counts = np.array([len(g.modes) for g in polys])
-    modes = [(a, w, k) for g in polys for a, (w, k) in g.modes]
-    amps, ws, ks = zip(*modes) if modes else ((), (), ())
-    freqs = sorted({0}.union(ws, ks))
-    index = {v: i for i, v in enumerate(freqs)}.__getitem__
-    rows = np.repeat(np.arange(len(polys)), counts)
+    counts, amps, ws, ks = ([], [], [], [])
+    for s in samples:
+        c, a, w, k = s.fields[base]
+        counts += c
+        amps += a
+        ws += w
+        ks += k
+    counts = np.array(counts)
+    rows = np.repeat(np.arange(len(counts)), counts)
     cols = np.arange(len(amps)) - np.repeat(np.cumsum(counts) - counts, counts)
-    amp = np.zeros((len(polys), max(int(counts.max()), 1)), dtype=complex)
+    amp = np.zeros((len(counts), max(int(counts.max()), 1)), dtype=complex)
     amp[rows, cols] = amps
+    freqs = sorted({0}.union(ws, ks))
     where = np.zeros((2,) + amp.shape, dtype=np.intp)
-    where[:, rows, cols] = [list(map(index, ws)), list(map(index, ks))]
-    t, x = (np.repeat(c, len(polys) // len(points))[:, None] for c in np.array(points).T)
+    where[:, rows, cols] = np.searchsorted(freqs, (ws, ks))
+    t, x = (np.repeat(c, len(counts) // len(points))[:, None] for c in np.array(points).T)
     w, k = np.array(freqs, dtype=float)[where]   # as Python's int * float converts
     phase = w * t + k * x
     e = np.empty(phase.shape, dtype=complex)
     e.real, e.imag = np.cos(phase), np.sin(phase)
+    first = samples[0]
+    shape = () if first.mode == "scalar" else tuple(map(first.dim_of, MATRIX_SHAPES[base]))
     return amp, e, freqs, where, counts, shape
 
 

@@ -566,6 +566,37 @@ def test_verify_numeric_refuses_zero_trials_from_a_config_file(tmp_path, capsys)
     assert code == 2 and out == "" and "trials and orders must be >= 1" in err
 
 
+def test_verify_numeric_refuses_out_and_writes_no_file(tmp_path, monkeypatch, capsys):
+    """``--out json`` was once read as an abbreviation of ``--out-path``: the
+    report went to a file named json, with nothing printed and exit 0."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "numeric", "--target", "algebra", "--trials", "3", "--out", "json"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "unrecognized arguments: --out json" in err
+    assert list(tmp_path.iterdir()) == []
+    code, out, _ = run_cli("verify", "numeric", "--target", "algebra", "--trials", "3",
+                           "--out-path", "report.json", capsys=capsys)
+    assert code == 0 and out == "" and json.loads((tmp_path / "report.json").read_text())
+
+
+@pytest.mark.parametrize("line, env", [("seed = -5", None), (None, "-5"), ("seed = 5", "-1")])
+def test_a_negative_seed_from_a_config_file_or_the_environment_is_refused(
+        line, env, tmp_path, capsys, monkeypatch):
+    """``random.Random(-5)`` draws what ``random.Random(5)`` does, so a negative
+    seed once gave seed 5's report labelled -5."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{line or ''}\n")
+    if env is None:
+        monkeypatch.delenv("LAXFORGE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("LAXFORGE_SEED", env)
+    code, out, err = run_cli("--config", str(cfg), "verify", "numeric", "--target",
+                             "algebra", "--trials", "2", capsys=capsys)
+    value = env or line.split(" = ")[1]
+    assert code == 2 and out == "" and err == f"config error: seed must be >= 0, got {value}\n"
+
+
 @pytest.mark.parametrize("line", ["mode = scalar", "format = json", "out-path = x.json",
                                   "order.charges = 3", "bogus = 1"])
 def test_config_refuses_keys_no_command_reads(line, tmp_path, capsys):

@@ -108,6 +108,12 @@ CONTRACT = {
         (["--target", "route", "--tol", "0"], 2, "must be"),
         (["--target", "route", "--tol=-1e-9"], 2, "must be"),
         (["--seed", "nan", "--trials", "2"], 2),
+        # a negative seed would draw the samples of its absolute value
+        (["--target", "algebra", "--trials", "2", "--seed", "-5"], 2, "must be >= 0"),
+        (["--target", "algebra", "--trials", "2", "--seed=-1"], 2, "must be >= 0"),
+        # the report is JSON already; --out is not read as --out-path
+        (["--target", "algebra", "--trials", "2", "--out", "json"], 2,
+         "unrecognized arguments: --out json"),
     ],
     ("expr",): [
         (["u_t*uh + u*uh_t"], 0),

@@ -7,6 +7,7 @@ import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -217,12 +218,21 @@ def test_sample_determinism():
     assert a == b
 
 
+def _entries(field) -> list:
+    """The ``TrigPoly`` of each block entry of a sample's field, from its flat lists."""
+    counts, amps, ws, ks = field
+    modes = list(zip(amps, zip(ws, ks)))
+    return [TrigPoly(tuple(modes[start:start + n]))
+            for start, n in zip(accumulate([0] + counts), counts)]
+
+
 def test_mode_budget():
     for seed in range(20):
         s = FieldSample.random(seed)
         for f in s.fields.values():
-            assert 1 <= len(f.modes) <= 8
-            assert all(abs(a) <= 1 for a, _ in f.modes)
+            for g in _entries(f):
+                assert 1 <= len(g.modes) <= 8
+                assert all(abs(a) <= 1 for a, _ in g.modes)
 
 
 def _trig_by_methods(rng):
@@ -236,14 +246,15 @@ def _trig_by_methods(rng):
 
 
 def test_trig_draws_equal_the_random_methods():
-    """Drawing straight from getrandbits and random gives the same samples and
-    leaves the generator in the same state as randint and uniform."""
+    """Drawing straight from getrandbits and random into flat lists gives the
+    same samples and leaves the generator in the same state as randint and
+    uniform."""
     import random
-    from laxforge.oracle import _random_trig
+    from laxforge.oracle import _draw_modes
     for seed in range(1200):
         direct, methods = random.Random(seed), random.Random(seed)
-        for _ in range(3):
-            assert _random_trig(direct) == _trig_by_methods(methods), seed
+        drawn = _draw_modes(direct, 3)
+        assert _entries(drawn) == [_trig_by_methods(methods) for _ in range(3)], seed
         assert direct.getstate() == methods.getstate(), seed
 
 
@@ -309,6 +320,18 @@ def test_run_numeric_refuses_fewer_than_one_trial(trials):
     from laxforge.checks import run_numeric
     with pytest.raises(ValueError, match="trials must be >= 1"):
         run_numeric("route", trials, 1e-9, 7)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: checks.run_numeric("all", 5, 1e-9, -5),
+    lambda: checks.check_algebra(5, 1e-9, -5),
+    lambda: identity_check(parse_poly("u"), parse_poly("u"), trials=5, tol=1e-9, seed=-5),
+], ids=["run_numeric", "check", "identity_check"])
+def test_a_negative_seed_is_refused(run):
+    """``random.Random(-5)`` draws what ``random.Random(5)`` does: a negative
+    seed once gave seed 5's max_abs and worst_seed in a report labelled -5."""
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -5$"):
+        run()
 
 
 # -- the compiled evaluation against the per-term algorithm ---------------------
@@ -540,15 +563,13 @@ def test_the_chunk_evaluator_is_trig_poly_value_bit_for_bit(mode):
         dims = [(2, 1), (1, 2), (2, 2)][start // 8 % 3]
         samples = [FieldSample.random(s, mode, dims) for s in range(start, start + 8)]
         points = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in samples]
-        chunk_counts = {len(g.modes) for s in samples for f in s.fields.values()
-                        for g in ([f] if mode == "scalar" else sum(f, []))}
+        chunk_counts = {n for s in samples for f in s.fields.values() for n in f[0]}
         assert len(chunk_counts) > 1
         counts |= chunk_counts
         values = Chunk([(s, pt, None) for s, pt in zip(samples, points)]).atom_values(atoms)
         for a, got in zip(atoms, values):
             for s, (t, x), v in zip(samples, points, got):
-                f = s.fields[a.base]
-                polys = [f] if mode == "scalar" else sum(f, [])
+                polys = _entries(s.fields[a.base])
                 assert _bits(v) == _bits([g.value(t, x, a.dt, a.dx) for g in polys]), (a, s.seed)
     assert counts == set(range(1, 9))
 
@@ -557,12 +578,15 @@ def test_a_field_without_modes_is_zero():
     """A trig polynomial with no modes is the zero field, alone or padded
     beside an entry that keeps its exact value."""
     sample = FieldSample.random(6, "matrix")
-    sample.fields["u"] = [[TrigPoly(()), sample.fields["u"][0][1]]]
+    (n, kept), amps, ws, ks = sample.fields["u"]    # u is M x N: one row of two entries
+    sample.fields["u"] = ([0, kept], amps[n:], ws[n:], ks[n:])
     u_t = atom("u", 1, mode="matrix")
     got = sample.atom_value(u_t, 0.3, -0.2)
-    assert _bits(got) == _bits([0j, sample.fields["u"][0][1].value(0.3, -0.2, 1)])
+    second = _entries(sample.fields["u"])[1]
+    assert len(second.modes) == kept
+    assert _bits(got) == _bits([0j, second.value(0.3, -0.2, 1)])
     sample = FieldSample.random(6)
-    sample.fields["uh"] = TrigPoly(())
+    sample.fields["uh"] = ([0], [], [], [])
     assert _bits(sample.atom_value(atom("uh", 2, 1, mode="scalar"), 0.3, -0.2)) == _bits(0j)
 
 
@@ -646,15 +670,15 @@ def test_battery_reports_are_pinned(seed):
 
 
 def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
-    """70 trials fill chunks of 7 and of the default size unevenly; the report
+    """160 trials fill chunks of 7 and of the default size unevenly; the report
     is the one of chunks of one trial."""
     from laxforge import checks
     sizes = (1, 7, checks._CHUNK)
-    assert 70 % sizes[-1] and sizes[-1] < 70 and sizes[-1] > 7
+    assert 160 % sizes[-1] and 160 % 7 and sizes[-1] < 160 and sizes[-1] > 7
     reports = []
     for size in sizes:
         monkeypatch.setattr(checks, "_CHUNK", size)
-        reports.append(dumps(checks.run_numeric("all", 70, 1e-9, 5)))
+        reports.append(dumps(checks.run_numeric("all", 160, 1e-9, 5)))
     assert reports == [reports[0]] * len(sizes)
 
 
@@ -665,6 +689,20 @@ def test_checks_refuse_fewer_than_one_trial():
         identity_check(parse_poly("u"), parse_poly("u"), trials=0, tol=1e-9)
     with pytest.raises(ValueError, match="trials must be >= 1"):
         check_gamma(0, 1e-9, 7)
+
+
+def test_the_battery_builds_no_trig_poly(monkeypatch):
+    """Samples are drawn into flat lists and stacked from them: a ``TrigPoly``
+    built anywhere in the battery, in the caller or a child, fails it."""
+    from laxforge import oracle
+
+    def refused(self, *args):
+        raise AssertionError("a TrigPoly was built during run_numeric")
+    monkeypatch.setattr(oracle.TrigPoly, "__init__", refused)
+    with pytest.raises(AssertionError):
+        TrigPoly(())
+    assert checks.run_numeric("all", 5, 1e-9, 3)["passed"]
+    assert not hasattr(oracle, "_random_trig")
 
 
 @pytest.mark.parametrize("trials, per_mode", [(1, 1), (2, 1), (3, 2), (4, 2)])
@@ -727,61 +765,99 @@ def test_more_processes_give_the_same_report(cpus, monkeypatch, forks):
     _assert_no_child_left()
 
 
-def _checks_that_are(monkeypatch, **patched):
-    """``checks.TARGETS`` with the named checks replaced, in their places."""
-    for name, fn in patched.items():
-        target = next(t for t, fns in checks.TARGETS.items()
-                      if any(f.__name__ == f"check_{name}" for f in fns))
-        fns = tuple(fn if f.__name__ == f"check_{name}" else f
-                    for f in checks.TARGETS[target])
-        monkeypatch.setitem(checks.TARGETS, target, fns)
+def _every_check(monkeypatch, tmp_path, in_child, in_caller):
+    """Every check of ``checks.TARGETS`` replaced, in its place and under its name.
+
+    In a child a check writes its name to the returned path and calls
+    ``in_child``; in the caller it first waits (10 s at most) until a child
+    has taken a check, then calls ``in_caller``.  So which process runs what
+    is left to the queue, but a child surely takes a check.
+    """
+    caller, taken = os.getpid(), tmp_path / "taken-by-a-child"
+
+    def replaced(fn):
+        def check(trials, tol, seed):
+            if os.getpid() != caller:
+                taken.write_text(fn.__name__.removeprefix("check_"))
+                return in_child()
+            deadline = time.monotonic() + 10
+            while not taken.exists() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            return in_caller()
+        check.__name__ = fn.__name__
+        return check
+    for target, fns in checks.TARGETS.items():
+        monkeypatch.setitem(checks.TARGETS, target, tuple(map(replaced, fns)))
+    return taken
 
 
-def test_a_child_error_is_raised_by_the_caller(monkeypatch, forks):
+def _passes():
+    return {"passed": True}
+
+
+def test_a_child_error_is_raised_by_the_caller(monkeypatch, tmp_path, forks):
     """The child's exception comes back with its type and message."""
-    caller = os.getpid()
-
-    def check_dispersion(trials, tol, seed):
-        raise ShapeError(f"raised in {'a child' if os.getpid() != caller else 'the caller'}")
-    _checks_that_are(monkeypatch, dispersion=check_dispersion)
+    def raises():
+        raise ShapeError("raised in a child")
+    taken = _every_check(monkeypatch, tmp_path, raises, _passes)
     _cpus(monkeypatch, 2)
     with pytest.raises(ShapeError) as exc:
         checks.run_numeric("all", 3, 1e-9, 1)
     assert exc.type is ShapeError and str(exc.value) == "raised in a child"
-    assert len(forks) == 1
+    assert taken.exists() and len(forks) == 1
     _assert_no_child_left()
 
 
-def test_a_child_that_dies_is_named(monkeypatch, forks):
-    """A child killed after its first check leaves no report: the caller names
-    the checks that child ran."""
-    caller = os.getpid()
-
-    def check_dispersion(trials, tol, seed):
-        assert os.getpid() != caller, "the split changed: dispersion ran in the caller"
-        os.kill(os.getpid(), signal.SIGKILL)
-    _checks_that_are(monkeypatch, dispersion=check_dispersion)
+def test_a_child_that_dies_is_named(monkeypatch, tmp_path, forks):
+    """A child killed in the first check it takes leaves no report: the caller
+    runs the rest of the queue and names the check that child took."""
+    taken = _every_check(monkeypatch, tmp_path,
+                         lambda: os.kill(os.getpid(), signal.SIGKILL), _passes)
     _cpus(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match="^the process running checks conservation, "
-                                           "dispersion, gamma exited without a report$"):
+    with pytest.raises(RuntimeError, match="^the process running checks (.*) exited "
+                                           "without a report$") as exc:
         checks.run_numeric("all", 3, 1e-9, 1)
+    assert exc.value.args[0].split()[4] == taken.read_text()
     assert len(forks) == 1
     _assert_no_child_left()
 
 
-def test_the_caller_kills_its_children_when_its_own_share_raises(monkeypatch, forks):
+def test_the_caller_kills_its_children_when_its_own_share_raises(monkeypatch, tmp_path, forks):
     """The caller's own error wins; a child still running is killed, not awaited."""
-    def check_route(trials, tol, seed):
-        raise ValueError("route failed")
-
-    def check_gamma(trials, tol, seed):
-        time.sleep(30)
-    _checks_that_are(monkeypatch, route=check_route, gamma=check_gamma)
+    def raises():
+        raise ValueError("the caller's check failed")
+    taken = _every_check(monkeypatch, tmp_path, lambda: time.sleep(30), raises)
     _cpus(monkeypatch, 2)
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="^route failed$"):
+    with pytest.raises(ValueError, match="^the caller's check failed$"):
         checks.run_numeric("all", 3, 1e-9, 1)
     assert time.perf_counter() - start < 20
+    assert taken.exists() and len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_pulled_calls_come_back_in_call_order_from_both_processes(monkeypatch, tmp_path,
+                                                                  forks):
+    """No share is fixed in advance: while the child runs its first call, which
+    lasts until five calls ran in the caller, the caller pulls every other
+    call from the queue.  The results keep the calls' order."""
+    caller, busy = os.getpid(), tmp_path / "child-busy"
+
+    def call(i):
+        deadline = time.monotonic() + 10
+        if os.getpid() != caller:
+            busy.touch()
+            while len(list(tmp_path.glob("ran-*"))) < 5 and time.monotonic() < deadline:
+                time.sleep(0.005)
+        else:
+            while not busy.exists() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            (tmp_path / f"ran-{i}").touch()
+        return i, os.getpid() == caller
+    _cpus(monkeypatch, 2)
+    out = checks._run_split([lambda i=i: call(i) for i in range(6)], list("abcdef"))
+    assert [i for i, _ in out] == list(range(6))
+    assert sorted(here for _, here in out) == [False] + [True] * 5
     assert len(forks) == 1
     _assert_no_child_left()
 

@@ -28,10 +28,10 @@ def main(out_dir: str) -> None:
                "z": [serialize.to_dict(m) for m in z]}
     (out / f"riccati-scalar-{order}.json").write_text(serialize.dumps(payload))
 
-    g = [T.gamma_matrix(k) for k in range(1, 5)]
-    payload = {"command": "riccati", "which": "gamma", "order": 4,
-               "coeffs": [serialize.to_dict(p) for p in g]}
-    (out / "riccati-gamma-4.json").write_text(serialize.dumps(payload))
+    for which in ("gamma", "gamma_hat"):
+        payload = {"command": "riccati", "which": which, "order": 4,
+                   "coeffs": [serialize.to_dict(T.gamma_matrix(k, which)) for k in range(1, 5)]}
+        (out / f"riccati-{which}-4.json").write_text(serialize.dumps(payload))
 
     for n in range(1, 5):
         payload = {"command": "hierarchy-u", "route": "gen", "n": n,

@@ -379,6 +379,24 @@ def trace(p: NCPolynomial) -> NCPolynomial:
         (make_word(w.atoms, "trace"), c) for w, c in p.terms.items()))
 
 
+_SWAP_BASE = {"u": "uh", "uh": "u", "pi": "pih", "pih": "pi"}
+_SWAPPED: dict[FieldAtom, FieldAtom] = {}   # atom -> its end-swapped atom
+
+
+def end_swap(p: NCPolynomial) -> NCPolynomial:
+    """The end-swapping involution iota: t -> -t, u <-> uh, pi <-> pih.  A term takes
+    the sign (-1)^(its total t-order); a matrix or trace word is read backwards, each
+    atom's shape transposed, and a scalar word is re-sorted."""
+    for a in {a for w in p.terms for a in w if a not in _SWAPPED}:
+        if a.base not in _SWAP_BASE:
+            raise ValueError(f"end_swap: the kernel atom {a} has no end-swapped image")
+        _SWAPPED[a] = FieldAtom(_SWAP_BASE[a.base], a.dt, a.dx, a.flow, a.shape[::-1])
+    word = Word if p.mode == "matrix" else lambda atoms: make_word(atoms, p.mode)
+    return _poly(p.mode, p.shape[::-1], {
+        word([_SWAPPED[a] for a in reversed(w.atoms)]): -c if sum(a.dt for a in w) % 2 else c
+        for w, c in p.terms.items()})
+
+
 # ---------------------------------------------------------------------------
 # total-t-derivative test with its antiderivative; the Euler operator
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ factorizes through ``(1 + W) e^Z (1 + W)^-1`` with W strictly anti-diagonal and
 Z diagonal.  Expanding W = sum_n W^(n)/lam^n, the commutator with the lead
 coefficient Sigma/2 fixes each W^(k+2) algebraically from lower orders and the
 other coefficients of V; the diagonal phase densities follow from
-Z' = V_D + V_A W.  The ratios Gamma and Gamma-hat of the auxiliary-function
-blocks are the 21 and 12 blocks of the matrix-mode W, and their residual is
-the same formula on a block.
+Z' = V_D + V_A W.  Only the 21 block Gamma is solved, by its own closed
+Riccati equation; the 12 block Gamma-hat is the end swap (-1)^n iota(Gamma^(n))
+(``ncpoly.end_swap``).  A ratio's residual is the same formula on a block.
 """
 from __future__ import annotations
 
@@ -19,9 +19,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .atoms import atom
-from .coeff import ONE, gr
+from .coeff import ONE, collect, gr
 from .matrices import MatrixSum, PolyMatrix, block_dims
-from .ncpoly import NCPolynomial, nc_mul
+from .ncpoly import NCPolynomial, _poly, end_swap, nc_mul
 from .series import LaurentSeries
 
 _HALF = gr(Fraction(1, 2))
@@ -122,41 +122,35 @@ def solve_w_z(order: int, mode: str = "scalar") -> RiccatiSolution:
         raise ValueError("order must be >= 1")
     vd, va = _v_split(mode)
     lead = vd.max_power
-    below = [(j, d, -d) for j, d in sorted(vd.coeffs.items(), reverse=True) if j < lead]
+    below = [(j, -d.entries[0][0], d.entries[1][1])
+             for j, d in sorted(vd.coeffs.items(), reverse=True) if j < lead]
     anti = sorted(va.coeffs.items(), reverse=True)
-    minus_anti = [(j, -a_j) for j, a_j in anti]
     dims = block_dims(mode)
-    zero = PolyMatrix.zero(mode, dims, dims)
-    W = _TOWER.setdefault(mode, {0: zero})
+    W = _TOWER.setdefault(mode, {0: PolyMatrix.zero(mode, dims, dims)})
 
-    def getw(k):
-        return W.get(k, zero)
+    def gamma(k):
+        return W.get(k, W[0]).entries[1][0]
 
-    # lam^-k of dW/dt + [W, V_D] + W V_A W - V_A = 0, solved for W^(k+lead).  rhs sums
-    # -dW/dt - [W, D_j] - W A_j W + A_-k in place, in the order of the immutable sum;
-    # -[W, D] = W(-D) + DW and -W A W = W(-A)W, so no product is negated once built.
-    # Each W^(a)(-A_j) is built once per call and read at every later order
-    wa: dict[tuple[int, int], PolyMatrix] = {}
+    # lam^-k of dW/dt + [W, V_D] + W V_A W - V_A = 0 for W^(k+lead).  The lead is Sigma/2, so
+    # its 21 block is Gamma's closed Riccati equation Gamma^(k+lead) = -dGamma/dt + [Gamma(-D_11)
+    # + D_22 Gamma] + sum Gamma(-A_12)Gamma + A_21, summed in place in the immutable sum's order
+    # (the bracket merged whole), each Gamma^(a)(-A_12,j) built once per call.  W12 is its end swap
+    ga: dict[tuple[int, int], NCPolynomial] = {}
     for k in range(len(W) - lead, order - lead + 1):
-        rhs = MatrixSum(mode, dims, dims)
-        rhs.add((-getw(k)).differentiate_t())
-        for j, d, minus_d in below:
-            w = getw(k + j)
-            comm = MatrixSum(mode, dims, dims)
-            comm.add_product(w, minus_d)
-            comm.add_product(d, w)
-            rhs.add(comm.matrix())
-        for j, minus_a in minus_anti:
+        rhs = (-gamma(k)).differentiate_t().terms
+        for j, minus_d11, d22 in below:
+            g = gamma(k + j)
+            collect(collect(nc_mul(d22, g).terms.items(), nc_mul(g, minus_d11).terms).items(), rhs)
+        for j, a_j in anti:
             for a in range(1, k + j):
-                w_a = wa.get((a, j))
-                if w_a is None:
-                    w_a = wa[a, j] = getw(a) * minus_a
-                rhs.add_product(w_a, getw(k + j - a))
+                g_a = ga.get((a, j))
+                if g_a is None:
+                    g_a = ga[a, j] = nc_mul(gamma(a), -a_j.entries[0][1])
+                collect(nc_mul(g_a, gamma(k + j - a)).terms.items(), rhs)
         if -k in va.coeffs:
-            rhs.add(va.coeffs[-k])
-        # the lead is Sigma/2: (1/2)[W^(k+2), Sigma] = rhs  =>  W12 = -rhs12, W21 = +rhs21
-        r = rhs.matrix().entries
-        W[k + lead] = PolyMatrix.from_rows(mode, [[0, -r[0][1]], [r[1][0], 0]])
+            collect(va.coeffs[-k].entries[1][0].terms.items(), rhs)
+        n, g = k + lead, _poly(mode, dims[::-1], rhs)
+        W[n] = PolyMatrix.from_rows(mode, [[0, -end_swap(g) if n % 2 else end_swap(g)], [g, 0]])
 
     Z = _Z.setdefault(mode, [])
     for k in range(len(Z) + 1, order):
@@ -216,8 +210,8 @@ class GammaSolution:
 def solve_gamma(order: int, which: str = "gamma") -> GammaSolution:
     """Matrix Riccati ratio of auxiliary-function blocks: a block of matrix-mode W.
 
-    The ratio's recursion is the (i, j) block of the W recursion, so Gamma^(k)
-    is W^(k)_21 and Gamma-hat^(k) is W^(k)_12 of ``solve_w_z(order, "matrix")``.
+    Gamma^(k) is W^(k)_21 of ``solve_w_z(order, "matrix")``, solved by its own
+    recursion; Gamma-hat^(k) is W^(k)_12, its end swap (-1)^k iota(Gamma^(k)).
     """
     if order < 1:
         raise ValueError("order must be >= 1")

@@ -59,7 +59,8 @@ Z_SCALAR = {
 }
 
 # ---------------------------------------------------------------------------
-# matrix Riccati ratio coefficients (matrix mode, word order meaningful)
+# matrix Riccati ratio coefficients (matrix mode, word order meaningful); the
+# hat ratio is typed as (-1)^k iota(Gamma^(k)), iota as in ncpoly.end_swap
 # ---------------------------------------------------------------------------
 GAMMA_MATRIX = {
     1: "u",
@@ -67,6 +68,7 @@ GAMMA_MATRIX = {
     3: "-u_t + u*uh*u",
     4: "pih_t - u*pi*u",
 }
+GAMMA_HAT_MATRIX = {1: "-uh", 2: "-pi", 3: "-uh_t - uh*u*uh", 4: "-pi_t - uh*pih*uh"}
 
 # ---------------------------------------------------------------------------
 # hierarchy operators: entries of the 2x2 flow operators as lam-expressions
@@ -147,8 +149,9 @@ def z_scalar(k: int):
     return parse_poly(a), parse_poly(b)
 
 
-def gamma_matrix(k: int):
-    return parse_poly(GAMMA_MATRIX[k], mode="matrix")
+def gamma_matrix(k: int, which: str = "gamma"):
+    table = {"gamma": GAMMA_MATRIX, "gamma_hat": GAMMA_HAT_MATRIX}[which]
+    return parse_poly(table[k], mode="matrix")
 
 
 def _entry(p: NCPolynomial):

@@ -18,6 +18,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import laxforge.tables as T
 from laxforge.atoms import FieldAtom, make_word
@@ -31,7 +33,7 @@ from laxforge.hierarchy import (charges, dress_u, generate_u, nls_v_operator,
                                 extract_eom, route_difference,
                                 verify_conservation)
 from laxforge.matrices import PolyMatrix
-from laxforge.ncpoly import NCPolynomial, is_total_t_derivative
+from laxforge.ncpoly import NCPolynomial, end_swap, is_total_t_derivative
 from laxforge.oracle import (ExponentialSolution, FieldSample, evaluate,
                              finite_difference_crosscheck)
 from laxforge.parser import parse_poly
@@ -74,6 +76,13 @@ def test_criterion_02_gamma_goldens():
     for k in range(1, 5):
         assert g.gamma(k) == T.gamma_matrix(k), f"order {k}"
     report(2, "PASS", "ratio coefficients 1..4 exact in matrix mode, word order kept")
+
+
+def test_criterion_02b_gamma_hat_goldens():
+    gh = solve_gamma(4, "gamma_hat")
+    for k in range(1, 5):
+        assert gh.gamma(k) == T.gamma_matrix(k, "gamma_hat"), f"order {k}"
+    report("2b", "PASS", "hat ratio coefficients 1..4 exact in matrix mode, word order kept")
 
 
 def test_criterion_03_hierarchy_goldens():
@@ -281,6 +290,29 @@ def test_end_swap_maps_nls_to_itself():
     for k in range(1, 5):
         w = sol.w(k)
         assert w.map_entries(_iota) == _sigma_x_conj(w).scale(gr((-1) ** k)), k
+
+
+def test_the_engine_end_swap_is_iota_on_the_scalar_tower():
+    sol = solve_w_z(12, "scalar")
+    for n in range(1, 13):
+        w21 = sol.w(n).entries[1][0]
+        assert end_swap(w21) == _iota(w21), n
+
+
+@given(st.lists(st.tuples(st.lists(st.tuples(st.sampled_from(list(_IOTA_BASE)),
+                                              st.integers(0, 3), st.integers(0, 1)),
+                                    max_size=4),
+                           st.integers(-3, 3)), max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_the_engine_end_swap_is_iota(words):
+    """ncpoly.end_swap equals this file's iota on random scalar polynomials,
+    x-derivatives included, and it is an involution."""
+    p = NCPolynomial.zero("scalar")
+    for atoms, c in words:
+        p = p + NCPolynomial("scalar", ("1", "1"), {
+            make_word([FieldAtom(b, dt, dx) for b, dt, dx in atoms], "scalar"): gr(c)})
+    assert end_swap(p) == _iota(p)
+    assert end_swap(end_swap(p)) == p
 
 
 def test_end_swap_bulk_shift():

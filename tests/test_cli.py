@@ -120,6 +120,13 @@ def test_options_a_command_ignores_are_refused(argv, capsys):
     assert exc.value.code == 2 and out == ""
 
 
+def test_gamma_hat_golden_match(capsys):
+    code, out, err = run_cli("--golden", str(REPO / "goldens"), "riccati", "--which",
+                             "gamma-hat", "--order", "4", "--out", "json", capsys=capsys)
+    assert code == 0 and "golden match: riccati-gamma_hat-4.json" in err
+    assert out == (REPO / "goldens" / "riccati-gamma_hat-4.json").read_text()
+
+
 @pytest.mark.parametrize("mode", [[], ["--mode", "matrix"]])
 def test_gamma_is_the_matrix_mode_block(mode, capsys):
     """Gamma prints the same golden bytes with no --mode and with --mode matrix."""
@@ -481,7 +488,7 @@ def test_goldens_regenerate_byte_for_byte(tmp_path):
     make["main"](str(tmp_path))
     golden = REPO / "goldens"
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in golden.iterdir())
-    assert len(list(golden.iterdir())) == 13
+    assert len(list(golden.iterdir())) == 14
     for p in golden.iterdir():
         assert (tmp_path / p.name).read_bytes() == p.read_bytes(), p.name
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import laxforge.riccati as R
 from laxforge import hierarchy
+from laxforge.atoms import atom, make_word
 from laxforge.coeff import collect, gr
 from laxforge.matrices import MatrixSum, PolyMatrix, block_dims
 from laxforge.ncpoly import NCPolynomial, nc_mul
@@ -43,8 +44,23 @@ def _dense_times(s: LaurentSeries, o: LaurentSeries, floor=None) -> LaurentSerie
     return LaurentSeries(s.mode, s.row_dims, o.col_dims, out, None if low is None else -low)
 
 
+# iota: u <-> uh, pi <-> pih, and each t-derivative flips the sign; a matrix word
+# is read backwards (an M x N block maps to an N x M block), a scalar one re-sorted
+_IOTA_BASE = {"u": "uh", "uh": "u", "pi": "pih", "pih": "pi"}
+
+
+def _iota_ref(p):
+    terms = {}
+    for w, c in p.terms.items():
+        atoms = [atom(_IOTA_BASE[a.base], a.dt, a.dx, p.mode, a.flow) for a in reversed(w.atoms)]
+        terms[make_word(atoms, p.mode)] = -c if sum(a.dt for a in w) % 2 else c
+    return NCPolynomial(p.mode, p.shape[::-1], terms)
+
+
 def _reference_tower(order, mode):
-    """W^(1..order) and Z^(1..order-1) by the Riccati step as first written."""
+    """W^(1..order) and Z^(1..order-1) by the full 2x2 Riccati step as first
+    written.  Its 12 block must equal (-1)^n iota(W21^(n)) as a value, and that
+    image is kept as W12^(n), in W21's term order."""
     vd, va = R._v_split(mode)
     lead = vd.max_power
     below = [(j, d) for j, d in sorted(vd.coeffs.items(), reverse=True) if j < lead]
@@ -62,8 +78,10 @@ def _reference_tower(order, mode):
                 rhs = rhs - _dense_mul(_dense_mul(W.get(a, zero), a_j), W.get(k + j - a, zero))
         if -k in va.coeffs:
             rhs = rhs + va.coeffs[-k]
-        W[k + lead] = PolyMatrix.from_rows(mode, [[0, -rhs.entries[0][1]],
-                                                  [rhs.entries[1][0], 0]])
+        n, w21 = k + lead, rhs.entries[1][0]
+        w12 = _iota_ref(w21).scale((-1) ** n)
+        assert w12 == -rhs.entries[0][1], n
+        W[n] = PolyMatrix.from_rows(mode, [[0, w12], [w21, 0]])
     Z = []
     for k in range(1, order):
         terms = [_dense_mul(a_j, W[k + j]) for j, a_j in anti]

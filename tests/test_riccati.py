@@ -2,13 +2,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import laxforge.riccati as R
 import laxforge.tables as T
 from laxforge.atoms import ShapeError, atom, make_word
 from laxforge.coeff import gr
 from laxforge.matrices import PolyMatrix, block_dims
-from laxforge.ncpoly import NCPolynomial, scalarize
+from laxforge.ncpoly import NCPolynomial, end_swap, scalarize, trace
 from laxforge.riccati import (GammaSolution, gamma_residual, nls_v, riccati_residual,
                               solve_gamma, solve_w_z)
 from laxforge.series import LaurentSeries
@@ -181,11 +183,82 @@ def _iota_matrix(p):
 
 
 def test_gamma_hat_is_end_swap_of_gamma():
-    """Gamma-hat^(k) = (-1)^k iota(Gamma^(k)): a check of Gamma-hat that does not
-    come from the solver (Gamma-hat has no typed table)."""
+    """Gamma-hat^(k) = (-1)^k iota(Gamma^(k)) beyond the typed orders 1..4, with
+    the tests' own iota as the reference."""
     g, gh = solve_gamma(9), solve_gamma(9, "gamma_hat")
     for k in range(1, 10):
         assert gh.gamma(k) == _iota_matrix(g.gamma(k)).scale((-1) ** k), k
+
+
+# -- the engine's end swap against the tests' iota ------------------------------------
+
+@pytest.mark.parametrize("mode", ["scalar", "matrix"])
+def test_w12_is_the_end_swap_of_w21(mode):
+    """W12^(n) = (-1)^n end_swap(W21^(n)), and end_swap is the tests' iota on
+    W21 (the scalar-mode iota is test_acceptance.py's, checked there)."""
+    sol = solve_w_z(12, mode)
+    for n in range(1, 13):
+        w21 = sol.w(n).entries[1][0]
+        assert sol.w(n).entries[0][1] == end_swap(w21).scale((-1) ** n), n
+        if mode == "matrix":
+            assert end_swap(w21) == _iota_matrix(w21), n
+        assert end_swap(end_swap(w21)) == w21, n
+
+
+_STEPS = [(atom(a, da, dx, "matrix"), atom(b, db, 0, "matrix"))
+          for a in ("u", "pih") for b in ("uh", "pi") for da in (0, 2) for db in (0, 1)
+          for dx in (0, 1)]
+
+
+@st.composite
+def _matrix_polys(draw):
+    """Field words M -> N -> M ..., of odd or even length, some with x-derivatives."""
+    odd = draw(st.booleans())
+    p = NCPolynomial.zero("matrix", ("M", "N") if odd else ("M", "M"))
+    for steps, c in draw(st.lists(st.tuples(st.lists(st.sampled_from(_STEPS), min_size=1,
+                                                     max_size=3),
+                                            st.integers(-3, 3)), max_size=4)):
+        atoms = [a for step in steps for a in step][:-1 if odd else None]
+        p = p + NCPolynomial.from_word(atoms, "matrix", c)
+    return p
+
+
+@given(_matrix_polys())
+@settings(max_examples=80, deadline=None)
+def test_end_swap_is_iota_on_matrix_polynomials(p):
+    assert end_swap(p) == _iota_matrix(p)
+    assert end_swap(end_swap(p)) == p
+    if p.shape[0] == p.shape[1]:
+        assert trace(end_swap(p)) == end_swap(trace(p))
+
+
+def test_end_swap_commutes_with_the_trace():
+    sol = solve_w_z(8, "matrix")
+    for k in range(1, 8):
+        z11 = sol.z(k).entries[0][0]
+        assert trace(end_swap(z11)) == end_swap(trace(z11)), k
+
+
+@pytest.mark.parametrize("base", ["K11", "K22"])
+def test_end_swap_refuses_a_kernel_atom_by_name(base):
+    k = NCPolynomial.from_atom(atom(base, mode="matrix"), "matrix")
+    with pytest.raises(ValueError, match=base):
+        end_swap(k + k)
+
+
+@pytest.mark.parametrize("mode", ["scalar", "matrix"])
+def test_z22_is_the_end_swap_of_z11(mode):
+    """Z22^(k) = (-1)^(k+1) end_swap(Z11^(k)) exactly in scalar mode.  In matrix
+    mode the N x N and M x M blocks agree only under the trace, so the Z step
+    builds both blocks rather than one from the other."""
+    sol = solve_w_z(10, mode)
+    for k in range(1, 10):
+        z11, z22 = sol.z(k).entries[0][0], sol.z(k).entries[1][1]
+        image = end_swap(z11).scale((-1) ** (k + 1))
+        if mode == "scalar":
+            assert z22 == image, k
+        else:
+            assert z22 != image and trace(z22) == trace(image), k
 
 
 def test_gamma_refuses_unknown_which():
@@ -316,10 +389,11 @@ def test_two_threads_growing_an_empty_tower_write_each_z_once(mode, monkeypatch)
 
 
 # sha256 of every W^(k) and Z^(k) entry of solve_w_z(10) as its (word, coefficient)
-# terms in insertion order: that order sets the numeric oracle's summation order
+# terms in insertion order: that order sets the numeric oracle's summation order.
+# W12 takes W21's order through the end swap, and Z22 follows from W12
 _TERM_ORDER_DIGESTS = {
-    "scalar": "05d91db5096d8632417803c8330fe803d6efd4c01dc7e32dadde01d9b55ebd9d",
-    "matrix": "a1c14579b65a2048af23c177a02dd210f4387259e620b61bf8dded51986c84f7",
+    "scalar": "fec7f42290304771908eab48baf6e27ca2f0af7de1cde1c85fde7743df6639ca",
+    "matrix": "d641a9d8cdf1b3f3006164c9fd57339fd5ae2a29fe08b1600dc6b61767f0040e",
 }
 
 
@@ -344,3 +418,27 @@ def test_w_and_z_keep_their_term_order(mode, monkeypatch):
         assert digest(solve_w_z(10, mode)) == _TERM_ORDER_DIGESTS[mode]
     finally:
         solve_w_z.cache_clear()
+
+
+# sha256 of every W^(k) and Z^(k) entry as its (word, coefficient) terms sorted by
+# word: the values of the tower, whatever order the step sums their terms in
+_VALUE_DIGESTS = {
+    ("scalar", 16): ("c46ceded106fa79638e74a91a522c91c7dafcc7fdf61ac16e8a177296c41c2c5",
+                     "c01e33528e7cf5a579e0055835f1f60b3615c8cc83d8cb75bc3e0310ca3afe2a"),
+    ("matrix", 14): ("06733dcbbaea614afd0d3c1bf3b0f1db634887e116374cd0bc5698cecc16a283",
+                     "e332fd1c0253b6435b83cd3a49370d866bd488ca80f38c1bcbb532cfd237ee65"),
+}
+
+
+def _value_digest(ms):
+    import hashlib
+    text = repr([[(str(w), str(c)) for e in row for w, c in e.sorted_terms()]
+                 for m in ms for row in m.entries])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("mode,order", list(_VALUE_DIGESTS))
+def test_w_and_z_keep_their_values(mode, order):
+    sol = solve_w_z(order, mode)
+    assert (_value_digest(sol.w_coeffs), _value_digest(sol.z_coeffs)) == \
+        _VALUE_DIGESTS[mode, order]

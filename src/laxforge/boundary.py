@@ -13,21 +13,22 @@ typed here are K and the two boundary operators.
 
 A polynomial may hold Gaussian-rational and MPoly coefficients at once (see
 ``ratfunc``), so the engine's ``1 + W``, ``Omega`` and ``dress_u(2)`` enter
-as they are.  K's entries are typed once (``_k_blocks``) and read by one
-route, ``LaurentSeries.from_rows``: ``k_matrix`` sets lam in that series
-(``_at_lam``, as the Poisson check does for its Lax operators) and
-``_k_series`` keeps it.
+as they are; a reflected product's transposed hat factor is the end swap
+iota (``ncpoly.end_swap``) of ``1 + W`` or its inverse.  K's entries are typed
+once (``_k_blocks``) and read by one route, ``LaurentSeries.from_rows``:
+``k_matrix`` sets lam in that series (``_at_lam``, as the Poisson check does
+for its Lax operators) and ``_k_series`` keeps it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .atoms import atom
+from .atoms import FIELD_BASES, atom
 from .coeff import I, ONE, GaussianRational, gr
 from .hierarchy import LaxOperator, dress_u
 from .matrices import PolyMatrix
-from .ncpoly import NCPolynomial, eliminate, sole_word
+from .ncpoly import NCPolynomial, eliminate, end_swap, sole_word
 from .ratfunc import MPoly
 from .riccati import _f, nls_v, omega_matrix, solve_w_z
 from .series import LaurentSeries, series_invert, series_log
@@ -42,20 +43,23 @@ class BoundaryParamError(ValueError):
 
 @dataclass(frozen=True)
 class BoundaryParams:
-    """Boundary constants; None leaves a constant fully symbolic.  A zero ka,
-    which enters through 1/ka, is refused on construction."""
+    """Boundary constants, each an int or Fraction; None leaves one fully symbolic.
+    A zero ka, which enters through 1/ka, is refused on construction."""
     xi_p: Fraction | None = None
     xi_m: Fraction | None = None
     ka_p: Fraction | None = None
     ka_m: Fraction | None = None
 
     def __post_init__(self):
+        for name in BVARS:
+            if not isinstance(v := getattr(self, name), (int, Fraction, type(None))):
+                raise TypeError(f"{name} must be an int or Fraction, not {type(v).__name__}")
         if self.ka_p == 0 or self.ka_m == 0:
             raise BoundaryParamError("kappa constants must be nonzero")
 
     def values(self) -> dict[str, GaussianRational]:
         """The constants that are given, by their names in BVARS."""
-        return {name: gr(Fraction(v)) for name in BVARS
+        return {name: gr(v) for name in BVARS
                 if (v := getattr(self, name)) is not None}
 
 
@@ -123,7 +127,6 @@ def reflection_residual(k: PolyMatrix) -> PolyMatrix:
 # linear Poisson structure checks
 # ---------------------------------------------------------------------------
 
-_FIELDS = ("u", "uh", "pi", "pih")
 _BRACKETS = {
     "V": {("u", "pi"): 1, ("pi", "u"): -1, ("uh", "pih"): 1, ("pih", "uh"): -1},
     "U": {("u", "uh"): 1, ("uh", "u"): -1},
@@ -135,9 +138,9 @@ def _lax_matrix(series: LaurentSeries) -> PolyMatrix:
     if series.mode != "scalar" or series.row_dims != ("1", "1") or series.truncation:
         raise ValueError("expected an exact 2x2 scalar-mode Lax operator")
     stray = [a for m in series.coeffs.values() for row in m.entries for e in row
-             for a in e.atoms_set() if a.dt or a.dx or a.base not in _FIELDS]
+             for a in e.atoms_set() if a.dt or a.dx or a.base not in FIELD_BASES]
     if stray:
-        raise ValueError(f"{stray[0]} is not an underived field of {_FIELDS}")
+        raise ValueError(f"{stray[0]} is not an underived field of {FIELD_BASES}")
     return _at_lam(series)
 
 
@@ -273,13 +276,9 @@ def _k_series(side: str) -> LaurentSeries:
     return LaurentSeries.from_rows("scalar", _k_blocks(*_end_constants(side)))
 
 
-def _hat(series: LaurentSeries) -> LaurentSeries:
-    """lam -> -lam on a Laurent series."""
-    return series.map_powers(lambda p, m: -m if p % 2 else m)
-
-
-def _transpose_series(series: LaurentSeries) -> LaurentSeries:
-    return series.map_coefficients(lambda m: m.transpose())
+def _swap_ends(series: LaurentSeries) -> LaurentSeries:
+    """iota on every entry; a block layout raises ShapeError (iota of N x M is M x N)."""
+    return series.map_coefficients(lambda m: m.map_entries(end_swap))
 
 
 @dataclass
@@ -304,38 +303,38 @@ def open_charge_expansion(params: BoundaryParams | None = None,
                           order: int = 4) -> OpenChargeExpansion:
     """Expand the two boundary generators and the bulk part of the open chain.
 
-    Builds the plus-end generator ((1 + What^t) Omega K+ (1 + W))_11 and the
+    Builds the plus-end generator ((1 + What)^t Omega K+ (1 + W))_11 and the
     minus-end generator ((1 + W)^-1 K- Omega ((1 + What)^-1)^t)_11 at the
     respective boundary points, takes series logs, halves, and returns the
-    lam^-2 coefficients with field-independent constants stripped.  Only
-    lam^-read (read = 2) of each log is read, so the reflected products stop
-    there: 1 + W, and with it its hat and inverse, is cut at lam^-(read + 1);
-    Omega and K are exact, and K's lead lam^1 lifts each product's floor to
-    lam^-read.  The logs are cut where the products end.  ``order`` sets
-    only the Riccati solve.
+    lam^-2 coefficients with field-independent constants stripped.  Each ^t
+    factor is the end swap iota, entry by entry: W12^(n) = (-1)^n iota(W21^(n))
+    makes iota(W^(n)) = (What^(n))^t, and in scalar mode iota (an automorphism)
+    and transpose-after-hat (an anti-automorphism) both commute with inversion,
+    so they agree on (1 + W)^-1 to its truncation.  Only lam^-read (read = 2)
+    of each log is read, so the reflected products stop there: 1 + W, and with
+    it its end swap and inverse, is cut at lam^-(read + 1); Omega and K are
+    exact, and K's lead lam^1 lifts each product's floor to lam^-read.  The
+    logs are cut where the products end.  ``order`` sets only the Riccati solve.
     """
-    if order < 3:
-        raise ValueError("order must be >= 3: the lam^-2 bulk term is Z^(2), which "
-                         "the Riccati solve reaches only at order >= 3")
-    params = params or BoundaryParams()
     read = 2
+    if order < read + 1:
+        raise ValueError(f"order must be >= {read + 1}: the lam^-{read} bulk term is Z^({read}), "
+                         f"which the Riccati solve reaches only at order >= {read + 1}")
     sol = solve_w_z(order, "scalar")
     one_plus_w = sol.one_plus_w().truncated(read + 1)
-    one_plus_what = _hat(one_plus_w)
     omega = LaurentSeries.of(omega_matrix("scalar"))
-    values = params.values()
+    values = (params or BoundaryParams()).values()
 
-    a_fac = _transpose_series(one_plus_what) * (omega * _k_series("+")) * one_plus_w
+    a_fac = _swap_ends(one_plus_w) * (omega * _k_series("+")) * one_plus_w
     w_plus, plus_term, prefix_plus = _end_term(a_fac, values, read)
 
-    inv_w = series_invert(one_plus_w)   # lam -> -lam is a ring automorphism:
-    inv_what = _hat(inv_w)               # (1 + What)^-1 is the hat of (1 + W)^-1
-    b_fac = inv_w * (_k_series("-") * omega) * _transpose_series(inv_what)
+    inv_w = series_invert(one_plus_w)
+    b_fac = inv_w * (_k_series("-") * omega) * _swap_ends(inv_w)
     w_minus, minus_term, prefix_minus = _end_term(b_fac, values, read)
 
-    # bulk part: (Z11 + Z11-hat)/2 at lam^-2 equals the closed-chain density;
+    # bulk part: (Z11 + Z11-hat)/2 at lam^-read equals the closed-chain density;
     # the hat contributes the same sign at even order
-    bulk = sol.z(2).entries[0][0]
+    bulk = sol.z(read).entries[0][0]
     return OpenChargeExpansion(bulk, plus_term, minus_term,
                                prefix_plus, prefix_minus, w_plus, w_minus)
 

@@ -120,13 +120,6 @@ class PolyMatrix:
         if any(d != "1" for d in self.row_dims + self.col_dims):
             raise ShapeError(f"{what} is only supported for all-scalar block layouts")
 
-    def transpose(self) -> "PolyMatrix":
-        """Entry transpose; only valid when every block is scalar (1x1)."""
-        self._require_scalar_blocks("transpose")
-        ent = [[self.entries[j][i] for j in range(len(self.row_dims))]
-               for i in range(len(self.col_dims))]
-        return PolyMatrix(self.mode, self.col_dims, self.row_dims, ent)
-
     def kron(self, other: "PolyMatrix") -> "PolyMatrix":
         """Kronecker product; only valid when every block of both is scalar (1x1).
 

@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 from operator import attrgetter
 
-from .atoms import EMPTY_WORD, ShapeError, Word, atom
+from .atoms import EMPTY_WORD, FIELD_BASES, ShapeError, Word, atom
 from .coeff import I, ONE, ZERO, GaussianRational, collect
 from .matrices import PolyMatrix
 from .ncpoly import NCPolynomial
@@ -29,7 +29,7 @@ from .series import LaurentSeries
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9]*(?:_[tx]+)*)"
                     r"|(?P<op>[()+\-*]))")
 
-_ATOM_RE = re.compile(r"^(u|uh|pi|pih)((?:_[tx]+)*)$")
+_ATOM_RE = re.compile(rf"^({'|'.join(FIELD_BASES)})((?:_[tx]+)*)$")
 
 _UNIT = ("1", "1")
 _CONSTANTS = {"i": (I, 0), "lam": (ONE, 1)}

@@ -133,11 +133,42 @@ def test_lax_operators_outside_the_poisson_variables_are_refused():
         boundary._lax_matrix(riccati.nls_v("scalar").differentiate_t())
 
 
+# -- the end swap of 1 + W against the old hat-and-transpose route -------------
+
+def _hat(series: LaurentSeries) -> LaurentSeries:
+    """lam -> -lam on a Laurent series."""
+    return series.map_powers(lambda p, m: -m if p % 2 else m)
+
+
+def _transposed(series: LaurentSeries) -> LaurentSeries:
+    """The entry transpose of every coefficient of a 2x2 scalar-mode series."""
+    def transpose(m):
+        return PolyMatrix(m.mode, m.col_dims, m.row_dims,
+                          [[m.entries[j][i] for j in range(2)] for i in range(2)])
+    return series.map_coefficients(transpose)
+
+
 def test_hat_commutes_with_series_invert():
     """lam -> -lam is a ring automorphism, so it commutes with inversion,
-    truncation included; open_charge_expansion inverts 1 + What this way."""
+    truncation included; the reference route inverts 1 + What this way."""
     s = solve_w_z(6, "scalar").one_plus_w()
-    assert series_invert(boundary._hat(s)) == boundary._hat(series_invert(s))
+    assert series_invert(_hat(s)) == _hat(series_invert(s))
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_end_swap_of_one_plus_w_is_the_transposed_hat(order):
+    """W12^(n) = (-1)^n iota(W21^(n)) makes iota(1 + W) = (1 + What)^t; both
+    sides commute with inversion, so iota((1 + W)^-1) = ((1 + What)^-1)^t."""
+    s = solve_w_z(order, "scalar").one_plus_w()
+    assert boundary._swap_ends(s) == _transposed(_hat(s))
+    assert boundary._swap_ends(series_invert(s)) == _transposed(series_invert(_hat(s)))
+
+
+def test_end_swap_refuses_a_block_layout():
+    # an entrywise iota puts the N x M entry W12 in the M x N block
+    with pytest.raises(ShapeError, match=r"entry \(0,1\) has shape \('M', 'N'\), "
+                                         r"expected \('N', 'M'\)"):
+        boundary._swap_ends(solve_w_z(2, "matrix").one_plus_w())
 
 
 # -- boundary operators and conditions ---------------------------------------
@@ -195,6 +226,21 @@ def test_kappa_zero_rejected():
         boundary_u("+", BoundaryParams(ka_p=0))
     with pytest.raises(BoundaryParamError):
         open_charge_expansion(BoundaryParams(ka_m=0))
+
+
+@pytest.mark.parametrize("field", BVARS)
+@pytest.mark.parametrize("value", [0.5, "1/2"], ids=["float", "str"])
+def test_inexact_constants_are_refused(field, value):
+    # a float 0.1 once became 3602879701896397/36028797018963968 in the terms
+    with pytest.raises(TypeError, match=f"^{field} must be an int or Fraction, "
+                                        f"not {type(value).__name__}$"):
+        BoundaryParams(**{field: value})
+
+
+@pytest.mark.parametrize("field", BVARS)
+def test_int_and_fraction_constants_are_accepted(field):
+    for value in (2, Fraction(-3, 4)):
+        assert BoundaryParams(**{field: value}).values() == {field: gr(value)}
 
 
 def test_the_expansion_keeps_no_riccati_order():
@@ -356,17 +402,17 @@ def _reference_end_term(factor, values):
 
 def _reference_expansion(params, order):
     """(bulk, plus term and prefix, minus term and prefix) with every factor of
-    both reflected products truncated at ``order``, as the expansion once built them."""
+    both reflected products truncated at ``order`` and each transposed hat factor
+    built by the lam-flip and the entry transpose, as the expansion once built them."""
     sol = solve_w_z(order, "scalar")
     one_plus_w = sol.one_plus_w()
-    one_plus_what = boundary._hat(one_plus_w)
     omega = LaurentSeries.of(riccati.omega_matrix("scalar")).truncated(order)
     values = params.values()
-    a_fac = boundary._transpose_series(one_plus_what) \
+    a_fac = _transposed(_hat(one_plus_w)) \
         * (omega * boundary._k_series("+").truncated(order)) * one_plus_w
     inv_w = series_invert(one_plus_w)
     b_fac = inv_w * (boundary._k_series("-").truncated(order) * omega) \
-        * boundary._transpose_series(boundary._hat(inv_w))
+        * _transposed(_hat(inv_w))
     return (sol.z(2).entries[0][0], _reference_end_term(a_fac, values),
             _reference_end_term(b_fac, values))
 
@@ -387,8 +433,9 @@ def _term_list(p: NCPolynomial):
                          ids=["symbolic", "seed5", "seed23"])
 @pytest.mark.parametrize("order", [3, 4, 6, 8])
 def test_products_cut_at_the_read_power_match_the_full_truncation(order, params):
-    """Building the reflected products only down to lam^-2 changes no term, no
-    term's place in its polynomial, no prefix and not the bulk."""
+    """Building the reflected products only down to lam^-2, with the end swap in
+    place of the transposed hat, changes no term, no term's place in its
+    polynomial, no prefix and not the bulk."""
     exp = open_charge_expansion(params, order=order)
     bulk, (plus, plus_prefix), (minus, minus_prefix) = _reference_expansion(params, order)
     assert exp.bulk_density == bulk
